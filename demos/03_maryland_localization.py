@@ -7,8 +7,6 @@ certified as polynomially localized eigenfunctions and the truncated
 spectrum is matched against the diagonal values.
 """
 
-import warnings
-
 import numpy as np
 
 from nmloc import (
@@ -25,8 +23,6 @@ from nmloc import (
     run,
     spectrum_compare,
 )
-
-warnings.filterwarnings("ignore", message=".*contraction.*")
 
 box = LatticeBox(1, 128, 100)
 D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)

@@ -7,8 +7,6 @@ spectrum is *computed*).  Feeding the direct run's corrected diagonal back
 into an inverse run must undo the correction, up to the two defects.
 """
 
-import warnings
-
 import numpy as np
 
 from nmloc import (
@@ -24,8 +22,6 @@ from nmloc import (
     run,
     spectrum_compare,
 )
-
-warnings.filterwarnings("ignore", message=".*contraction.*")
 
 box = LatticeBox(1, 64, 48)
 D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)

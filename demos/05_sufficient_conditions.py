@@ -57,9 +57,6 @@ print(f"strict-checking run at the witness: converged = {res.converged}, "
 
 print("\nempirical regime at the same delta = 0.05, Theta = 2 (Maryland, "
       "coupling 0.1):")
-import warnings
-
-warnings.filterwarnings("ignore", message=".*contraction.*")
 T2 = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=0.1), box)
 res2 = run(T2, D, SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
                                Theta=2.0, s_hopping=4.0, epsilon=0.1))

@@ -67,14 +67,8 @@ from .operators import (
     LatticeOperator,
     TameConstants,
     chain_bound_margins,
-    diagonal_part,
-    identity,
     lattice_weight_sum,
-    multiply,
-    smooth,
-    sobolev_norm,
     tame_bound_check,
-    transpose,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

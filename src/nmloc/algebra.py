@@ -265,6 +265,41 @@ def _inverted_difference_values(p: Sequence, k, window_mask):
     return 1.0 / diffs
 
 
+def _inverted_profile(fn, shift, k):
+    """The profile x -> 1/(f(x) - f(x - shift)); a zero difference raises."""
+
+    def inv(x):
+        d = fn(x) - fn(x - shift)
+        if np.any(d == 0):
+            raise DistalViolationError(f"distal violation on the profile grid, k={k}")
+        return 1.0 / d
+
+    return inv
+
+
+def _distal_scan(p: Sequence, max_offset: int, window_radius: int | None):
+    """Yield ``(k, |k|, ||(p - sigma_k p)^-1||)`` for every 0 < |k| <= max_offset.
+
+    Norms are measured over the interior window (or ``window_radius``).
+    Under the SampledBV policy the inverted-difference profile is also
+    sampled on the policy grid and the larger value is kept; otherwise the
+    sup of the lattice values is used.  An exact collision, on the lattice
+    or on the profile grid, raises :class:`DistalViolationError`.
+    """
+    box = p.box
+    if max_offset > 2 * box.radius:
+        raise ValueError("max_offset exceeds twice the box radius")
+    m = box.interior_radius if window_radius is None else int(window_radius)
+    window = np.max(np.abs(box.sites), axis=1) <= m
+    prof = p.torus_profile if isinstance(p.policy, SampledBV) else None
+    for k in box.all_offsets(max_offset):
+        norm = float(np.max(np.abs(_inverted_difference_values(p, k, window))))
+        if prof is not None:
+            shift = float(np.asarray(k, dtype=float) @ np.asarray(prof.omega))
+            norm = max(norm, p.policy.profile_norm(_inverted_profile(prof.fn, shift, k)))
+        yield k, max(abs(int(c)) for c in k), norm
+
+
 def distal_margin(
     p: Sequence,
     tau: float,
@@ -274,41 +309,12 @@ def distal_margin(
 ) -> DistalReport:
     """Scan gamma^-1 |k|^tau - ||(p - sigma_k p)^-1|| over all 0 < |k| <= max_offset.
 
-    Norms are measured over the interior window (or ``window_radius``).
-    Under the SampledBV policy the inverted-difference profile is sampled on
-    the policy grid; otherwise the sup of the lattice values is used.
-    An exact collision p_i = p_{i-k} raises :class:`DistalViolationError`.
+    The norms come from the shared scan (see :func:`_distal_scan`); the
+    report keeps the smallest margin and its offset.
     """
-    box = p.box
-    if max_offset > 2 * box.radius:
-        raise ValueError("max_offset exceeds twice the box radius")
-    m = box.interior_radius if window_radius is None else int(window_radius)
-    window = np.max(np.abs(box.sites), axis=1) <= m
-    use_bv = isinstance(p.policy, SampledBV) and p.torus_profile is not None
-
     worst = None
     min_margin = np.inf
-    for k in box.all_offsets(max_offset):
-        inv = _inverted_difference_values(p, k, window)
-        norm = float(np.max(np.abs(inv)))
-        if use_bv:
-            prof = p.torus_profile
-            shift = float(np.asarray(k, dtype=float) @ np.asarray(prof.omega))
-            f = prof.fn
-
-            def inv_profile(x, _f=f, _s=shift):
-                d = _f(x) - _f(x - _s)
-                if np.any(d == 0):
-                    raise DistalViolationError(
-                        f"distal violation on the profile grid, k={k}"
-                    )
-                return 1.0 / d
-
-            norm = max(norm, 0.0)
-            grid_norm = p.policy.profile_norm(inv_profile)
-            # profile norm dominates its own sup part; keep the larger sup
-            norm = max(grid_norm, norm)
-        klen = max(abs(int(c)) for c in k)
+    for k, klen, norm in _distal_scan(p, max_offset, window_radius):
         margin = (klen**tau) / gamma - norm
         if margin < min_margin:
             min_margin = margin
@@ -324,27 +330,12 @@ def distal_gamma_window(
 ):
     """Largest gamma passing the window scan: min over k of |k|^tau / norm_k.
 
-    Shares the measurement core of :func:`distal_margin`; the returned
-    constant makes the worst offset's margin exactly zero.
+    Reduces the same scan as :func:`distal_margin`; the returned constant
+    makes the worst offset's margin exactly zero.
     """
-    box = p.box
-    m = box.interior_radius if window_radius is None else int(window_radius)
-    window = np.max(np.abs(box.sites), axis=1) <= m
-    use_bv = isinstance(p.policy, SampledBV) and p.torus_profile is not None
     best = np.inf
     worst = None
-    for k in box.all_offsets(max_offset):
-        inv = _inverted_difference_values(p, k, window)
-        norm = float(np.max(np.abs(inv)))
-        if use_bv:
-            prof = p.torus_profile
-            shift = float(np.asarray(k, dtype=float) @ np.asarray(prof.omega))
-            f = prof.fn
-            norm = max(
-                norm,
-                p.policy.profile_norm(lambda x, _f=f, _s=shift: 1.0 / (_f(x) - _f(x - _s))),
-            )
-        klen = max(abs(int(c)) for c in k)
+    for k, klen, norm in _distal_scan(p, max_offset, window_radius):
         gamma_k = klen**tau / norm
         if gamma_k < best:
             best = gamma_k

@@ -23,6 +23,7 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -118,10 +119,8 @@ CONFIG_SCHEMA = {
             "properties": {
                 "ledger_csv_path": {"type": ["string", "null"]},
                 "report_json_path": {"type": ["string", "null"]},
-                "checkpoint_dir": {"type": ["string", "null"]},
             },
         },
-        "seeds": {"type": "integer"},
     },
 }
 
@@ -172,7 +171,7 @@ REPORT_SCHEMA = {
         "qplus_norms": {"type": "object", "additionalProperties": _NUM},
         "dplus_norm": _NUM,
         "gamma_used": _NUM,
-        "master_residual": _NUM,
+        "master_residual": _NUM_OR_NULL,
         "bound_formulas": {"type": "object", "additionalProperties": {"type": "string"}},
         "localization": {
             "type": "object",
@@ -185,8 +184,8 @@ REPORT_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["min_singular_value", "gram_offdiag"],
                     "properties": {
-                        "min_singular_value": _NUM,
-                        "gram_offdiag": _NUM,
+                        "min_singular_value": _NUM_OR_NULL,
+                        "gram_offdiag": _NUM_OR_NULL,
                         "unitarity_defect": _NUM_OR_NULL,
                     },
                 },
@@ -222,7 +221,6 @@ REPORT_SCHEMA = {
 DEFAULT_OUTPUT = {
     "ledger_csv_path": "ledger.csv",
     "report_json_path": "report.json",
-    "checkpoint_dir": None,
 }
 
 
@@ -335,8 +333,8 @@ def _report_dict(cfg, result, conditions):
             loc["spectrum"] = {"hausdorff_interior": None, "skipped": str(exc)}
     else:
         loc["completeness"] = {
-            "min_singular_value": float("nan"),
-            "gram_offdiag": float("nan"),
+            "min_singular_value": None,
+            "gram_offdiag": None,
             "unitarity_defect": None,
         }
         loc["spectrum"] = {"hausdorff_interior": None, "skipped": "run not converged"}
@@ -349,7 +347,7 @@ def _report_dict(cfg, result, conditions):
         "qplus_norms": q_norms,
         "dplus_norm": float(result.dplus.sobolev_norm(0.0)),
         "gamma_used": float(result.gamma_used),
-        "master_residual": float(result.master_residual),
+        "master_residual": result.master_residual,
         "bound_formulas": dict(BOUND_FORMULAS),
         "localization": loc,
         "theory_conditions": [
@@ -368,10 +366,21 @@ def _report_dict(cfg, result, conditions):
     return report
 
 
+def _finite_or_null(value):
+    """Replace non-finite floats by None, recursively, for strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path, payload):
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -399,10 +408,7 @@ def cmd_run(cfg: dict, out_dir=None) -> int:
     box, _spec, D, _hop, T, params = _assemble(cfg)
     output = {**DEFAULT_OUTPUT, **cfg.get("output", {})}
     conditions = _theory_rows(T, params, box)
-    result = run(
-        T, D, params,
-        checkpoint_dir=_out_path(out_dir, output.get("checkpoint_dir")),
-    )
+    result = run(T, D, params)
     ledger_path = _out_path(out_dir, output.get("ledger_csv_path"))
     if ledger_path:
         with open(ledger_path, "w") as fh:
@@ -480,6 +486,13 @@ def _axis_values(raw: str):
     return parsed
 
 
+def _csv_cell(value) -> str:
+    """Floats in round-trip precision; a null report value as nan."""
+    if value is None:
+        return "nan"
+    return _f17(value) if isinstance(value, float) else str(value)
+
+
 def cmd_sweep(cfg: dict, overrides, out_dir=None) -> int:
     axes = []
     for key, raw in overrides:
@@ -525,13 +538,7 @@ def cmd_sweep(cfg: dict, overrides, out_dir=None) -> int:
                 "min_singular_value"]
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    str(row[c]) if not isinstance(row[c], float) else _f17(row[c])
-                    for c in cols
-                )
-                + "\n"
-            )
+            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
     print(f"sweep: {len(rows)} cells, aggregate at {agg}")
     return status
 

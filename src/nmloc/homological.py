@@ -7,9 +7,11 @@
   clamped, since clamping silently breaks the conjugation identity.
 
 * ``solve_diagonal_correction``: the diagonal correction X killing the
-  main diagonal of ``Q^{-1}(X + P)Q + P'``.  The map is affine in X, so a
-  Banach fixed-point iteration and a direct linear solve are both
-  available; iteration is the default, the direct solve the oracle.
+  main diagonal of ``Q^{-1} X Q + Q^{-1} P Q + P'``, given the conjugated
+  ``Q^{-1} P Q`` the step has already built.  The map is affine in X, so X
+  is the direct linear solve; inside the contraction regime the Banach
+  fixed-point iteration runs as an independent check, and whether the
+  regime holds is returned as data.
 
 * ``neumann_invert``: inversion of ``I + W`` by a Neumann series under the
   smallness condition ``4 c0^2 ||W||_a0 <= 1/2``, with a direct-solve
@@ -18,7 +20,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,7 @@ def solve_generator(
 ) -> HomologicalSolution:
     """Solve [D, W] + S_theta(G) = 0 for the zero-diagonal generator W.
 
-    ``theta=None`` skips the band truncation (the initial step applies no
-    smoothing beyond the one already baked into its input).  For each s in
+    ``theta=None`` skips the band truncation.  For each s in
     ``s_list`` the margin ``gamma^-1 ||S_theta G||_{s+tau} - ||W||_s`` is
     recorded; it is nonnegative whenever ``gamma`` is a valid in-box
     separation constant for ``D``.
@@ -101,6 +101,9 @@ def solve_generator(
 
 @dataclass
 class FixedPointSolution:
+    """``final_defect`` is the residual of X; ``iterations``, ``cross_check``
+    (the gap to X) and ``bound_margin`` describe the contraction check."""
+
     X: DiagonalOperator
     iterations: int
     final_defect: float
@@ -117,22 +120,24 @@ def _conjugated_diag_map(Q, Qinv):
 def solve_diagonal_correction(
     Q: LatticeOperator,
     Qinv: LatticeOperator,
-    P: LatticeOperator,
+    QPQ: LatticeOperator,
     Pprime,
     tc: TameConstants,
     tol: float = 1e-12,
     max_iter: int = 200,
-    cross_check: bool = True,
 ) -> FixedPointSolution:
-    """Find diagonal X with diag(Qinv (X + P) Q + P') = 0.
+    """Find diagonal X with diag(Qinv X Q + QPQ + P') = 0, where QPQ = Qinv P Q.
 
-    Runs the contraction iteration x -> x - (M x + c) when the smallness
-    condition ``c0 ||Q - I||_a0 <= 1/10`` (and likewise for Qinv) holds;
-    otherwise degrades to the direct affine solve with a warning.  The
-    direct solution doubles as a cross-check oracle either way.
+    X is the direct affine solve.  When the smallness condition
+    ``c0 ||Q - I||_a0 <= 1/10`` (and likewise for Qinv) holds, the
+    contraction iteration x -> x - (M x + c) also runs as an independent
+    check: ``cross_check`` is its gap to X, ``bound_margin`` the margin of
+    ``||X||_a0 <= 2 (||QPQ||_a0 + ||P'||_a0)``, and an iteration that does
+    not reach ``tol`` in ``max_iter`` steps raises
+    :class:`FixedPointStalledError`.  Outside the regime
+    ``contraction_ok`` is False and the check fields are None.
     """
     box = Q.box
-    n = box.n_sites
     eye = LatticeOperator.identity(box)
     a0 = tc.alpha0
     contraction_ok = (
@@ -140,48 +145,31 @@ def solve_diagonal_correction(
         and tc.c0 * (Qinv - eye).sobolev_norm(a0) <= 0.1
     )
 
-    qpq = Qinv @ P @ Q
     pprime_op = Pprime.as_operator() if isinstance(Pprime, DiagonalOperator) else Pprime
-    c = np.diagonal(qpq.entries) + np.diagonal(pprime_op.entries)
+    c = np.diagonal(QPQ.entries) + np.diagonal(pprime_op.entries)
     M = _conjugated_diag_map(Q, Qinv)
-
-    x_direct = None
-    if cross_check or not contraction_ok:
-        x_direct = np.linalg.solve(M, -c)
-
-    if contraction_ok:
-        x = np.zeros(n, dtype=complex)
-        iterations = 0
-        defect = float(np.max(np.abs(M @ x + c)))
-        while defect > tol:
-            if iterations >= max_iter:
-                raise FixedPointStalledError(
-                    f"fixed point stalled at defect {defect:.3e}", defect
-                )
-            x = x - (M @ x + c)
-            iterations += 1
-            defect = float(np.max(np.abs(M @ x + c)))
-    else:
-        warnings.warn(
-            "diagonal-correction contraction condition violated; "
-            "falling back to the direct solve",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        x = x_direct
-        iterations = 0
-        defect = float(np.max(np.abs(M @ x + c)))
-
+    x = np.linalg.solve(M, -c)
     X = DiagonalOperator.from_values(box, x, policy=Q.policy)
-    agreement = None
-    if x_direct is not None:
-        agreement = float(np.max(np.abs(x - x_direct)))
-    margin = None
-    if contraction_ok:
-        margin = 2.0 * (
-            qpq.sobolev_norm(a0) + pprime_op.sobolev_norm(a0)
-        ) - X.sobolev_norm(a0)
-    return FixedPointSolution(X, iterations, defect, contraction_ok, agreement, margin)
+    defect = float(np.max(np.abs(M @ x + c)))
+    if not contraction_ok:
+        return FixedPointSolution(X, 0, defect, False)
+
+    y = np.zeros(box.n_sites, dtype=complex)
+    iterations = 0
+    y_defect = float(np.max(np.abs(M @ y + c)))
+    while y_defect > tol:
+        if iterations >= max_iter:
+            raise FixedPointStalledError(
+                f"fixed point stalled at defect {y_defect:.3e}", y_defect
+            )
+        y = y - (M @ y + c)
+        iterations += 1
+        y_defect = float(np.max(np.abs(M @ y + c)))
+    gap = float(np.max(np.abs(y - x)))
+    margin = 2.0 * (
+        QPQ.sobolev_norm(a0) + pprime_op.sobolev_norm(a0)
+    ) - X.sobolev_norm(a0)
+    return FixedPointSolution(X, iterations, defect, True, gap, margin)
 
 
 @dataclass

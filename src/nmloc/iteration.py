@@ -5,8 +5,9 @@ diagonal correction) toward a diagonal operator through a product of
 near-identity transforms ``Q_k = V_1 ... V_k``.  The hopping enters in
 band slices ``T_l = (S_{theta_l} - S_{theta_{l-1}}) T`` on the geometric
 scale ``theta_l = theta_0 Theta^l``; each step solves the diagonal
-correction, then the divided-difference generator smoothed at the next
-scale, and finally measures the exact conjugation defect
+correction against the conjugated slice ``Q^{-1} T_l Q`` (inverse mode),
+then the divided-difference generator smoothed at the next scale, and
+finally measures the exact conjugation defect
 
     R_k = Q_k^{-1} H_k Q_k - (diagonal target),
 
@@ -14,6 +15,10 @@ which is the quantity the scheme drives to zero.  The defect is *defined*
 by that product; the closed-form remainder decomposition (substitution
 error plus quadratic error) is recomputed independently and checked
 against it, so every derivation step doubles as a runtime test.
+
+There is one step function: the first conjugation is the same step
+started from ``Q = I``, ``R = 0`` and ``H = D``, and only its bound data
+(``FIRST_STEP_BOUNDS``) differ.
 
 Two regimes:
 
@@ -110,6 +115,28 @@ BOUND_FORMULAS = {
 }
 
 
+@dataclass(frozen=True)
+class StepBounds:
+    """Step-dependent data of the generator bounds in ``BOUND_FORMULAS``.
+
+    ``||W||_s`` and ``||V^-1 - I||_s`` are bounded by
+    ``theta_{k-1}^(s - alpha + tau + m delta)``, the latter times ``2 k1(s)``
+    when ``vinv_k1`` is set.
+    """
+
+    w_delta: float        # m in the W bound
+    vinv_delta: float     # m in the V^-1 - I bound
+    vinv_k1: bool
+    conjugated_rows: bool  # whether the QTQ/QDQ rows are recorded
+
+
+STEP_BOUNDS = StepBounds(w_delta=4, vinv_delta=4, vinv_k1=True, conjugated_rows=True)
+# The first step conjugates by Q = I: its QTQ/QDQ rows would restate the base
+# band and the unconjugated correction, so they are left out.
+FIRST_STEP_BOUNDS = StepBounds(w_delta=1, vinv_delta=2, vinv_k1=False,
+                               conjugated_rows=False)
+
+
 @dataclass
 class LedgerRow:
     k: int
@@ -173,7 +200,7 @@ class SchemeResult:
     T: LatticeOperator
     D: DiagonalOperator
     gamma_used: float
-    master_residual: float
+    master_residual: Optional[float]
     qq_inverse_defect: float
     scaling_ratio: Optional[float] = None
     U: Optional[LatticeOperator] = None
@@ -230,52 +257,21 @@ def _put_s_family(row, label, op, s_grid, bound_fn):
         row.put(f"{label}@{s:g}", op.sobolev_norm(s), bound_fn(s))
 
 
-def initial_step(T0: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
-                 tc: TameConstants, gamma: float):
-    """First conjugation: full divided-difference solve against the base band.
+def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
+                 tc: TameConstants, gamma: float) -> IterationState:
+    """First conjugation: the general step from ``Q = I``, ``R = 0``, ``H = D``.
 
-    No smoothing beyond the band already present in ``T0`` is applied.  The
-    defect ``R_1`` is measured as the exact conjugation product and
-    cross-checked against its closed form ``V_1^{-1} T_0 W_1``.
+    ``params`` must be resolved.  Returns the state after the step (k = 1),
+    whose ledger holds the first row.
     """
-    p = params
-    box = T0.box
-    sol = solve_generator(
-        D, T0, theta=None, tau=p.tau, gamma=gamma,
-        s_list=p.s_grid, eps_floor=p.eps_floor,
-    )
-    W1 = sol.W
+    box = T.box
     eye = LatticeOperator.identity(box)
-    V1 = eye + W1
-    nres = neumann_invert(W1, tc, s_list=p.s_grid, strict=p.theory_checks)
-    V1inv = nres.Vinv
-
-    D_op = D.as_operator()
-    H1 = T0 + D_op
-    R1 = V1inv @ H1 @ V1 - D_op
-    closed_form = V1inv @ T0 @ W1
-    decomp_residual = (R1 - closed_form).sobolev_norm(0.0)
-
-    row = LedgerRow(k=1, theta_k=p.theta(1))
-    _put_s_family(row, "W", W1, p.s_grid,
-                  lambda s: _exponent_bound(p.theta0, s - p.alpha + p.tau + p.delta))
-    _put_s_family(row, "VinvmI", V1inv - eye, p.s_grid,
-                  lambda s: _exponent_bound(p.theta0, s - p.alpha + p.tau + 2 * p.delta))
-    _put_s_family(row, "R", R1, p.s_grid,
-                  lambda s: _exponent_bound(p.theta(1), s - p.alpha))
-    _put_s_family(row, "Qstep", W1, p.s_grid,
-                  lambda s: _exponent_bound(p.theta0, s - p.alpha + p.tau + 6 * p.delta))
-    for s in p.s_grid:
-        row.norms[f"QmI@{s:g}"] = W1.sobolev_norm(s)
-    row.put("D@0", 0.0, 3.0 * _exponent_bound(p.theta0, p.alpha0 - p.alpha))
-    row.norms["conj_residual"] = float(
-        (V1inv @ H1 @ V1 - D_op - R1).sobolev_norm(0.0)
+    state = IterationState(
+        box=box, params=params, tc=tc, T=T, D=D, gamma=gamma, k=0,
+        Q=eye, Qinv=eye, R=LatticeOperator.zeros(box), H=D.as_operator(),
+        corrections=np.zeros(box.n_sites, dtype=complex),
     )
-    row.norms["decomp_residual"] = float(decomp_residual)
-    row.norms["qqinv_defect"] = float((V1 @ V1inv - eye).sobolev_norm(0.0))
-    if p.theory_checks:
-        row.assert_margins()
-    return V1, V1inv, R1, H1, row
+    return iterate_step(state)
 
 
 def iterate_step(state: IterationState) -> IterationState:
@@ -284,6 +280,7 @@ def iterate_step(state: IterationState) -> IterationState:
     tc = state.tc
     box = state.box
     k = state.k
+    bounds = FIRST_STEP_BOUNDS if k == 0 else STEP_BOUNDS
     theta_prev = p.theta(k)      # radius of the slice consumed now
     theta_next = p.theta(k + 1)  # smoothing radius for the new generator
     eye = LatticeOperator.identity(box)
@@ -293,7 +290,7 @@ def iterate_step(state: IterationState) -> IterationState:
 
     if p.mode == INVERSE:
         fp = solve_diagonal_correction(
-            state.Q, state.Qinv, Tk, state.R, tc,
+            state.Q, state.Qinv, QTQ, state.R, tc,
             tol=p.fp_tol, max_iter=p.fp_max_iter,
         )
         Dk = fp.X
@@ -342,35 +339,38 @@ def iterate_step(state: IterationState) -> IterationState:
         )
         conj_ref = D_op + DiagonalOperator.from_values(box, corrections).as_operator()
 
-    # independent remainder decomposition: substitution error plus the two
-    # quadratic blocks, rebuilt from the step ingredients
+    # independent remainder decomposition: substitution error plus the
+    # quadratic remainder, rebuilt from the step ingredients
     dvals = divisor_values
     commut = LatticeOperator(box, (dvals[:, None] - dvals[None, :]) * W.entries)
     VmI = Vinv - eye
     RkW = state.R @ W
-    R_first = VmI @ (commut + RkW + state.R) + RkW
     BW = B @ W
-    R_second = VmI @ (BW + B) + BW
+    R_quad = VmI @ (commut + RkW + state.R + BW + B) + RkW + BW
     R_prime = G - G.smooth(theta_next)
-    decomp_residual = (R_next - (R_prime + R_first + R_second)).sobolev_norm(0.0)
+    decomp_residual = (R_next - (R_prime + R_quad)).sobolev_norm(0.0)
 
-    row = LedgerRow(k=k + 1, theta_k=theta_next)
-    _put_s_family(row, "W", W, p.s_grid,
-                  lambda s: _exponent_bound(theta_prev, s - p.alpha + p.tau + 4 * p.delta))
-    _put_s_family(row, "VinvmI", VmI, p.s_grid,
-                  lambda s: 2.0 * tc.k1(s)
-                  * _exponent_bound(theta_prev, s - p.alpha + p.tau + 4 * p.delta))
-    _put_s_family(row, "R", R_next, p.s_grid,
-                  lambda s: _exponent_bound(theta_next, s - p.alpha))
-    _put_s_family(row, "QTQ", QTQ, p.s_grid,
-                  lambda s: _exponent_bound(theta_prev, s - p.alpha))
+    def vinv_bound(s):
+        bound = _exponent_bound(
+            theta_prev, s - p.alpha + p.tau + bounds.vinv_delta * p.delta)
+        return 2.0 * tc.k1(s) * bound if bounds.vinv_k1 else bound
 
     def qdq_bound(s):
         if s < p.alpha - p.tau - 4.0 * p.delta:
             return _exponent_bound(theta_prev, p.alpha0 - p.alpha + 3.0 * p.delta)
         return _exponent_bound(theta_prev, s - p.alpha)
 
-    _put_s_family(row, "QDQ", QDQ, p.s_grid, qdq_bound)
+    row = LedgerRow(k=k + 1, theta_k=theta_next)
+    _put_s_family(row, "W", W, p.s_grid,
+                  lambda s: _exponent_bound(
+                      theta_prev, s - p.alpha + p.tau + bounds.w_delta * p.delta))
+    _put_s_family(row, "VinvmI", VmI, p.s_grid, vinv_bound)
+    _put_s_family(row, "R", R_next, p.s_grid,
+                  lambda s: _exponent_bound(theta_next, s - p.alpha))
+    if bounds.conjugated_rows:
+        _put_s_family(row, "QTQ", QTQ, p.s_grid,
+                      lambda s: _exponent_bound(theta_prev, s - p.alpha))
+        _put_s_family(row, "QDQ", QDQ, p.s_grid, qdq_bound)
     _put_s_family(row, "Qstep", Q_next - state.Q, p.s_grid,
                   lambda s: _exponent_bound(theta_prev, s - p.alpha + p.tau + 6 * p.delta))
     for s in p.s_grid:
@@ -400,14 +400,14 @@ def run(
     D: DiagonalOperator,
     params: SchemeParams,
     tc: Optional[TameConstants] = None,
-    checkpoint_dir=None,
 ) -> SchemeResult:
     """Drive the scheme to convergence (or to the step cap) and certify it.
 
     Stops once every hopping slice has been consumed (band radius past the
     box diameter) and the 0-norm of the defect is below ``stop_tol``.  The
-    master conjugation identity is re-verified on the assembled operators,
-    and for real symmetric data the transform is unitarized.
+    master conjugation identity is re-verified on the assembled operators of
+    a converged run (``master_residual`` stays ``None`` otherwise), and for
+    real symmetric data the transform is unitarized.
     """
     box = T.box
     if D.box != box:
@@ -442,16 +442,7 @@ def run(
                     f"theory condition {cond.name} fails with margin {cond.margin:g}"
                 )
 
-    T0 = hopping_slice(T, 0, p)
-    V1, V1inv, R1, H1, row = initial_step(T0, D, p, tc, gamma)
-    state = IterationState(
-        box=box, params=p, tc=tc, T=T, D=D, gamma=gamma, k=1,
-        Q=V1, Qinv=V1inv, R=R1, H=H1,
-        corrections=np.zeros(box.n_sites, dtype=complex),
-        ledger=[row],
-    )
-    _checkpoint(state, checkpoint_dir)
-
+    state = initial_step(T, D, p, tc, gamma)
     converged = False
     while True:
         covered = state.coverage_theta >= 2.0 * box.radius
@@ -461,17 +452,18 @@ def run(
         if state.k >= p.max_steps:
             break
         iterate_step(state)
-        _checkpoint(state, checkpoint_dir)
 
     dplus = DiagonalOperator.from_values(box, state.corrections, policy=T.policy)
-    if p.mode == INVERSE:
-        assembled = T + D.as_operator() + dplus.as_operator()
-        target = D.as_operator()
-    else:
-        assembled = T + D.as_operator()
-        target = D.as_operator() + dplus.as_operator()
-    master = state.Qinv @ assembled @ state.Q - target - state.R
-    master_residual = master.sobolev_norm(0.0) if converged else float("nan")
+    master_residual = None
+    if converged:
+        if p.mode == INVERSE:
+            assembled = T + D.as_operator() + dplus.as_operator()
+            target = D.as_operator()
+        else:
+            assembled = T + D.as_operator()
+            target = D.as_operator() + dplus.as_operator()
+        master = state.Qinv @ assembled @ state.Q - target - state.R
+        master_residual = float(master.sobolev_norm(0.0))
 
     scaling_ratio = None
     s_conv = p.alpha - p.tau - 7.0 * p.delta
@@ -496,7 +488,7 @@ def run(
         T=T,
         D=D,
         gamma_used=gamma,
-        master_residual=float(master_residual),
+        master_residual=master_residual,
         qq_inverse_defect=float(
             (state.Q @ state.Qinv - LatticeOperator.identity(box)).sobolev_norm(0.0)
         ),
@@ -505,24 +497,6 @@ def run(
     if converged and T.is_real_symmetric() and np.max(np.abs(D.values.imag)) == 0.0:
         unitarize(result)
     return result
-
-
-def _checkpoint(state: IterationState, checkpoint_dir):
-    if checkpoint_dir is None:
-        return
-    import os
-
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    path = os.path.join(checkpoint_dir, f"step_{state.k:03d}.npz")
-    np.savez_compressed(
-        path,
-        k=state.k,
-        theta=state.coverage_theta,
-        Q=state.Q.entries,
-        Qinv=state.Qinv.entries,
-        R=state.R.entries,
-        corrections=state.corrections,
-    )
 
 
 def unitarize(result: SchemeResult, offdiag_tol: float = 1e-8) -> LatticeOperator:

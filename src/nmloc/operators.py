@@ -239,33 +239,6 @@ class DiagonalOperator:
         return f"DiagonalOperator(n={self.box.n_sites})"
 
 
-# -- module-level operation aliases ------------------------------------------
-
-
-def sobolev_norm(a, s: float) -> float:
-    return a.sobolev_norm(s)
-
-
-def smooth(a: LatticeOperator, theta: float) -> LatticeOperator:
-    return a.smooth(theta)
-
-
-def multiply(x: LatticeOperator, y) -> LatticeOperator:
-    return x @ y
-
-
-def transpose(a: LatticeOperator) -> LatticeOperator:
-    return a.transpose()
-
-
-def diagonal_part(a: LatticeOperator) -> DiagonalOperator:
-    return a.diagonal_part()
-
-
-def identity(box: LatticeBox) -> LatticeOperator:
-    return LatticeOperator.identity(box)
-
-
 # -- tame constants -------------------------------------------------------------
 
 

@@ -182,7 +182,7 @@ def test_criterion_04_fixed_point_vs_direct_solve():
         assert tc.c0 * (Qinv - eye).sobolev_norm(ALPHA0) <= 0.1
         P = random_banded(box, rng, n_offsets=4)
         Pp = random_banded(box, rng, n_offsets=4)
-        sol = solve_diagonal_correction(Q, Qinv, P, Pp, tc, tol=1e-13)
+        sol = solve_diagonal_correction(Q, Qinv, Qinv @ P @ Q, Pp, tc, tol=1e-13)
         assert sol.contraction_ok
         worst_gap = max(worst_gap, sol.cross_check)
         worst_margin = min(worst_margin, sol.bound_margin)

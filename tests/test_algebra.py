@@ -10,6 +10,7 @@ from nmloc import (
     LatticeBox,
     SampledBV,
     Sequence,
+    TorusProfile,
     algebra_norm,
     build_potential,
     distal_gamma_box,
@@ -164,6 +165,20 @@ def test_maryland_distal_gamma_window_baseline():
     # frozen regression value from the oracle above
     assert gamma_best == pytest.approx(1.3683717793513868, rel=1e-9)
     assert 0.9 < gamma_best < 2.0
+
+
+def test_profile_grid_collision_raises_in_both_scans():
+    # distinct lattice values, but a step profile whose grid differences
+    # vanish: both reductions of the shared scan must reject it
+    box = LatticeBox(1, 8, 6)
+    profile = TorusProfile(lambda x: np.floor(2.0 * np.mod(x, 1.0)) / 2.0,
+                           (GOLDEN_MEAN,))
+    p = Sequence(box, np.mod(box.sites[:, 0] * GOLDEN_MEAN, 1.0),
+                 policy=SampledBV(64), torus_profile=profile)
+    with pytest.raises(DistalViolationError, match="profile grid"):
+        distal_margin(p, 1.0, 0.1, max_offset=4)
+    with pytest.raises(DistalViolationError, match="profile grid"):
+        distal_gamma_window(p, 1.0, max_offset=4)
 
 
 def test_distal_margin_monotone_in_gamma():

@@ -16,7 +16,6 @@ def base_config():
                    "theta0": 2.0, "Theta": 2.0},
         "output": {"ledger_csv_path": "ledger.csv",
                    "report_json_path": "report.json"},
-        "seeds": 7,
     }
 
 
@@ -64,7 +63,7 @@ def test_run_writes_valid_report_and_ledger(tmp_path):
     report = json.loads((out / "report.json").read_text())
     jsonschema.validate(report, cli.REPORT_SCHEMA)
     assert report["converged"] is True
-    assert report["config_echo"]["seeds"] == 7
+    assert report["config_echo"] == base_config()
     ledger = (out / "ledger.csv").read_text().strip().split("\n")
     assert ledger[0].startswith("k,theta_k,")
     assert len(ledger) == report["steps"] + 1
@@ -135,3 +134,21 @@ def test_nonconverging_run_exits_one(tmp_path):
     cfg["params"]["max_steps"] = 2
     assert cli.main(["run", "--config", write_config(tmp_path, cfg),
                      "--out-dir", str(tmp_path / "out")]) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_unconverged_report_is_strict_json(tmp_path):
+    cfg = base_config()
+    cfg["params"]["max_steps"] = 1
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    assert report["converged"] is False
+    assert report["master_residual"] is None
+    assert report["localization"]["completeness"]["min_singular_value"] is None

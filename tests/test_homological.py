@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ def test_identity_conjugation_solution(box1d, tc, rng):
     eye = LatticeOperator.identity(box1d)
     P = random_banded(box1d, rng, n_offsets=3)
     Pp = random_banded(box1d, rng, n_offsets=3)
-    sol = solve_diagonal_correction(eye, eye, P, Pp, tc)
+    sol = solve_diagonal_correction(eye, eye, eye @ P @ eye, Pp, tc)
     np.testing.assert_allclose(
         sol.X.values,
         -np.diagonal(P.entries) - np.diagonal(Pp.entries),
@@ -131,7 +133,7 @@ def test_fixed_point_agrees_with_assembled_system(rng, tc):
     Q, Qinv = near_identity(box, rng, scale=0.1 / tc.c0 / 10)
     P = random_banded(box, rng, n_offsets=3)
     Pp = random_banded(box, rng, n_offsets=3)
-    sol = solve_diagonal_correction(Q, Qinv, P, Pp, tc, tol=1e-13)
+    sol = solve_diagonal_correction(Q, Qinv, Qinv @ P @ Q, Pp, tc, tol=1e-13)
     assert sol.contraction_ok
 
     n = box.n_sites
@@ -147,14 +149,23 @@ def test_fixed_point_agrees_with_assembled_system(rng, tc):
     assert sol.bound_margin is not None and sol.bound_margin >= 0.0
 
 
-def test_fixed_point_fallback_warns_far_from_identity(rng, tc, box1d):
+def test_diagonal_correction_far_from_identity_is_silent_direct_solve(rng, tc, box1d):
     Q, Qinv = near_identity(box1d, rng, scale=0.5)
     P = random_banded(box1d, rng, n_offsets=2)
     Pp = LatticeOperator.zeros(box1d)
-    with pytest.warns(RuntimeWarning, match="contraction"):
-        sol = solve_diagonal_correction(Q, Qinv, P, Pp, tc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_diagonal_correction(Q, Qinv, Qinv @ P @ Q, Pp, tc)
     assert not sol.contraction_ok
+    assert sol.cross_check is None and sol.bound_margin is None
     assert sol.final_defect <= 1e-10 * (1 + np.max(np.abs(P.entries)))
+    # X solves the assembled system diag(Qinv (X + P) Q) = 0
+    n = box1d.n_sites
+    A = np.stack([np.diagonal(Qinv.entries @ np.diag(np.eye(n)[j]) @ Q.entries)
+                  for j in range(n)], axis=1)
+    rhs = -np.diagonal(Qinv.entries @ P.entries @ Q.entries)
+    x_direct = np.linalg.solve(A, rhs)
+    assert np.max(np.abs(sol.X.values - x_direct)) <= 1e-10 * (1 + np.max(np.abs(x_direct)))
 
 
 # -- series inversion ----------------------------------------------------------

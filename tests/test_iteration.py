@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -36,13 +34,6 @@ def maryland_setup(radius=16, epsilon=0.1, s0=4.0, **kw):
     return box, D, T, params
 
 
-@pytest.fixture(autouse=True)
-def quiet_contraction_warnings():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*contraction.*")
-        yield
-
-
 def test_slices_telescope_exactly():
     box, D, T, params = maryland_setup(radius=8)
     p = params.resolved(1)
@@ -71,10 +62,10 @@ def test_initial_step_zero_hopping():
     p = params.resolved(1)
     tc = TameConstants(1, p.alpha0)
     T0 = hopping_slice(T, 0, p)
-    V1, V1inv, R1, H1, row = initial_step(T0, D, p, tc, gamma=1.0)
+    state = initial_step(T0, D, p, tc, gamma=1.0)
     eye = LatticeOperator.identity(box)
-    np.testing.assert_array_equal(V1.entries, eye.entries)
-    assert np.all(R1.entries == 0.0)
+    np.testing.assert_array_equal(state.Q.entries, eye.entries)
+    assert np.all(state.R.entries == 0.0)
 
 
 def test_initial_step_single_entry_formula():
@@ -87,13 +78,27 @@ def test_initial_step_single_entry_formula():
     params = SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0,
                           alpha=2.0).resolved(1)
     tc = TameConstants(1, 0.6)
-    V1, V1inv, R1, H1, row = initial_step(T0, D, params, tc, gamma=1.0)
-    W = V1.entries - np.eye(5)
+    state = initial_step(T0, D, params, tc, gamma=1.0)
+    W = state.Q.entries - np.eye(5)
     assert W[1, 3] == pytest.approx(0.25 / (dvals[3] - dvals[1]), rel=1e-14)
     assert np.count_nonzero(W) == 1
     # exact defect equals the closed form V^-1 T0 W
-    closed = V1inv.entries @ e @ W
-    np.testing.assert_allclose(R1.entries, closed, atol=1e-15)
+    closed = state.Qinv.entries @ e @ W
+    np.testing.assert_allclose(state.R.entries, closed, atol=1e-15)
+
+
+def test_first_ledger_row_uses_first_step_bounds():
+    box, D, T, params = maryland_setup(radius=8)
+    res = run(T, D, params)
+    p = res.params
+    first, second = res.ledger[0], res.ledger[1]
+    assert not any(key.startswith(("QTQ@", "QDQ@")) for key in first.norms)
+    assert any(key.startswith("QTQ@") for key in second.norms)
+    for s in p.s_grid:
+        w_bound = p.theta0 ** (s - p.alpha + p.tau + p.delta)
+        vinv_bound = p.theta0 ** (s - p.alpha + p.tau + 2 * p.delta)
+        assert first.bounds[f"W@{s:g}"] == pytest.approx(w_bound, rel=1e-14)
+        assert first.bounds[f"VinvmI@{s:g}"] == pytest.approx(vinv_bound, rel=1e-14)
 
 
 def test_trivial_run_is_exact_for_every_model():
@@ -190,15 +195,6 @@ def test_ledger_csv_layout():
     assert any(col.startswith("margin:R@") for col in header)
     assert len(lines) == len(res.ledger) + 1
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
-
-
-def test_checkpoints_written(tmp_path):
-    box, D, T, params = maryland_setup(radius=8)
-    res = run(T, D, params, checkpoint_dir=tmp_path)
-    files = sorted(tmp_path.glob("step_*.npz"))
-    assert len(files) == res.steps
-    with np.load(files[-1]) as data:
-        np.testing.assert_array_equal(data["Q"], res.qplus.entries)
 
 
 # -- unitarization -------------------------------------------------------------

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -20,13 +18,6 @@ from nmloc import (
 from nmloc.errors import SymmetryDefectError
 
 
-@pytest.fixture(autouse=True)
-def quiet_contraction_warnings():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*contraction.*")
-        yield
-
-
 def maryland_run(radius=16, epsilon=0.1, **kw):
     box = LatticeBox(1, radius, max(2, int(radius * 0.75)))
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
@@ -38,9 +29,7 @@ def maryland_run(radius=16, epsilon=0.1, **kw):
 
 @pytest.fixture(scope="module")
 def res16():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*contraction.*")
-        return maryland_run()
+    return maryland_run()
 
 
 def test_trivial_limit_reports():
