@@ -62,9 +62,6 @@ class LatticeBox:
         idx = np.where(inside, idx, -1)
         return idx[0] if single else idx
 
-    def contains(self, site) -> bool:
-        return bool(np.all(np.abs(np.asarray(site)) <= self.radius))
-
     @property
     def interior_mask(self) -> np.ndarray:
         return np.max(np.abs(self.sites), axis=1) <= self.interior_radius

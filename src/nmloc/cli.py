@@ -37,9 +37,9 @@ from .iteration import (
     INVERSE,
     BOUND_FORMULAS,
     SchemeParams,
-    check_theory_conditions,
     ledger_to_csv,
     run,
+    theory_conditions,
 )
 from .models import HoppingSpec, PotentialSpec, build_hopping, build_potential, check_diophantine
 from .algebra import distal_gamma_window, distal_margin
@@ -395,16 +395,12 @@ def _out_path(out_dir, rel):
 
 
 def _theory_rows(T, params, box):
-    tc = TameConstants(box.dimension, params.resolved(box.dimension).alpha0)
     p = params.resolved(box.dimension)
-    t_norms = {
-        p.alpha + 4 * p.delta: T.sobolev_norm(p.alpha + 4 * p.delta),
-        p.alpha + 3 * p.delta: T.sobolev_norm(p.alpha + 3 * p.delta),
-    }
-    return check_theory_conditions(p, t_norms, tc)
+    return theory_conditions(T, p, TameConstants(box.dimension, p.alpha0))
 
 
-def cmd_run(cfg: dict, out_dir=None) -> int:
+def cmd_run(cfg: dict, out_dir=None) -> tuple[int, dict]:
+    """Run one config and write its outputs; returns the exit code and report."""
     box, _spec, D, _hop, T, params = _assemble(cfg)
     output = {**DEFAULT_OUTPUT, **cfg.get("output", {})}
     conditions = _theory_rows(T, params, box)
@@ -425,8 +421,8 @@ def cmd_run(cfg: dict, out_dir=None) -> int:
     if not result.converged:
         print("invariant failed: convergence (stop tolerance not reached)",
               file=sys.stderr)
-        return 1
-    return 0
+        return 1, report
+    return 0, report
 
 
 def cmd_verify_distal(cfg: dict, out_dir=None) -> int:
@@ -516,10 +512,8 @@ def cmd_sweep(cfg: dict, overrides, out_dir=None) -> int:
         cell_name = "_".join(tags).replace("/", "-")
         cell_dir = os.path.join(out_dir, cell_name)
         os.makedirs(cell_dir, exist_ok=True)
-        code = cmd_run(cell, out_dir=cell_dir)
+        code, rep = cmd_run(cell, out_dir=cell_dir)
         status = max(status, code)
-        with open(os.path.join(cell_dir, "report.json")) as fh:
-            rep = json.load(fh)
         rows.append(
             {
                 "cell": cell_name,
@@ -573,7 +567,7 @@ def main(argv=None) -> int:
             apply_override(cfg, key, raw)
         validate_config(cfg)
         if args.command == "run":
-            return cmd_run(cfg, out_dir=args.out_dir)
+            return cmd_run(cfg, out_dir=args.out_dir)[0]
         if args.command == "verify-distal":
             return cmd_verify_distal(cfg, out_dir=args.out_dir)
         return cmd_check_theory(cfg, out_dir=args.out_dir)

@@ -15,7 +15,13 @@
 
 * ``neumann_invert``: inversion of ``I + W`` by a Neumann series under the
   smallness condition ``4 c0^2 ||W||_a0 <= 1/2``, with a direct-solve
-  fallback for out-of-regime inputs.
+  fallback for out-of-regime inputs that reports the exact 1-norm
+  condition number of ``I + W``.  The inversion residual
+  ``||(I + W) V^-1 - I||_0`` costs a dense product, so it is formed only
+  when read.
+
+``solve_generator`` and ``neumann_invert`` compute bound margins, which
+cost norms on an s-grid, only for the indices passed in ``s_list``.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .operators import DiagonalOperator, LatticeOperator, TameConstants
 class HomologicalSolution:
     W: LatticeOperator
     residual_offdiag: float
-    smoothing_theta: float | None
     bound_margins: dict = field(default_factory=dict)
 
 
@@ -96,7 +101,7 @@ def solve_generator(
         margins[float(s)] = (
             sg.sobolev_norm(float(s) + tau) / gamma - W.sobolev_norm(float(s))
         )
-    return HomologicalSolution(W, residual_offdiag, theta, margins)
+    return HomologicalSolution(W, residual_offdiag, margins)
 
 
 @dataclass
@@ -174,11 +179,20 @@ def solve_diagonal_correction(
 
 @dataclass
 class NeumannResult:
+    """``neumann_terms`` is set on the series path, ``condition_number`` (the
+    1-norm condition number of ``I + W``) on the direct-solve fallback."""
+
     Vinv: LatticeOperator
-    residual: float
+    W: LatticeOperator
     bound_margins: dict = field(default_factory=dict)
     neumann_terms: int | None = None
     condition_number: float | None = None
+
+    @property
+    def residual(self) -> float:
+        """``||(I + W) V^-1 - I||_0``, one dense product per read."""
+        eye = LatticeOperator.identity(self.W.box)
+        return float(((eye + self.W) @ self.Vinv - eye).sobolev_norm(0.0))
 
 
 def neumann_invert(
@@ -195,8 +209,10 @@ def neumann_invert(
     term falls below ``term_tol`` in the 0-norm, and the margins of
     ``||V^-1 - I||_s <= 2 k1(s) ||W||_s`` are recorded for every s in
     ``s_list``.  Outside that regime, ``strict=True`` raises while
-    ``strict=False`` falls back to a direct solve and reports the
-    condition number instead of series data.
+    ``strict=False`` falls back to a direct solve and reports the 1-norm
+    condition number ``||I + W||_1 ||(I + W)^-1||_1`` instead of series
+    data, read off the inverse it has just formed.  The result's
+    ``residual`` is computed when it is read.
     """
     box = W.box
     eye_m = np.eye(box.n_sites, dtype=complex)
@@ -228,16 +244,14 @@ def neumann_invert(
                 f"{4.0 * tc.c0**2 * w_a0:.3e} > 1/2"
             )
         v = eye_m + W.entries
-        cond = float(np.linalg.cond(v))
         vinv = np.linalg.solve(v, eye_m)
+        cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 
     Vinv = LatticeOperator(box, vinv, W.policy)
-    residual = ((LatticeOperator.identity(box) + W) @ Vinv
-                - LatticeOperator.identity(box)).sobolev_norm(0.0)
     margins = {}
     for s in s_list:
         s = float(s)
         margins[s] = 2.0 * tc.k1(s) * W.sobolev_norm(s) - (
             Vinv - LatticeOperator.identity(box)
         ).sobolev_norm(s)
-    return NeumannResult(Vinv, float(residual), margins, terms, cond)
+    return NeumannResult(Vinv, W, margins, terms, cond)

@@ -76,8 +76,6 @@ class SchemeParams:
     max_steps: int = 40
     s_grid: Optional[tuple[float, ...]] = None
     eps_floor: float = 1e-14
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 200
 
     def __post_init__(self):
         if self.mode not in (INVERSE, DIRECT):
@@ -201,7 +199,6 @@ class SchemeResult:
     D: DiagonalOperator
     gamma_used: float
     master_residual: Optional[float]
-    qq_inverse_defect: float
     scaling_ratio: Optional[float] = None
     U: Optional[LatticeOperator] = None
     unitarity_defect: Optional[float] = None
@@ -289,36 +286,27 @@ def iterate_step(state: IterationState) -> IterationState:
     QTQ = state.Qinv @ Tk @ state.Q
 
     if p.mode == INVERSE:
-        fp = solve_diagonal_correction(
-            state.Q, state.Qinv, QTQ, state.R, tc,
-            tol=p.fp_tol, max_iter=p.fp_max_iter,
-        )
-        Dk = fp.X
-        qdq_entries = (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries
-        QDQ = LatticeOperator(box, qdq_entries, state.Q.policy)
-        B = QTQ + QDQ
-        G = B + state.R
-        G_for_W = G
+        Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R, tc).X
         divisor_values = state.D.values
     else:
-        B = QTQ
-        G = B + state.R
-        smoothed = G.smooth(theta_next)
-        Dk = smoothed.diagonal_part()
-        G_for_W = G - Dk.as_operator()
+        # diag of the smoothed G = Q^-1 T_k Q + R; smoothing keeps the main diagonal
+        Dk = DiagonalOperator.from_values(
+            box, np.diagonal(QTQ.entries) + np.diagonal(state.R.entries))
         divisor_values = state.D.values + state.corrections
-        qdq_entries = (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries
-        QDQ = LatticeOperator(box, qdq_entries, state.Q.policy)
+    corrections = state.corrections + Dk.values
+    QDQ = LatticeOperator(
+        box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries, state.Q.policy)
+    # inverse mode conjugates the correction into the step; direct mode takes
+    # it out of the generator's source and into the diagonal target
+    B = QTQ + QDQ if p.mode == INVERSE else QTQ
+    G = B + state.R
+    G_for_W = G if p.mode == INVERSE else G - Dk.as_operator()
 
     divisor = DiagonalOperator.from_values(box, divisor_values)
-    sol = solve_generator(
-        divisor, G_for_W, theta=theta_next, tau=p.tau, gamma=state.gamma,
-        s_list=p.s_grid, eps_floor=p.eps_floor,
-    )
-    W = sol.W
+    W = solve_generator(divisor, G_for_W, theta=theta_next, tau=p.tau,
+                        gamma=state.gamma, eps_floor=p.eps_floor).W
     V = eye + W
-    nres = neumann_invert(W, tc, s_list=p.s_grid, strict=p.theory_checks)
-    Vinv = nres.Vinv
+    Vinv = neumann_invert(W, tc, strict=p.theory_checks).Vinv
 
     Q_next = state.Q @ V
     Qinv_next = Vinv @ state.Qinv
@@ -326,18 +314,13 @@ def iterate_step(state: IterationState) -> IterationState:
 
     if p.mode == INVERSE:
         H_next = state.H + Tk + Dk.as_operator()
-        corrections = state.corrections + Dk.values
         R_next = Qinv_next @ H_next @ Q_next - D_op
         conj_ref = D_op
     else:
         H_next = state.H + Tk
-        corrections = state.corrections + Dk.values
-        R_next = (
-            Qinv_next @ H_next @ Q_next
-            - D_op
-            - DiagonalOperator.from_values(box, corrections).as_operator()
-        )
-        conj_ref = D_op + DiagonalOperator.from_values(box, corrections).as_operator()
+        corr_op = DiagonalOperator.from_values(box, corrections).as_operator()
+        R_next = Qinv_next @ H_next @ Q_next - D_op - corr_op
+        conj_ref = D_op + corr_op
 
     # independent remainder decomposition: substitution error plus the
     # quadratic remainder, rebuilt from the step ingredients
@@ -432,11 +415,7 @@ def run(
             warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
     if p.theory_checks:
-        t_norms = {
-            p.alpha + 4 * p.delta: T.sobolev_norm(p.alpha + 4 * p.delta),
-            p.alpha + 3 * p.delta: T.sobolev_norm(p.alpha + 3 * p.delta),
-        }
-        for cond in check_theory_conditions(p, t_norms, tc):
+        for cond in theory_conditions(T, p, tc):
             if cond.effective and not cond.holds:
                 raise TheoryConditionError(
                     f"theory condition {cond.name} fails with margin {cond.margin:g}"
@@ -489,9 +468,6 @@ def run(
         D=D,
         gamma_used=gamma,
         master_residual=master_residual,
-        qq_inverse_defect=float(
-            (state.Q @ state.Qinv - LatticeOperator.identity(box)).sobolev_norm(0.0)
-        ),
         scaling_ratio=scaling_ratio,
     )
     if converged and T.is_real_symmetric() and np.max(np.abs(D.values.imag)) == 0.0:
@@ -676,6 +652,15 @@ def check_theory_conditions(params: SchemeParams, t_norms, tc: TameConstants):
         add("itthm_T", m >= 0, m, "log10",
             detail="||T||_(alpha+4delta) <= theta0^(alpha0-alpha) <= 1")
     return out
+
+
+def theory_conditions(T: LatticeOperator, params: SchemeParams, tc: TameConstants):
+    """``check_theory_conditions`` with the hopping norms it reads measured on T.
+
+    ``params`` must be resolved.
+    """
+    s_high = (params.alpha + 4 * params.delta, params.alpha + 3 * params.delta)
+    return check_theory_conditions(params, {s: T.sobolev_norm(s) for s in s_high}, tc)
 
 
 # -- ledger export -----------------------------------------------------------------

@@ -167,28 +167,6 @@ class LatticeOperator:
     def __repr__(self):
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
 
-    # -- snapshots ----------------------------------------------------------------
-
-    def save(self, path):
-        """Binary snapshot: dimensions plus row-major complex entries."""
-        np.savez_compressed(
-            path,
-            dimension=self.box.dimension,
-            radius=self.box.radius,
-            interior_radius=self.box.interior_radius,
-            entries=self.entries,
-        )
-
-    @classmethod
-    def load(cls, path, policy=SUP_NORM):
-        with np.load(path) as data:
-            box = LatticeBox(
-                int(data["dimension"]),
-                int(data["radius"]),
-                int(data["interior_radius"]),
-            )
-            return cls(box, data["entries"], policy=policy)
-
 
 class DiagonalOperator:
     """Main-diagonal-only operator; its s-norm equals its 0-norm for all s."""
@@ -269,15 +247,14 @@ class TameConstants:
 
         ||XY||_s <= k0 ||X||_a0 ||Y||_s + k1(s) ||X||_s ||Y||_a0,   s >= a0.
 
-    The underlying lattice sum is evaluated in closed form; the declared
-    truncation error is float rounding only.
+    The underlying lattice sum is evaluated in closed form, so its only
+    error is float rounding.
     """
 
     def __init__(self, dimension: int, alpha0: float):
         self.dimension = int(dimension)
         self.alpha0 = float(alpha0)
         self.lattice_sum = lattice_weight_sum(self.dimension, self.alpha0)
-        self.tail_relative_error = 1e-12
         self.k0 = float(np.sqrt(20.0 * self.lattice_sum))
         self.c0 = self.k0 + self.k1(self.alpha0)
 

@@ -129,6 +129,25 @@ def test_sweep_produces_cells_and_aggregate(tmp_path):
     assert (out / "epsilon=0.05" / "report.json").exists()
 
 
+@pytest.mark.parametrize("report_path", ["rep.json", None])
+def test_sweep_rows_do_not_depend_on_report_path(tmp_path, report_path):
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
+    cfg["output"]["report_json_path"] = report_path
+    out = tmp_path / "sweep"
+    code = cli.main([
+        "sweep", "--config", write_config(tmp_path, cfg), "--out-dir", str(out),
+        "--override", "hopping.epsilon=0.1,0.05",
+    ])
+    assert code == 0
+    agg = (out / "sweep.csv").read_text().strip().split("\n")
+    assert [row.split(",")[:3] for row in agg[1:]] == [
+        ["epsilon=0.1", "True", "5"], ["epsilon=0.05", "True", "5"]]
+    for cell in ("epsilon=0.1", "epsilon=0.05"):
+        written = sorted(p.name for p in (out / cell).iterdir())
+        assert written == sorted(filter(None, ["ledger.csv", report_path]))
+
+
 def test_nonconverging_run_exits_one(tmp_path):
     cfg = base_config()
     cfg["params"]["max_steps"] = 2

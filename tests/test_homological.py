@@ -192,6 +192,8 @@ def test_neumann_residual_and_bounds(rng, tc):
         W = random_banded(box, rng, n_offsets=5)
         W = W * (0.4 / (4 * tc.c0**2 * W.sobolev_norm(tc.alpha0)))
         res = neumann_invert(W, tc, s_list=(0.6, 2.0))
+        eye = LatticeOperator.identity(box)
+        assert res.residual == ((eye + W) @ res.Vinv - eye).sobolev_norm(0.0)
         assert res.residual <= 1e-12
         assert res.neumann_terms is not None
         assert all(m >= 0.0 for m in res.bound_margins.values())
@@ -204,5 +206,6 @@ def test_neumann_smallness_error_and_fallback(rng, tc, box1d):
     with pytest.raises(NeumannSmallnessError, match="Neumann smallness failed"):
         neumann_invert(W, tc, strict=True)
     res = neumann_invert(W, tc, strict=False)
-    assert res.condition_number is not None
+    v = (LatticeOperator.identity(box1d) + W).entries
+    assert res.condition_number == pytest.approx(np.linalg.cond(v, 1), rel=1e-10)
     assert res.residual <= 1e-10 * res.condition_number

@@ -142,6 +142,30 @@ def test_maryland_regression_small_box():
     assert res.U is not None and res.unitarity_defect <= 1e-9
 
 
+def test_run_product_count_and_no_svd(monkeypatch):
+    # 12 dense products per step, 2 for the master identity and 4 for
+    # unitarize; three of the five steps take the direct-solve fallback,
+    # whose condition number must not cost an SVD
+    count = [0]
+    matmul = LatticeOperator.__matmul__
+
+    def counted(a, b):
+        count[0] += 1
+        return matmul(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run reached an SVD")
+
+    monkeypatch.setattr(LatticeOperator, "__matmul__", counted)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    assert res.converged and res.U is not None
+    assert res.steps == 5
+    assert count[0] == 12 * res.steps + 2 + 4
+
+
 def test_direct_mode_master_identity():
     box, D, T, params = maryland_setup(radius=16, epsilon=0.05, mode="direct")
     res = run(T, D, params)
@@ -213,7 +237,7 @@ def synthetic_result(box, Q_entries):
         params=SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
                             Theta=2.0, alpha=2.0).resolved(1),
         T=LatticeOperator.zeros(box), D=D, gamma_used=1.0,
-        master_residual=0.0, qq_inverse_defect=0.0,
+        master_residual=0.0,
     )
 
 

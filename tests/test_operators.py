@@ -272,15 +272,6 @@ def test_chain_bounds_n_2_3_4(rng, box1d):
         assert m_hi >= 0.0
 
 
-def test_snapshot_roundtrip(tmp_path, rng, box2d):
-    op = random_banded(box2d, rng, n_offsets=3)
-    path = tmp_path / "op.npz"
-    op.save(path)
-    back = LatticeOperator.load(path)
-    assert back.box == op.box
-    np.testing.assert_array_equal(back.entries, op.entries)
-
-
 def test_diagonal_operator_norm_index_free(box1d):
     seq = Sequence(box1d, np.linspace(-2, 2, box1d.n_sites))
     D = DiagonalOperator(box1d, seq)
