@@ -30,7 +30,7 @@ import sys
 import jsonschema
 
 from . import localization
-from .errors import ConfigError
+from .errors import ConfigError, SymmetryDefectError
 from .box import LatticeBox
 from .iteration import (
     DIRECT,
@@ -218,6 +218,25 @@ REPORT_SCHEMA = {
     },
 }
 
+
+def _validator(schema):
+    """A validator for ``schema``, checked against its metaschema once."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
+_REPORT_VALIDATOR = _validator(REPORT_SCHEMA)
+
+
+def _validate(validator, instance):
+    """Raise the error ``jsonschema.validate`` would pick, if any."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 DEFAULT_OUTPUT = {
     "ledger_csv_path": "ledger.csv",
     "report_json_path": "report.json",
@@ -236,7 +255,7 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: dict):
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        _validate(_CONFIG_VALIDATOR, cfg)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config rejected: {exc.message}") from exc
 
@@ -329,7 +348,7 @@ def _report_dict(cfg, result, conditions):
                 "hausdorff_interior": localization.spectrum_compare(result),
                 "skipped": None,
             }
-        except Exception as exc:  # non-symmetric models keep running
+        except SymmetryDefectError as exc:  # non-symmetric models keep running
             loc["spectrum"] = {"hausdorff_interior": None, "skipped": str(exc)}
     else:
         loc["completeness"] = {
@@ -362,7 +381,7 @@ def _report_dict(cfg, result, conditions):
             for c in conditions
         ],
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
+    _validate(_REPORT_VALIDATOR, report)
     return report
 
 

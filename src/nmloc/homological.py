@@ -89,7 +89,7 @@ def solve_generator(
 
     w = np.zeros_like(sg.entries)
     w[need] = sg.entries[need] / divisors[need]
-    W = LatticeOperator(box, w, G.policy)
+    W = LatticeOperator(box, w)
 
     comm = (d[:, None] - d[None, :]) * w  # [D, W] entrywise
     resid = np.abs(comm + sg.entries)
@@ -154,7 +154,7 @@ def solve_diagonal_correction(
     c = np.diagonal(QPQ.entries) + np.diagonal(pprime_op.entries)
     M = _conjugated_diag_map(Q, Qinv)
     x = np.linalg.solve(M, -c)
-    X = DiagonalOperator.from_values(box, x, policy=Q.policy)
+    X = DiagonalOperator.from_values(box, x)
     defect = float(np.max(np.abs(M @ x + c)))
     if not contraction_ok:
         return FixedPointSolution(X, 0, defect, False)
@@ -247,7 +247,7 @@ def neumann_invert(
         vinv = np.linalg.solve(v, eye_m)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 
-    Vinv = LatticeOperator(box, vinv, W.policy)
+    Vinv = LatticeOperator(box, vinv)
     margins = {}
     for s in s_list:
         s = float(s)

@@ -37,6 +37,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,6 +50,8 @@ from .operators import DiagonalOperator, LatticeOperator, TameConstants
 
 INVERSE = "inverse"
 DIRECT = "direct"
+
+GRAM_OFFDIAG_TOL = 1e-8  # largest off-diagonal entry of Q+^t Q+ unitarize accepts
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,9 @@ class IterationState:
 
 @dataclass
 class SchemeResult:
+    """A finished run of ``Q+^-1 A Q+ = Lambda + R``; after the step loop only
+    ``conjugation_pair`` reads the mode that decides ``A`` and ``Lambda``."""
+
     qplus: LatticeOperator
     qplus_inv: LatticeOperator
     dplus: DiagonalOperator
@@ -192,23 +198,26 @@ class SchemeResult:
     ledger: list[LedgerRow]
     converged: bool
     steps: int
-    mode: str
     box: LatticeBox
     params: SchemeParams
     T: LatticeOperator
     D: DiagonalOperator
     gamma_used: float
-    master_residual: Optional[float]
+    master_residual: Optional[float] = None
     scaling_ratio: Optional[float] = None
     U: Optional[LatticeOperator] = None
     unitarity_defect: Optional[float] = None
     unitary_replay_residual: Optional[float] = None
 
-    def assembled_target(self) -> LatticeOperator:
-        """The operator the eigen system belongs to (mode dependent)."""
-        if self.mode == INVERSE:
-            return self.T + self.D.as_operator() + self.dplus.as_operator()
-        return self.T + self.D.as_operator()
+    @cached_property
+    def conjugation_pair(self) -> tuple[LatticeOperator, DiagonalOperator]:
+        """``(A, Lambda)``, built once: ``(T + D + D+, D)`` in inverse mode,
+        ``(T + D, D + D+)`` in direct mode."""
+        assembled = self.T + self.D.as_operator()
+        if self.params.mode == INVERSE:
+            return assembled + self.dplus.as_operator(), self.D
+        return assembled, DiagonalOperator.from_values(
+            self.box, self.D.values + self.dplus.values)
 
     def defect_resolution(self) -> float:
         """Double-precision resolution of the conjugation-defect measurement.
@@ -220,7 +229,7 @@ class SchemeResult:
         converge harder than this (common at weak coupling) have defects
         certified at the resolution, not at their nominal norm.
         """
-        h_norm = self.assembled_target().operator_norm()
+        h_norm = self.conjugation_pair[0].operator_norm()
         return float(
             np.finfo(float).eps
             * np.sqrt(self.box.n_sites)
@@ -295,7 +304,7 @@ def iterate_step(state: IterationState) -> IterationState:
         divisor_values = state.D.values + state.corrections
     corrections = state.corrections + Dk.values
     QDQ = LatticeOperator(
-        box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries, state.Q.policy)
+        box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries)
     # inverse mode conjugates the correction into the step; direct mode takes
     # it out of the generator's source and into the diagonal target
     B = QTQ + QDQ if p.mode == INVERSE else QTQ
@@ -356,8 +365,9 @@ def iterate_step(state: IterationState) -> IterationState:
         _put_s_family(row, "QDQ", QDQ, p.s_grid, qdq_bound)
     _put_s_family(row, "Qstep", Q_next - state.Q, p.s_grid,
                   lambda s: _exponent_bound(theta_prev, s - p.alpha + p.tau + 6 * p.delta))
+    QmI = Q_next - eye
     for s in p.s_grid:
-        row.norms[f"QmI@{s:g}"] = (Q_next - eye).sobolev_norm(s)
+        row.norms[f"QmI@{s:g}"] = QmI.sobolev_norm(s)
     row.put("D@0", Dk.sobolev_norm(0.0),
             3.0 * _exponent_bound(theta_prev, p.alpha0 - p.alpha))
     row.norms["conj_residual"] = float(
@@ -432,18 +442,6 @@ def run(
             break
         iterate_step(state)
 
-    dplus = DiagonalOperator.from_values(box, state.corrections, policy=T.policy)
-    master_residual = None
-    if converged:
-        if p.mode == INVERSE:
-            assembled = T + D.as_operator() + dplus.as_operator()
-            target = D.as_operator()
-        else:
-            assembled = T + D.as_operator()
-            target = D.as_operator() + dplus.as_operator()
-        master = state.Qinv @ assembled @ state.Q - target - state.R
-        master_residual = float(master.sobolev_norm(0.0))
-
     scaling_ratio = None
     s_conv = p.alpha - p.tau - 7.0 * p.delta
     t_high = T.sobolev_norm(p.alpha + 4.0 * p.delta)
@@ -456,26 +454,28 @@ def run(
     result = SchemeResult(
         qplus=state.Q,
         qplus_inv=state.Qinv,
-        dplus=dplus,
+        dplus=DiagonalOperator.from_values(box, state.corrections),
         final_residual=state.R,
         ledger=state.ledger,
         converged=converged,
         steps=state.k,
-        mode=p.mode,
         box=box,
         params=p,
         T=T,
         D=D,
         gamma_used=gamma,
-        master_residual=master_residual,
         scaling_ratio=scaling_ratio,
     )
+    if converged:
+        assembled, target = result.conjugation_pair
+        master = state.Qinv @ assembled @ state.Q - target - state.R
+        result.master_residual = float(master.sobolev_norm(0.0))
     if converged and T.is_real_symmetric() and np.max(np.abs(D.values.imag)) == 0.0:
         unitarize(result)
     return result
 
 
-def unitarize(result: SchemeResult, offdiag_tol: float = 1e-8) -> LatticeOperator:
+def unitarize(result: SchemeResult) -> LatticeOperator:
     """Polar-normalize the transform of a real symmetric converged run.
 
     The Gram matrix Q+^t Q+ of such a run is diagonal up to the residual;
@@ -485,29 +485,24 @@ def unitarize(result: SchemeResult, offdiag_tol: float = 1e-8) -> LatticeOperato
     Q = result.qplus
     gram = Q.transpose() @ Q
     off = gram.off_diagonal_max()
-    if off > offdiag_tol:
+    if off > GRAM_OFFDIAG_TOL:
         raise SymmetryDefectError(
-            f"symmetry defect: Gram off-diagonal {off:.3e} exceeds {offdiag_tol:.1e}"
+            f"symmetry defect: Gram off-diagonal {off:.3e} exceeds {GRAM_OFFDIAG_TOL:.1e}"
         )
     g = np.diagonal(gram.entries)
     if np.any(g.real <= 0):
         raise SymmetryDefectError("symmetry defect: non-positive Gram diagonal")
     scale = 1.0 / np.sqrt(g)
-    U = LatticeOperator(result.box, Q.entries * scale[None, :], Q.policy)
-    Uinv = LatticeOperator(
-        result.box, (1.0 / scale)[:, None] * result.qplus_inv.entries, Q.policy
-    )
+    U = LatticeOperator(result.box, Q.entries * scale[None, :])
+    Uinv = LatticeOperator(result.box, (1.0 / scale)[:, None] * result.qplus_inv.entries)
     eye = LatticeOperator.identity(result.box)
     defect = (U.transpose() @ U - eye).sobolev_norm(0.0)
     if defect > 1e-9:
         raise SymmetryDefectError(
             f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds 1e-9"
         )
-    if result.mode == INVERSE:
-        target = result.D.as_operator()
-    else:
-        target = result.D.as_operator() + result.dplus.as_operator()
-    replay = (Uinv @ result.assembled_target() @ U - target).sobolev_norm(0.0)
+    assembled, target = result.conjugation_pair
+    replay = (Uinv @ assembled @ U - target).sobolev_norm(0.0)
     result.U = U
     result.unitarity_defect = float(max(defect, 0.0))
     result.unitary_replay_residual = float(replay)

@@ -12,7 +12,8 @@ the assembled operator; this module certifies three things about them:
   singular value of the transform bounded away from zero.
 
 Centers inside the interior window are the ones that count; boundary
-centers are computed but flagged, since truncation pollutes them.
+centers are computed but flagged, since truncation pollutes them.  The
+operator and the eigenvalues are the run's ``conjugation_pair``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SymmetryDefectError
-from .iteration import INVERSE, SchemeResult
-from .operators import DiagonalOperator, LatticeOperator
+from .iteration import SchemeResult
+
+SYMMETRY_TOL = 1e-12  # of the eigensolver's symmetry gate, relative to 1 + max|H|
 
 
 @dataclass(frozen=True)
@@ -43,23 +45,14 @@ def decay_exponent(result: SchemeResult) -> float:
     return p.s_hopping - p.tau - result.box.dimension / 2.0 - 12.0 * p.delta
 
 
-def eigenfunctions(
-    result: SchemeResult,
-    D: DiagonalOperator | None = None,
-    H: LatticeOperator | None = None,
-) -> list[EigenReport]:
+def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
     """One report per lattice site k, with e_k the k-th transform column."""
     if not result.converged:
         raise ValueError("eigenfunction reports require a converged run")
     box = result.box
-    D = D or result.D
-    H = H or result.assembled_target()
+    H, target = result.conjugation_pair
     exponent = decay_exponent(result)
-
-    eigenvalues = D.values.copy()
-    if result.mode != INVERSE:
-        eigenvalues = eigenvalues + result.dplus.values
-
+    eigenvalues = target.values
     sites = box.sites
     interior = box.interior_mask
     Q = result.qplus.entries
@@ -95,17 +88,11 @@ def completeness_check(result: SchemeResult):
     A complete eigenfunction system on the box is exactly an invertible
     transform; the smallest singular value quantifies the inverse bound.
     """
-    svals = np.linalg.svd(result.qplus.entries, compute_uv=False)
     gram = result.qplus.transpose() @ result.qplus
-    return float(svals[-1]), float(gram.off_diagonal_max())
+    return float(result.qplus.singular_values()[-1]), float(gram.off_diagonal_max())
 
 
-def spectrum_compare(
-    result: SchemeResult,
-    D: DiagonalOperator | None = None,
-    H: LatticeOperator | None = None,
-    symmetry_tol: float = 1e-12,
-) -> float:
+def spectrum_compare(result: SchemeResult) -> float:
     """One-sided Hausdorff distance from the interior diagonal values to
     the eigenvalues of the truncated assembled operator.
 
@@ -113,20 +100,16 @@ def spectrum_compare(
     the oracle); complex non-normal models are certified through their
     eigen residuals instead.
     """
-    D = D or result.D
-    H = H or result.assembled_target()
+    H, target = result.conjugation_pair
     e = H.entries
     scale = 1.0 + float(np.max(np.abs(e)))
     if (
-        float(np.max(np.abs(e.imag))) > symmetry_tol * scale
-        or float(np.max(np.abs(e - e.T))) > symmetry_tol * scale
+        float(np.max(np.abs(e.imag))) > SYMMETRY_TOL * scale
+        or float(np.max(np.abs(e - e.T))) > SYMMETRY_TOL * scale
     ):
         raise SymmetryDefectError("spectrum comparison requires symmetry")
     spectrum = np.linalg.eigvalsh(e.real)
 
-    targets = D.values.real.copy()
-    if result.mode != INVERSE:
-        targets = targets + result.dplus.values.real
-    targets = targets[result.box.interior_mask]
+    targets = target.values.real[result.box.interior_mask]
     dist = np.abs(targets[:, None] - spectrum[None, :]).min(axis=1)
     return float(dist.max())

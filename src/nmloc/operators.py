@@ -11,8 +11,8 @@ choice for matrices; profile-based policies only apply to sequences that
 actually carry a profile).  Sums run over the offsets realized on the box;
 the offset cap at 2N is part of the truncation model.
 
-Operators are immutable; per-offset sups and Sobolev norms are cached on
-the instance, so repeated norm evaluations at different ``s`` are cheap.
+Operators are immutable; per-offset sups, Sobolev norms and singular
+values are cached on the instance, so each operator takes at most one SVD.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .errors import TameRangeError
 class LatticeOperator:
     """Dense operator over a box, viewed through its diagonals."""
 
-    __slots__ = ("box", "entries", "policy", "_diag_sups", "_norms", "_opnorm")
+    __slots__ = ("box", "entries", "_diag_sups", "_norms", "_svals")
 
-    def __init__(self, box: LatticeBox, entries, policy=SUP_NORM):
+    def __init__(self, box: LatticeBox, entries):
         entries = np.ascontiguousarray(entries, dtype=complex)
         if entries.shape != (box.n_sites, box.n_sites):
             raise ValueError(
@@ -42,20 +42,19 @@ class LatticeOperator:
         entries.flags.writeable = False
         self.box = box
         self.entries = entries
-        self.policy = policy
         self._diag_sups = None
         self._norms = {}
-        self._opnorm = None
+        self._svals = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls, box, policy=SUP_NORM):
-        return cls(box, np.eye(box.n_sites, dtype=complex), policy=policy)
+    def identity(cls, box):
+        return cls(box, np.eye(box.n_sites, dtype=complex))
 
     @classmethod
-    def zeros(cls, box, policy=SUP_NORM):
-        return cls(box, np.zeros((box.n_sites, box.n_sites), dtype=complex), policy)
+    def zeros(cls, box):
+        return cls(box, np.zeros((box.n_sites, box.n_sites), dtype=complex))
 
     # -- diagonal view ------------------------------------------------------
 
@@ -95,11 +94,17 @@ class LatticeOperator:
             self._norms[s] = cached
         return cached
 
+    def singular_values(self) -> np.ndarray:
+        """All singular values in descending order (cached: one SVD)."""
+        if self._svals is None:
+            svals = np.linalg.svd(self.entries, compute_uv=False)
+            svals.flags.writeable = False
+            self._svals = svals
+        return self._svals
+
     def operator_norm(self) -> float:
         """Largest singular value (the l2 -> l2 norm on the box)."""
-        if self._opnorm is None:
-            self._opnorm = float(np.linalg.norm(self.entries, 2))
-        return self._opnorm
+        return float(self.singular_values()[0])
 
     def off_diagonal_max(self) -> float:
         off = self.entries.copy()
@@ -111,15 +116,13 @@ class LatticeOperator:
     def smooth(self, theta: float) -> "LatticeOperator":
         """Keep the band |i - j|_inf <= theta, zero the rest."""
         mask = self.box.smooth_mask(theta)
-        return LatticeOperator(self.box, self.entries * mask, self.policy)
+        return LatticeOperator(self.box, self.entries * mask)
 
     def transpose(self) -> "LatticeOperator":
-        return LatticeOperator(self.box, self.entries.T, self.policy)
+        return LatticeOperator(self.box, self.entries.T)
 
     def diagonal_part(self) -> "DiagonalOperator":
-        return DiagonalOperator.from_values(
-            self.box, np.diagonal(self.entries), policy=self.policy
-        )
+        return DiagonalOperator.from_values(self.box, np.diagonal(self.entries))
 
     def is_real_symmetric(self, tol: float = 0.0) -> bool:
         e = self.entries
@@ -142,27 +145,27 @@ class LatticeOperator:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LatticeOperator(self.box, self.entries @ other.entries, self.policy)
+        return LatticeOperator(self.box, self.entries @ other.entries)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LatticeOperator(self.box, self.entries + other.entries, self.policy)
+        return LatticeOperator(self.box, self.entries + other.entries)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LatticeOperator(self.box, self.entries - other.entries, self.policy)
+        return LatticeOperator(self.box, self.entries - other.entries)
 
     def __mul__(self, scalar):
-        return LatticeOperator(self.box, self.entries * complex(scalar), self.policy)
+        return LatticeOperator(self.box, self.entries * complex(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return LatticeOperator(self.box, -self.entries, self.policy)
+        return LatticeOperator(self.box, -self.entries)
 
     def __repr__(self):
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
@@ -197,10 +200,8 @@ class DiagonalOperator:
     def values(self) -> np.ndarray:
         return self.diag.values
 
-    def as_operator(self, policy=None) -> LatticeOperator:
-        return LatticeOperator(
-            self.box, np.diag(self.values), policy or self.diag.policy
-        )
+    def as_operator(self) -> LatticeOperator:
+        return LatticeOperator(self.box, np.diag(self.values))
 
     def sobolev_norm(self, s: float = 0.0) -> float:
         del s  # independent of the index for diagonal operators

@@ -171,3 +171,26 @@ def test_unconverged_report_is_strict_json(tmp_path):
     assert report["converged"] is False
     assert report["master_residual"] is None
     assert report["localization"]["completeness"]["min_singular_value"] is None
+
+
+def test_non_symmetric_run_reports_spectrum_skipped(tmp_path):
+    cfg = base_config()
+    cfg["potential"]["kind"] = "sarnak"
+    cfg["hopping"]["epsilon"] = 0.02
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 0
+    spectrum = json.loads((out / "report.json").read_text())["localization"]["spectrum"]
+    assert spectrum["hausdorff_interior"] is None
+    assert "requires symmetry" in spectrum["skipped"]
+
+
+def test_spectrum_failure_other_than_symmetry_fails_the_run(tmp_path, monkeypatch):
+    def broken(result):
+        raise RuntimeError("eigensolver broke")
+
+    monkeypatch.setattr(cli.localization, "spectrum_compare", broken)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, base_config()),
+                     "--out-dir", str(out)]) == 1
+    assert not (out / "report.json").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,22 @@ def test_direct_mode_master_identity():
     assert res.dplus.sobolev_norm() > 0.0
 
 
+def test_conjugation_pair_by_mode():
+    box, D, T, params = maryland_setup(radius=8, epsilon=0.05)
+    for mode in ("inverse", "direct"):
+        res = run(T, D, replace(params, mode=mode))
+        assembled, target = res.conjugation_pair
+        assert res.conjugation_pair[0] is assembled  # built once per result
+        TD = T.entries + np.diag(D.values)
+        if mode == "inverse":
+            np.testing.assert_array_equal(
+                assembled.entries, TD + np.diag(res.dplus.values))
+            assert target is res.D
+        else:
+            np.testing.assert_array_equal(assembled.entries, TD)
+            np.testing.assert_array_equal(target.values, D.values + res.dplus.values)
+
+
 def test_direct_and_inverse_corrections_compose():
     # feeding the direct run's corrected diagonal to an inverse run must
     # undo the correction, up to the two conjugation defects
@@ -233,7 +251,7 @@ def synthetic_result(box, Q_entries):
         qplus_inv=LatticeOperator(box, np.linalg.inv(Q_entries)),
         dplus=DiagonalOperator.zeros(box),
         final_residual=LatticeOperator.zeros(box),
-        ledger=[], converged=True, steps=0, mode="inverse", box=box,
+        ledger=[], converged=True, steps=0, box=box,
         params=SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
                             Theta=2.0, alpha=2.0).resolved(1),
         T=LatticeOperator.zeros(box), D=D, gamma_used=1.0,

@@ -125,3 +125,26 @@ def test_unconverged_run_rejected():
     assert not res.converged
     with pytest.raises(ValueError, match="converged"):
         eigenfunctions(res)
+
+
+def test_operator_norm_and_completeness_share_one_svd(monkeypatch):
+    res = maryland_run(radius=8)
+    svd, norm = np.linalg.svd, np.linalg.norm
+    calls = []
+
+    def counted_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:  # the spectral norm is a full SVD
+            calls.append("norm2")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    qnorm = res.qplus.operator_norm()
+    min_sv, _ = completeness_check(res)
+    assert calls == ["svd"]
+    svals = svd(res.qplus.entries, compute_uv=False)
+    assert (qnorm, min_sv) == (svals[0], svals[-1])

@@ -177,3 +177,13 @@ def test_diophantine_monotone_in_tau():
     g1, _ = check_diophantine((GOLDEN_MEAN,), tau=1.0, max_k=32)
     g2, _ = check_diophantine((GOLDEN_MEAN,), tau=1.5, max_k=32)
     assert g2 >= g1
+
+
+def test_craig_diagonal_part_measures_under_sup():
+    # an operator carries no norm policy: the main diagonal read back from
+    # the profiled craig_mod1 potential is a bare array, measured in sup
+    box = LatticeBox(1, 8, 6)
+    D = build_potential(PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box)
+    back = D.as_operator().diagonal_part()
+    np.testing.assert_array_equal(back.values, D.values)
+    assert back.sobolev_norm() == float(np.max(np.abs(D.values)))
