@@ -43,7 +43,7 @@ from .iteration import (
 )
 from .models import HoppingSpec, PotentialSpec, build_hopping, build_potential, check_diophantine
 from .algebra import distal_gamma_window, distal_margin
-from .operators import LatticeOperator, TameConstants
+from .operators import DiagonalOperator, TameConstants
 
 _NUM = {"type": "number"}
 _NUM_OR_NULL = {"type": ["number", "null"]}
@@ -316,7 +316,7 @@ def _report_dict(cfg, result, conditions):
     q_norms = {"operator_norm": result.qplus.operator_norm()}
     eye_norm_s = p.alpha - p.tau - 7 * p.delta
     if eye_norm_s >= 0:
-        eye = LatticeOperator.identity(result.box)
+        eye = DiagonalOperator.identity(result.box)
         q_norms[f"minus_identity@s={eye_norm_s:g}"] = float(
             (result.qplus - eye).sobolev_norm(eye_norm_s)
         )

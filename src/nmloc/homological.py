@@ -4,7 +4,8 @@
   generator W, from ``[D, W] + S_theta(G) = 0``; entrywise
   ``W_{i,j} = (S_theta G)_{i,j} / (d_j - d_i)``, with an exactly zero
   diagonal.  Divisors below the configured floor raise; they are never
-  clamped, since clamping silently breaks the conjugation identity.
+  clamped, since clamping silently breaks the conjugation identity.  The
+  entrywise residual of that equation is formed only when read.
 
 * ``solve_diagonal_correction``: the diagonal correction X killing the
   main diagonal of ``Q^{-1} X Q + Q^{-1} P Q + P'``, given the conjugated
@@ -40,9 +41,22 @@ from .operators import DiagonalOperator, LatticeOperator, TameConstants
 
 @dataclass
 class HomologicalSolution:
+    """``W`` solves ``[D, W] + SG = 0`` on the ``solved`` entries, where
+    ``SG`` is the band-truncated source."""
+
     W: LatticeOperator
-    residual_offdiag: float
+    D: DiagonalOperator
+    SG: LatticeOperator
+    solved: np.ndarray  # in-band off-diagonal entries
     bound_margins: dict = field(default_factory=dict)
+
+    @property
+    def residual_offdiag(self) -> float:
+        """``max |[D, W] + SG|`` over the solved entries, formed per read."""
+        d = self.D.values
+        resid = np.abs((d[:, None] - d[None, :]) * self.W.entries + self.SG.entries)
+        resid[~self.solved] = 0.0
+        return float(np.max(resid))
 
 
 def solve_generator(
@@ -91,17 +105,12 @@ def solve_generator(
     w[need] = sg.entries[need] / divisors[need]
     W = LatticeOperator(box, w)
 
-    comm = (d[:, None] - d[None, :]) * w  # [D, W] entrywise
-    resid = np.abs(comm + sg.entries)
-    resid[~need] = 0.0
-    residual_offdiag = float(np.max(resid))
-
     margins = {}
     for s in s_list:
         margins[float(s)] = (
             sg.sobolev_norm(float(s) + tau) / gamma - W.sobolev_norm(float(s))
         )
-    return HomologicalSolution(W, residual_offdiag, margins)
+    return HomologicalSolution(W, D, sg, need, margins)
 
 
 @dataclass
@@ -143,7 +152,7 @@ def solve_diagonal_correction(
     ``contraction_ok`` is False and the check fields are None.
     """
     box = Q.box
-    eye = LatticeOperator.identity(box)
+    eye = DiagonalOperator.identity(box)
     a0 = tc.alpha0
     contraction_ok = (
         tc.c0 * (Q - eye).sobolev_norm(a0) <= 0.1
@@ -191,7 +200,7 @@ class NeumannResult:
     @property
     def residual(self) -> float:
         """``||(I + W) V^-1 - I||_0``, one dense product per read."""
-        eye = LatticeOperator.identity(self.W.box)
+        eye = DiagonalOperator.identity(self.W.box)
         return float(((eye + self.W) @ self.Vinv - eye).sobolev_norm(0.0))
 
 
@@ -252,6 +261,6 @@ def neumann_invert(
     for s in s_list:
         s = float(s)
         margins[s] = 2.0 * tc.k1(s) * W.sobolev_norm(s) - (
-            Vinv - LatticeOperator.identity(box)
+            Vinv - DiagonalOperator.identity(box)
         ).sobolev_norm(s)
     return NeumannResult(Vinv, W, margins, terms, cond)

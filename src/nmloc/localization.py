@@ -88,8 +88,8 @@ def completeness_check(result: SchemeResult):
     A complete eigenfunction system on the box is exactly an invertible
     transform; the smallest singular value quantifies the inverse bound.
     """
-    gram = result.qplus.transpose() @ result.qplus
-    return float(result.qplus.singular_values()[-1]), float(gram.off_diagonal_max())
+    return (float(result.qplus.singular_values()[-1]),
+            float(result.gram.off_diagonal_max()))
 
 
 def spectrum_compare(result: SchemeResult) -> float:

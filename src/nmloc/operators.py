@@ -141,6 +141,15 @@ class LatticeOperator:
             raise ValueError("box mismatch")
         return other
 
+    def _shift_diagonal(self, ufunc, other: "DiagonalOperator"):
+        """``self (+ or -) other``: one copy, then only the main diagonal moves."""
+        if other.box != self.box:
+            raise ValueError("box mismatch")
+        entries = self.entries.copy()
+        diag = entries.reshape(-1)[:: self.box.n_sites + 1]  # a view
+        ufunc(diag, other.values, out=diag)
+        return LatticeOperator(self.box, entries)
+
     def __matmul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -148,12 +157,18 @@ class LatticeOperator:
         return LatticeOperator(self.box, self.entries @ other.entries)
 
     def __add__(self, other):
+        if isinstance(other, DiagonalOperator):
+            return self._shift_diagonal(np.add, other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return LatticeOperator(self.box, self.entries + other.entries)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if isinstance(other, DiagonalOperator):
+            return self._shift_diagonal(np.subtract, other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -196,6 +211,10 @@ class DiagonalOperator:
     def zeros(cls, box, policy=SUP_NORM):
         return cls.from_values(box, np.zeros(box.n_sites), policy=policy)
 
+    @classmethod
+    def identity(cls, box):
+        return cls.from_values(box, np.ones(box.n_sites))
+
     @property
     def values(self) -> np.ndarray:
         return self.diag.values
@@ -206,13 +225,6 @@ class DiagonalOperator:
     def sobolev_norm(self, s: float = 0.0) -> float:
         del s  # independent of the index for diagonal operators
         return algebra_norm(self.diag)
-
-    def __add__(self, other):
-        if isinstance(other, DiagonalOperator):
-            return DiagonalOperator.from_values(
-                self.box, self.values + other.values, policy=self.diag.policy
-            )
-        return NotImplemented
 
     def __repr__(self):
         return f"DiagonalOperator(n={self.box.n_sites})"

@@ -1,8 +1,11 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmloc.iteration as iteration
 from nmloc import (
     GOLDEN_MEAN,
     DiagonalOperator,
@@ -16,6 +19,7 @@ from nmloc import (
     build_hopping,
     build_potential,
     check_theory_conditions,
+    completeness_check,
     hopping_slice,
     initial_step,
     ledger_to_csv,
@@ -145,9 +149,10 @@ def test_maryland_regression_small_box():
 
 
 def test_run_product_count_and_no_svd(monkeypatch):
-    # 12 dense products per step, 2 for the master identity and 4 for
-    # unitarize; three of the five steps take the direct-solve fallback,
-    # whose condition number must not cost an SVD
+    # 9 dense products per later step and 5 at the first, where Q = I and
+    # R = 0; 2 for the master identity and 4 for unitarize.  Three of the
+    # five steps take the direct-solve fallback, whose condition number
+    # must not cost an SVD
     count = [0]
     matmul = LatticeOperator.__matmul__
 
@@ -165,7 +170,50 @@ def test_run_product_count_and_no_svd(monkeypatch):
     res = run(T, D, params)
     assert res.converged and res.U is not None
     assert res.steps == 5
-    assert count[0] == 12 * res.steps + 2 + 4
+    assert count[0] == 9 * (res.steps - 1) + 5 + 2 + 4
+
+
+def test_dropped_hopping_ring_shows_in_conj_residual(monkeypatch):
+    # H is built slice by slice; conj_residual compares it with its closed
+    # form, so a ring that never enters H must show in that step's row
+    dropped = 2
+    sliced = iteration.hopping_slice
+
+    def lossy(T, k, params):
+        ring = sliced(T, k, params)
+        return LatticeOperator.zeros(T.box) if k == dropped else ring
+
+    monkeypatch.setattr(iteration, "hopping_slice", lossy)
+    box, D, T, params = maryland_setup(max_steps=4)
+    res = run(T, D, params)
+    ring_norm = sliced(T, dropped, res.params).sobolev_norm(0.0)
+    assert ring_norm > 0.0
+    assert res.ledger[dropped].norms["conj_residual"] >= ring_norm
+    assert res.ledger[dropped - 1].norms["conj_residual"] <= 1e-12
+
+
+def test_completeness_reuses_the_unitarize_gram(monkeypatch):
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    assert res.U is not None
+
+    def refuse(a, b):
+        raise AssertionError("completeness_check made a dense product")
+
+    monkeypatch.setattr(LatticeOperator, "__matmul__", refuse)
+    min_sv, gram_off = completeness_check(res)
+    assert gram_off == res.gram.off_diagonal_max()
+
+
+def test_ledger_columns_match_the_benchmark_reference():
+    # the benchmark gate compares ledgers key by key against these rows
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "maryland-d1.json"
+    ref_rows = next(iter(json.loads(ref_path.read_text()).values()))["ledger"]
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    assert len(res.ledger) <= len(ref_rows)
+    for row, ref_row in zip(res.ledger, ref_rows):
+        assert set(row.norms) == set(ref_row)
 
 
 def test_direct_mode_master_identity():

@@ -279,3 +279,18 @@ def test_diagonal_operator_norm_index_free(box1d):
     as_op = D.as_operator()
     for s in (0.0, 3.0):
         assert as_op.sobolev_norm(s) == pytest.approx(D.sobolev_norm(), rel=1e-14)
+
+
+def test_diagonal_sum_matches_dense_sum_entry_for_entry(rng, box1d):
+    n = box1d.n_sites
+    op = LatticeOperator(box1d, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    for values in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        D = DiagonalOperator.from_values(box1d, values)
+        dense = D.as_operator().entries
+        np.testing.assert_array_equal((op + D).entries, op.entries + dense)
+        np.testing.assert_array_equal((D + op).entries, dense + op.entries)
+        np.testing.assert_array_equal((op - D).entries, op.entries - dense)
+    eye = DiagonalOperator.identity(box1d)
+    np.testing.assert_array_equal((op - eye).entries, op.entries - np.eye(n))
+    with pytest.raises(ValueError, match="box mismatch"):
+        op + DiagonalOperator.identity(LatticeBox(1, 2, 1))
