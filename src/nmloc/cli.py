@@ -167,9 +167,10 @@ REPORT_SCHEMA = {
         "config_echo": {"type": "object"},
         "converged": {"type": "boolean"},
         "steps": {"type": "integer"},
-        "final_residual_norms": {"type": "object", "additionalProperties": _NUM},
-        "qplus_norms": {"type": "object", "additionalProperties": _NUM},
-        "dplus_norm": _NUM,
+        # norms of the final state: null when a run ends with non-finite entries
+        "final_residual_norms": {"type": "object", "additionalProperties": _NUM_OR_NULL},
+        "qplus_norms": {"type": "object", "additionalProperties": _NUM_OR_NULL},
+        "dplus_norm": _NUM_OR_NULL,
         "gamma_used": _NUM,
         "master_residual": _NUM_OR_NULL,
         "bound_formulas": {"type": "object", "additionalProperties": {"type": "string"}},

@@ -309,7 +309,12 @@ def iterate_step(state: IterationState) -> IterationState:
     QTQ = Tk if first else state.Qinv @ Tk @ state.Q
 
     if p.mode == INVERSE:
-        Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R, tc).X
+        if first:
+            # Q = Q^-1 = I makes the affine map the identity: X = -c exactly
+            Dk = DiagonalOperator.from_values(
+                box, -(np.diagonal(QTQ.entries) + np.diagonal(state.R.entries)))
+        else:
+            Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R, tc).X
         divisor_values = state.D.values
     else:
         # diag of the smoothed G = Q^-1 T_k Q + R; smoothing keeps the main diagonal

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import jsonschema
+import numpy as np
 import pytest
 
-from nmloc import cli
+from nmloc import LatticeOperator, cli
 from nmloc.errors import ConfigError
 
 
@@ -194,3 +196,24 @@ def test_spectrum_failure_other_than_symmetry_fails_the_run(tmp_path, monkeypatc
     assert cli.main(["run", "--config", write_config(tmp_path, base_config()),
                      "--out-dir", str(out)]) == 1
     assert not (out / "report.json").exists()
+
+
+def test_non_finite_transform_writes_a_strict_report(tmp_path, monkeypatch):
+    # a diverging run can end with NaN in Q+; its report still gets written
+    solve = cli.run
+
+    def diverged(T, D, params):
+        res = solve(T, D, replace(params, max_steps=1))
+        q = res.qplus.entries.copy()
+        q[0, 0] = np.nan
+        return replace(res, qplus=LatticeOperator(res.box, q))
+
+    monkeypatch.setattr(cli, "run", diverged)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, base_config()),
+                     "--out-dir", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    assert report["converged"] is False
+    assert report["qplus_norms"]["operator_norm"] is None

@@ -173,6 +173,28 @@ def test_run_product_count_and_no_svd(monkeypatch):
     assert count[0] == 9 * (res.steps - 1) + 5 + 2 + 4
 
 
+def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
+    # at k = 0, Q = Q^-1 = I: the correction is -diag(T_0) with no solve
+    solved = []
+    solve = iteration.solve_diagonal_correction
+
+    def counted(*args, **kwargs):
+        solved.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "solve_diagonal_correction", counted)
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    assert res.converged
+    assert len(solved) == res.steps - 1
+    tc = TameConstants(1, params.alpha0)
+    first = initial_step(T, D, res.params, tc, res.gamma_used)
+    eye = LatticeOperator.identity(box)
+    by_solve = solve(eye, eye, hopping_slice(T, 0, res.params),
+                     LatticeOperator.zeros(box), tc).X
+    np.testing.assert_array_equal(first.corrections, by_solve.values)
+
+
 def test_dropped_hopping_ring_shows_in_conj_residual(monkeypatch):
     # H is built slice by slice; conj_residual compares it with its closed
     # form, so a ring that never enters H must show in that step's row

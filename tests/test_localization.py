@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from nmloc import (
     GOLDEN_MEAN,
     HoppingSpec,
     LatticeBox,
+    LatticeOperator,
     PotentialSpec,
     SchemeParams,
     build_hopping,
@@ -127,24 +130,56 @@ def test_unconverged_run_rejected():
         eigenfunctions(res)
 
 
-def test_operator_norm_and_completeness_share_one_svd(monkeypatch):
-    res = maryland_run(radius=8)
-    svd, norm = np.linalg.svd, np.linalg.norm
+def fresh_certificate_operators(res):
+    """The same run with uncached transform and defect operators."""
+    box = res.box
+    return replace(
+        res,
+        qplus=LatticeOperator(box, res.qplus.entries),
+        qplus_inv=LatticeOperator(box, res.qplus_inv.entries),
+        final_residual=LatticeOperator(box, res.final_residual.entries),
+    )
+
+
+@pytest.mark.parametrize("which", ["flagship_result", "sarnak_result"])
+def test_certificate_takes_no_svd_and_one_eigensolve_of_q_plus(which, request,
+                                                                monkeypatch):
+    res = fresh_certificate_operators(request.getfixturevalue(which))
+    symmetric = res.U is not None
+    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
     calls = []
 
-    def counted_svd(*args, **kwargs):
-        calls.append("svd")
-        return svd(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate reached an SVD")
 
-    def counted_norm(x, ord=None, *args, **kwargs):
-        if ord == 2:  # the spectral norm is a full SVD
-            calls.append("norm2")
+    def counted_eigvalsh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def refused_spectral_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2, "nuc"):  # each is a full SVD
+            refuse()
         return norm(x, ord, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    qnorm = res.qplus.operator_norm()
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refused_spectral_norm)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+
+    eigenfunctions(res)
+    assert calls == []
     min_sv, _ = completeness_check(res)
-    assert calls == ["svd"]
-    svals = svd(res.qplus.entries, compute_uv=False)
+    assert len(calls) == 1  # the Gram of Q+
+    qnorm = res.qplus.operator_norm()
+    assert len(calls) == 1  # shared with completeness_check
+    svals = res.qplus.singular_values()
     assert (qnorm, min_sv) == (svals[0], svals[-1])
+    if symmetric:
+        spectrum_compare(res)
+        assert len(calls) == 2  # the spectrum of A
+    before = len(calls)
+    resolution = res.defect_resolution()
+    assert len(calls) == before + 2  # A and Q+^-1; Q+ is cached
+    rnorm = res.final_residual.operator_norm()
+    assert len(calls) == before + 3
+    assert 0.0 < resolution and 0.0 < rnorm < qnorm
+    assert min_sv >= 0.9

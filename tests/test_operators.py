@@ -294,3 +294,73 @@ def test_diagonal_sum_matches_dense_sum_entry_for_entry(rng, box1d):
     np.testing.assert_array_equal((op - eye).entries, op.entries - np.eye(n))
     with pytest.raises(ValueError, match="box mismatch"):
         op + DiagonalOperator.identity(LatticeBox(1, 2, 1))
+
+
+# -- singular values: the Gram eigensolve against the reference SVD ----------------
+
+
+def assert_matches_svd(op, smallest=True):
+    """Largest (and, when asked, smallest) value within 1e-12 of the SVD's."""
+    svals = op.singular_values()
+    ref = np.linalg.svd(op.entries, compute_uv=False)
+    assert svals.shape == ref.shape
+    assert np.all(np.diff(svals) <= 0.0)
+    assert svals[0] == pytest.approx(ref[0], rel=1e-12, abs=0.0)
+    assert op.operator_norm() == svals[0]
+    if smallest:
+        assert svals[-1] == pytest.approx(ref[-1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("which", ["flagship_result", "sarnak_result"])
+def test_singular_values_match_svd_on_certified_runs(which, request):
+    # Q+ and Q+^-1 are within a few percent of unitary, so both ends are
+    # resolved; A = T + D + D+ and R only need their norm
+    res = request.getfixturevalue(which)
+    assert res.converged
+    assert_matches_svd(res.qplus)
+    assert_matches_svd(res.qplus_inv)
+    assert_matches_svd(res.conjugation_pair[0], smallest=False)
+    assert_matches_svd(res.final_residual, smallest=False)
+
+
+def test_singular_values_match_svd_when_clustered(rng, box2d):
+    # sigma_2 / sigma_1 = 1 - 1e-6: the clustered spectra of Q+ and Q+^-1
+    n = box2d.n_sites
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u, _ = np.linalg.qr(z)
+    op = LatticeOperator(box2d, u * (1.0 + 1e-6 * np.arange(n))[None, :])
+    assert_matches_svd(op)
+    np.testing.assert_allclose(op.singular_values(), 1.0 + 1e-6 * np.arange(n)[::-1],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_singular_values_of_rank_deficient_and_zero(rng, box1d):
+    n = box1d.n_sites
+    x = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    assert_matches_svd(LatticeOperator(box1d, x @ x.conj().T), smallest=False)
+    assert_matches_svd(LatticeOperator(box1d, x.real @ x.real.T), smallest=False)
+    zero = LatticeOperator.zeros(box1d)
+    np.testing.assert_array_equal(zero.singular_values(), np.zeros(n))
+    assert zero.operator_norm() == 0.0
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_singular_values_scale_exactly_by_powers_of_two(rng, box1d, exponent):
+    # the Gram of 2^600 X would overflow and that of 2^-600 X underflow
+    # without the exact power-of-two scaling
+    n = box1d.n_sites
+    for x in (rng.normal(size=(n, n)), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+        scaled = LatticeOperator(box1d, np.ldexp(1.0, exponent) * x).singular_values()
+        base = LatticeOperator(box1d, x).singular_values()
+        np.testing.assert_array_equal(scaled, np.ldexp(base, exponent))
+        assert np.all(np.isfinite(scaled)) and scaled[-1] > 0.0
+
+
+def test_non_finite_operator_has_nan_norm(rng, box1d):
+    n = box1d.n_sites
+    for bad in (np.nan, np.inf):
+        entries = rng.normal(size=(n, n)).astype(complex)
+        entries[2, 5] = bad
+        op = LatticeOperator(box1d, entries)
+        assert math.isnan(op.operator_norm())
+        assert np.all(np.isnan(op.singular_values()))
