@@ -293,7 +293,8 @@ def iterate_step(state: IterationState) -> IterationState:
     The dense products build ``Q^-1 T_k Q``, ``Q^-1 D_k Q``, the transform
     pair, the defect ``R`` and the remainder check, plus ``Q Q^-1``.  At the
     first step ``Q = Q^-1 = I`` and ``R = 0``, so the products with them are
-    exact no-ops and are skipped.
+    exact no-ops and are skipped, and the inverse-mode diagonal correction
+    needs no solve.
     """
     p = state.params
     tc = state.tc
