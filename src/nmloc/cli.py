@@ -5,7 +5,7 @@ Subcommands::
     nmloc run           --config cfg.json [--override k=v ...] [--out-dir DIR]
     nmloc verify-distal --config cfg.json ...
     nmloc check-theory  --config cfg.json ...
-    nmloc sweep         --config cfg.json --override hopping.epsilon=0.3,0.1 ...
+    nmloc sweep         --config cfg.json --override hopping.epsilon=0.3,0.1 ... [--out-dir DIR]
 
 Configs are JSON, schema-validated with unknown keys rejected.  ``run``
 writes a per-step ledger CSV and a report JSON (schema-validated before
@@ -89,7 +89,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "s_exponent": {"type": "number", "exclusiveMinimum": 0},
                 "epsilon": {"type": "number", "minimum": 0},
-                "profile": {"enum": ["power_law"]},
             },
         },
         "params": {
@@ -99,7 +98,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tau": _NUM,
                 "gamma": _NUM_OR_NULL,
-                "delta": _NUM,
+                "delta": {"type": "number", "exclusiveMinimum": 0},
                 "alpha0": _NUM,
                 "alpha": _NUM_OR_NULL,
                 "alpha1": _NUM_OR_NULL,
@@ -107,10 +106,10 @@ CONFIG_SCHEMA = {
                 "Theta": _NUM,
                 "mode": {"enum": [INVERSE, DIRECT]},
                 "theory_checks": {"type": "boolean"},
-                "stop_tol": _NUM,
+                "stop_tol": {"type": "number", "minimum": 0},
                 "max_steps": {"type": "integer", "minimum": 1},
-                "s_grid": {"type": ["array", "null"], "items": _NUM},
-                "eps_floor": _NUM,
+                "s_grid": {"type": ["array", "null"],
+                           "items": {"type": "number", "minimum": 0}},
             },
         },
         "output": {
@@ -258,7 +257,10 @@ def validate_config(cfg: dict):
     try:
         _validate(_CONFIG_VALIDATOR, cfg)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+        where = ".".join(str(part) for part in exc.absolute_path)
+        raise ConfigError(
+            f"config rejected{' at ' + where if where else ''}: {exc.message}"
+        ) from exc
 
 
 def apply_override(cfg: dict, key: str, value):
@@ -286,15 +288,16 @@ def _assemble(cfg):
             omega=tuple(pot_cfg["omega"]) if pot_cfg.get("omega") else None,
             custom_values=pot_cfg.get("custom_values"),
         )
-        hop_cfg = dict(cfg["hopping"])
-        hop_cfg.setdefault("profile", "power_law")
-        hop = HoppingSpec(**hop_cfg)
-        params_cfg = dict(cfg["params"])
+        hop = HoppingSpec(**cfg["hopping"])
         params = SchemeParams(
-            s_hopping=hop.s_exponent, epsilon=hop.epsilon, **params_cfg
+            s_hopping=hop.s_exponent, epsilon=hop.epsilon, **cfg["params"]
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if params.alpha0 <= box.dimension / 2:
+        raise ConfigError(
+            f"params.alpha0 = {params.alpha0:g} must exceed d/2 = {box.dimension / 2:g}"
+        )
     # model construction can fail numerically (pole proximity); that is a
     # run failure, not a config failure
     D = build_potential(spec, box)
@@ -445,8 +448,7 @@ def cmd_run(cfg: dict, out_dir=None) -> tuple[int, dict]:
     return 0, report
 
 
-def cmd_verify_distal(cfg: dict, out_dir=None) -> int:
-    del out_dir
+def cmd_verify_distal(cfg: dict) -> int:
     box, spec, D, _hop, _T, params = _assemble(cfg)
     p = params.resolved(box.dimension)
     max_offset = min(2 * box.radius, 64)
@@ -472,8 +474,7 @@ def cmd_verify_distal(cfg: dict, out_dir=None) -> int:
     return 1 if failed else 0
 
 
-def cmd_check_theory(cfg: dict, out_dir=None) -> int:
-    del out_dir
+def cmd_check_theory(cfg: dict) -> int:
     box, _spec, _D, _hop, T, params = _assemble(cfg)
     rows = _theory_rows(T, params, box)
     print("condition,holds,margin,scale,effective,detail")
@@ -570,7 +571,8 @@ def main(argv=None) -> int:
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="dotted-path config override; comma lists form sweep axes",
         )
-        sp.add_argument("--out-dir", default=None)
+        if name in ("run", "sweep"):
+            sp.add_argument("--out-dir", default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -589,8 +591,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out_dir=args.out_dir)[0]
         if args.command == "verify-distal":
-            return cmd_verify_distal(cfg, out_dir=args.out_dir)
-        return cmd_check_theory(cfg, out_dir=args.out_dir)
+            return cmd_verify_distal(cfg)
+        return cmd_check_theory(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

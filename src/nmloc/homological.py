@@ -3,7 +3,7 @@
 * ``solve_generator``: the divided-difference solve for the off-diagonal
   generator W, from ``[D, W] + S_theta(G) = 0``; entrywise
   ``W_{i,j} = (S_theta G)_{i,j} / (d_j - d_i)``, with an exactly zero
-  diagonal.  Divisors below the configured floor raise; they are never
+  diagonal.  Divisors below ``EPS_FLOOR`` raise; they are never
   clamped, since clamping silently breaks the conjugation identity.  The
   entrywise residual of that equation is formed only when read.
 
@@ -38,6 +38,11 @@ from .errors import (
 )
 from .operators import DiagonalOperator, LatticeOperator, TameConstants
 
+EPS_FLOOR = 1e-14  # smallest divisor |d_j - d_i| the generator solve accepts
+FIXED_POINT_MAX_ITER = 200  # contraction-check iterations before it stalls
+NEUMANN_TERM_TOL = 1e-14  # 0-norm of the newest series term that ends the sum
+NEUMANN_MAX_TERMS = 400
+
 
 @dataclass
 class HomologicalSolution:
@@ -66,8 +71,6 @@ def solve_generator(
     tau: float,
     gamma: float,
     s_list=(),
-    eps_floor: float = 1e-14,
-    diag_tol: float | None = None,
 ) -> HomologicalSolution:
     """Solve [D, W] + S_theta(G) = 0 for the zero-diagonal generator W.
 
@@ -81,9 +84,8 @@ def solve_generator(
         raise ValueError("box mismatch")
     d = D.values
     sup_g = float(np.max(np.abs(G.entries)))
-    tol = diag_tol if diag_tol is not None else 1e-9 * (1.0 + sup_g)
     diag_dev = float(np.max(np.abs(np.diagonal(G.entries))))
-    if diag_dev > tol:
+    if diag_dev > 1e-9 * (1.0 + sup_g):
         raise ValueError(f"unreduced diagonal: max |diag(G)| = {diag_dev:.3e}")
 
     sg = G if theta is None else G.smooth(theta)
@@ -93,12 +95,12 @@ def solve_generator(
     )
     offdiag = ~np.eye(box.n_sites, dtype=bool)
     need = band & offdiag
-    small = need & (np.abs(divisors) < eps_floor)
+    small = need & (np.abs(divisors) < EPS_FLOOR)
     if np.any(small):
         i, j = np.argwhere(small)[0]
         raise DistalViolationError(
             f"distal violation at (i={tuple(box.sites[i])}, j={tuple(box.sites[j])}):"
-            f" divisor {abs(divisors[i, j]):.3e} below floor {eps_floor:.1e}"
+            f" divisor {abs(divisors[i, j]):.3e} below floor {EPS_FLOOR:.1e}"
         )
 
     w = np.zeros_like(sg.entries)
@@ -115,11 +117,10 @@ def solve_generator(
 
 @dataclass
 class FixedPointSolution:
-    """``final_defect`` is the residual of X; ``iterations``, ``cross_check``
-    (the gap to X) and ``bound_margin`` describe the contraction check."""
+    """``final_defect`` is the residual of X; ``cross_check`` (the gap to X)
+    and ``bound_margin`` describe the contraction check."""
 
     X: DiagonalOperator
-    iterations: int
     final_defect: float
     contraction_ok: bool
     cross_check: float | None = None
@@ -138,7 +139,6 @@ def solve_diagonal_correction(
     Pprime,
     tc: TameConstants,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> FixedPointSolution:
     """Find diagonal X with diag(Qinv X Q + QPQ + P') = 0, where QPQ = Qinv P Q.
 
@@ -147,7 +147,7 @@ def solve_diagonal_correction(
     contraction iteration x -> x - (M x + c) also runs as an independent
     check: ``cross_check`` is its gap to X, ``bound_margin`` the margin of
     ``||X||_a0 <= 2 (||QPQ||_a0 + ||P'||_a0)``, and an iteration that does
-    not reach ``tol`` in ``max_iter`` steps raises
+    not reach ``tol`` in ``FIXED_POINT_MAX_ITER`` steps raises
     :class:`FixedPointStalledError`.  Outside the regime
     ``contraction_ok`` is False and the check fields are None.
     """
@@ -166,13 +166,13 @@ def solve_diagonal_correction(
     X = DiagonalOperator.from_values(box, x)
     defect = float(np.max(np.abs(M @ x + c)))
     if not contraction_ok:
-        return FixedPointSolution(X, 0, defect, False)
+        return FixedPointSolution(X, defect, False)
 
     y = np.zeros(box.n_sites, dtype=complex)
     iterations = 0
     y_defect = float(np.max(np.abs(M @ y + c)))
     while y_defect > tol:
-        if iterations >= max_iter:
+        if iterations >= FIXED_POINT_MAX_ITER:
             raise FixedPointStalledError(
                 f"fixed point stalled at defect {y_defect:.3e}", y_defect
             )
@@ -183,7 +183,7 @@ def solve_diagonal_correction(
     margin = 2.0 * (
         QPQ.sobolev_norm(a0) + pprime_op.sobolev_norm(a0)
     ) - X.sobolev_norm(a0)
-    return FixedPointSolution(X, iterations, defect, True, gap, margin)
+    return FixedPointSolution(X, defect, True, gap, margin)
 
 
 @dataclass
@@ -209,13 +209,11 @@ def neumann_invert(
     tc: TameConstants,
     s_list=(),
     strict: bool = True,
-    term_tol: float = 1e-14,
-    max_terms: int = 400,
 ) -> NeumannResult:
     """Invert I + W, preferring the Neumann series when it certifiably converges.
 
     With ``4 c0^2 ||W||_a0 <= 1/2`` the series is summed until the newest
-    term falls below ``term_tol`` in the 0-norm, and the margins of
+    term falls below ``NEUMANN_TERM_TOL`` in the 0-norm, and the margins of
     ``||V^-1 - I||_s <= 2 k1(s) ||W||_s`` are recorded for every s in
     ``s_list``.  Outside that regime, ``strict=True`` raises while
     ``strict=False`` falls back to a direct solve and reports the 1-norm
@@ -239,9 +237,9 @@ def neumann_invert(
             acc += term
             terms += 1
             term_norm = LatticeOperator(box, term).sobolev_norm(0.0)
-            if term_norm <= term_tol:
+            if term_norm <= NEUMANN_TERM_TOL:
                 break
-            if terms >= max_terms:
+            if terms >= NEUMANN_MAX_TERMS:
                 raise NeumannSmallnessError(
                     "Neumann series failed to reach the term tolerance"
                 )

@@ -18,8 +18,8 @@ Available kinds:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence as Seq
+from dataclasses import dataclass
+from typing import Optional, Sequence as Seq
 
 import numpy as np
 
@@ -58,18 +58,12 @@ class PotentialSpec:
 class HoppingSpec:
     s_exponent: float
     epsilon: float = 0.0
-    profile: str = "power_law"
-    custom_profile: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.s_exponent <= 0:
             raise ValueError("s_exponent must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.profile not in ("power_law", "custom"):
-            raise ValueError(f"unknown hopping profile {self.profile!r}")
-        if self.profile == "custom" and self.custom_profile is None:
-            raise ValueError("custom hopping requires custom_profile")
 
 
 def _chi_dyadic(i: np.ndarray, v: int) -> np.ndarray:
@@ -115,7 +109,6 @@ def build_potential(
     spec: PotentialSpec,
     box: LatticeBox,
     policy=None,
-    bv_grid_points: int = 4096,
 ) -> DiagonalOperator:
     """Assemble the diagonal operator for a potential spec on a box.
 
@@ -150,7 +143,7 @@ def build_potential(
         formula = lambda sites: fn(np.asarray(sites, dtype=np.int64) @ omega)
         profile = TorusProfile(fn, tuple(omega))
         if policy is None:
-            policy = SampledBV(bv_grid_points) if spec.kind == "craig_mod1" else SUP_NORM
+            policy = SampledBV() if spec.kind == "craig_mod1" else SUP_NORM
         values = formula(box.sites)
         return DiagonalOperator.from_values(
             box, values, policy=policy, formula=formula, torus_profile=profile
@@ -171,12 +164,8 @@ def build_hopping(spec: HoppingSpec, box: LatticeBox) -> LatticeOperator:
     The coupling is baked in here once; downstream code never rescales.
     """
     dist = box.pair_dist.astype(float)
-    if spec.profile == "power_law":
-        with np.errstate(divide="ignore"):
-            phi = np.where(dist == 0.0, 0.0, dist ** (-spec.s_exponent))
-    else:
-        phi = np.asarray(spec.custom_profile(dist), dtype=float)
-        np.fill_diagonal(phi, 0.0)
+    with np.errstate(divide="ignore"):
+        phi = np.where(dist == 0.0, 0.0, dist ** (-spec.s_exponent))
     return LatticeOperator(box, spec.epsilon * phi.astype(complex))
 
 

@@ -147,11 +147,10 @@ class LatticeOperator:
     def diagonal_part(self) -> "DiagonalOperator":
         return DiagonalOperator.from_values(self.box, np.diagonal(self.entries))
 
-    def is_real_symmetric(self, tol: float = 0.0) -> bool:
+    def is_real_symmetric(self) -> bool:
+        """Exactly real and symmetric; a NaN entry makes it False."""
         e = self.entries
-        return bool(
-            np.max(np.abs(e.imag)) <= tol and np.max(np.abs(e - e.T)) <= tol
-        )
+        return bool(not e.imag.any() and np.array_equal(e, e.T))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -231,8 +230,8 @@ class DiagonalOperator:
         )
 
     @classmethod
-    def zeros(cls, box, policy=SUP_NORM):
-        return cls.from_values(box, np.zeros(box.n_sites), policy=policy)
+    def zeros(cls, box):
+        return cls.from_values(box, np.zeros(box.n_sites))
 
     @classmethod
     def identity(cls, box):

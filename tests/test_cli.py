@@ -1,11 +1,12 @@
+import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from nmloc import LatticeOperator, cli
+from nmloc import HoppingSpec, LatticeBox, LatticeOperator, PotentialSpec, SchemeParams, cli
 from nmloc.errors import ConfigError
 
 
@@ -36,6 +37,34 @@ def test_unknown_keys_rejected():
     cfg["params"]["typo_key"] = 2.0
     with pytest.raises(ConfigError):
         cli.validate_config(cfg)
+    for section, key, value in (("params", "eps_floor", 1e-14),
+                                ("hopping", "profile", "power_law")):
+        cfg = base_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=key):
+            cli.validate_config(cfg)
+
+
+def test_config_keys_map_onto_the_spec_fields():
+    # every config key reaches a field, and every field has a config key
+    sections = cli.CONFIG_SCHEMA["properties"]
+    params = {f.name for f in fields(SchemeParams)} - {"s_hopping", "epsilon"}
+    assert set(sections["params"]["properties"]) == params
+    assert set(sections["hopping"]["properties"]) == {f.name for f in fields(HoppingSpec)}
+    assert set(sections["potential"]["properties"]) == {
+        f.name for f in fields(PotentialSpec)}
+    box_args = set(inspect.signature(LatticeBox).parameters)
+    assert set(sections["box"]["properties"]) == box_args
+
+
+@pytest.mark.parametrize("override", [
+    "params.delta=0", "params.alpha0=0.4", "params.s_grid=[-1]", "params.stop_tol=-1",
+])
+def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
+    key = override.partition("=")[0]
+    assert cli.main(["run", "--config", write_config(tmp_path, base_config()),
+                     "--override", override, "--out-dir", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_config_parse_error_exit_code(tmp_path):

@@ -150,7 +150,7 @@ def test_maryland_regression_small_box():
 
 def test_run_product_count_and_no_svd(monkeypatch):
     # 9 dense products per later step and 5 at the first, where Q = I and
-    # R = 0; 2 for the master identity and 4 for unitarize.  Three of the
+    # R = 0; 2 for the master identity and 2 for unitarize.  Three of the
     # five steps take the direct-solve fallback, whose condition number
     # must not cost an SVD
     count = [0]
@@ -170,7 +170,7 @@ def test_run_product_count_and_no_svd(monkeypatch):
     res = run(T, D, params)
     assert res.converged and res.U is not None
     assert res.steps == 5
-    assert count[0] == 9 * (res.steps - 1) + 5 + 2 + 4
+    assert count[0] == 9 * (res.steps - 1) + 5 + 2 + 2
 
 
 def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):

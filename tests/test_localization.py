@@ -5,6 +5,7 @@ import pytest
 
 from nmloc import (
     GOLDEN_MEAN,
+    DiagonalOperator,
     HoppingSpec,
     LatticeBox,
     LatticeOperator,
@@ -115,6 +116,20 @@ def test_spectrum_requires_symmetry():
         spectrum_compare(res)
 
 
+def test_complex_potential_is_neither_unitarized_nor_given_a_spectrum():
+    # one rule decides real symmetry: a potential with a 1e-14 imaginary
+    # part is not real, so the run skips unitarize and the spectrum alike
+    box = LatticeBox(1, 16, 12)
+    D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
+    D = DiagonalOperator.from_values(box, D.values + 1e-14j)
+    T = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=0.1), box)
+    res = run(T, D, SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
+                                 Theta=2.0, s_hopping=4.0, epsilon=0.1))
+    assert res.converged and res.U is None
+    with pytest.raises(SymmetryDefectError, match="requires symmetry"):
+        spectrum_compare(res)
+
+
 def test_direct_mode_eigenvalues_are_corrected(res16):
     res = maryland_run(epsilon=0.05, mode="direct")
     reports = eigenfunctions(res)
@@ -178,8 +193,12 @@ def test_certificate_takes_no_svd_and_one_eigensolve_of_q_plus(which, request,
         assert len(calls) == 2  # the spectrum of A
     before = len(calls)
     resolution = res.defect_resolution()
-    assert len(calls) == before + 2  # A and Q+^-1; Q+ is cached
+    # Q+^-1, and the Gram of A unless its spectrum gave ||A||; Q+ is cached
+    assert len(calls) == before + (1 if symmetric else 2)
     rnorm = res.final_residual.operator_norm()
-    assert len(calls) == before + 3
+    assert len(calls) == before + (2 if symmetric else 3)
     assert 0.0 < resolution and 0.0 < rnorm < qnorm
     assert min_sv >= 0.9
+    if symmetric:  # max |lambda| is the operator norm of the symmetric A
+        a_norm = res.conjugation_pair[0].operator_norm()
+        assert np.max(np.abs(res.spectrum)) == pytest.approx(a_norm, rel=1e-13)
