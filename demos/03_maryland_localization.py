@@ -32,7 +32,7 @@ params = SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0,
 
 res = run(T, D, params)
 print(f"converged: {res.converged} in {res.steps} steps "
-      f"(measured gamma = {res.gamma_used:.4f})\n")
+      f"(measured gamma = {res.params.gamma:.4f})\n")
 
 print("per-step defect and correction sizes:")
 print(f"{'k':>3}{'theta_k':>9}{'||R||_a0':>13}{'||D_k||_0':>12}"

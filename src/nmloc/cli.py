@@ -298,6 +298,12 @@ def _assemble(cfg):
         raise ConfigError(
             f"params.alpha0 = {params.alpha0:g} must exceed d/2 = {box.dimension / 2:g}"
         )
+    if spec.omega is not None and len(spec.omega) != box.dimension:
+        raise ConfigError(f"potential.omega has {len(spec.omega)} entries, "
+                          f"box.dimension is {box.dimension}")
+    if spec.custom_values is not None and len(spec.custom_values) != box.n_sites:
+        raise ConfigError(f"potential.custom_values has {len(spec.custom_values)} "
+                          f"entries, the box has {box.n_sites} sites")
     # model construction can fail numerically (pole proximity); that is a
     # run failure, not a config failure
     D = build_potential(spec, box)
@@ -309,7 +315,7 @@ def _f17(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _report_dict(cfg, result, conditions):
+def _report_dict(cfg, result):
     p = result.params
     s_levels = {0.0, p.alpha0, p.alpha, p.alpha - p.tau - 7 * p.delta}
     final_norms = {
@@ -321,11 +327,13 @@ def _report_dict(cfg, result, conditions):
     eye_norm_s = p.alpha - p.tau - 7 * p.delta
     if eye_norm_s >= 0:
         eye = DiagonalOperator.identity(result.box)
-        q_norms[f"minus_identity@s={eye_norm_s:g}"] = float(
-            (result.qplus - eye).sobolev_norm(eye_norm_s)
-        )
-    if result.scaling_ratio is not None:
-        q_norms["coupling_scaling_ratio"] = float(result.scaling_ratio)
+        minus_identity = (result.qplus - eye).sobolev_norm(eye_norm_s)
+        q_norms[f"minus_identity@s={eye_norm_s:g}"] = minus_identity
+        # ||T||_(alpha+4delta) is cached from the run's theory conditions
+        t_high = result.T.sobolev_norm(p.alpha + 4 * p.delta)
+        if t_high > 0:
+            q_norms["coupling_scaling_ratio"] = minus_identity / t_high ** (
+                p.delta / (p.alpha - p.alpha0))
 
     loc = {"eigenreports": [], "completeness": {}, "spectrum": {}}
     if result.converged:
@@ -369,7 +377,7 @@ def _report_dict(cfg, result, conditions):
         "final_residual_norms": final_norms,
         "qplus_norms": q_norms,
         "dplus_norm": float(result.dplus.sobolev_norm(0.0)),
-        "gamma_used": float(result.gamma_used),
+        "gamma_used": float(p.gamma),
         "master_residual": result.master_residual,
         "bound_formulas": dict(BOUND_FORMULAS),
         "localization": loc,
@@ -382,7 +390,7 @@ def _report_dict(cfg, result, conditions):
                 "effective": c.effective,
                 "detail": c.detail,
             }
-            for c in conditions
+            for c in result.theory_conditions
         ],
     }
     _validate(_REPORT_VALIDATOR, report)
@@ -417,29 +425,23 @@ def _out_path(out_dir, rel):
     return os.path.join(out_dir, rel)
 
 
-def _theory_rows(T, params, box):
-    p = params.resolved(box.dimension)
-    return theory_conditions(T, p, TameConstants(box.dimension, p.alpha0))
-
-
 def cmd_run(cfg: dict, out_dir=None) -> tuple[int, dict]:
     """Run one config and write its outputs; returns the exit code and report."""
-    box, _spec, D, _hop, T, params = _assemble(cfg)
+    _box, _spec, D, _hop, T, params = _assemble(cfg)
     output = {**DEFAULT_OUTPUT, **cfg.get("output", {})}
-    conditions = _theory_rows(T, params, box)
     result = run(T, D, params)
     ledger_path = _out_path(out_dir, output.get("ledger_csv_path"))
     if ledger_path:
         with open(ledger_path, "w") as fh:
             fh.write(ledger_to_csv(result.ledger))
-    report = _report_dict(cfg, result, conditions)
+    report = _report_dict(cfg, result)
     report_path = _out_path(out_dir, output.get("report_json_path"))
     if report_path:
         _write_json(report_path, report)
     print(
         f"run: converged={result.converged} steps={result.steps} "
         f"final ||R||_0={_f17(result.final_residual.sobolev_norm(0.0))} "
-        f"gamma={_f17(result.gamma_used)}"
+        f"gamma={_f17(result.params.gamma)}"
     )
     if not result.converged:
         print("invariant failed: convergence (stop tolerance not reached)",
@@ -475,8 +477,9 @@ def cmd_verify_distal(cfg: dict) -> int:
 
 
 def cmd_check_theory(cfg: dict) -> int:
-    box, _spec, _D, _hop, T, params = _assemble(cfg)
-    rows = _theory_rows(T, params, box)
+    box, _spec, D, _hop, T, params = _assemble(cfg)
+    p = params.resolved(box.dimension)
+    _, rows = theory_conditions(T, D, p, TameConstants(box.dimension, p.alpha0))
     print("condition,holds,margin,scale,effective,detail")
     for c in rows:
         print(f"{c.name},{c.holds},{_f17(c.margin)},{c.scale},{c.effective},{c.detail}")
@@ -486,8 +489,10 @@ def cmd_check_theory(cfg: dict) -> int:
             f"binding Theta constraint: {binding.data['binding']} "
             f"(log10 required = {_f17(binding.data['required_log10'])})"
         )
-    if params.theory_checks and any(c.effective and not c.holds for c in rows):
-        print("invariant failed: a theory condition does not hold", file=sys.stderr)
+    failed = next((c for c in rows if c.effective and not c.holds), None)
+    if params.theory_checks and failed is not None:
+        print(f"invariant failed: theory condition {failed.name} does not hold",
+              file=sys.stderr)
         return 1
     return 0
 

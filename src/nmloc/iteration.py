@@ -22,12 +22,13 @@ There is one step function: the first conjugation is the same step
 started from ``Q = I``, ``R = 0`` and ``H = D``, and only its bound data
 (``FIRST_STEP_BOUNDS``) differ.
 
-Two regimes:
+Every run evaluates the sufficient parameter inequalities once, at the
+separation constant ``gamma`` it uses, and keeps them in
+``SchemeResult.theory_conditions`` (they demand astronomically large band
+ratios for small loss budgets; the rows make that visible).  Two regimes:
 
-* ``theory_checks=True`` enforces the sufficient parameter inequalities
-  (which demand astronomically large band ratios for small loss budgets;
-  the condition checker makes that visible) and refuses out-of-regime
-  solves.
+* ``theory_checks=True`` refuses to start a run whose conditions fail, and
+  aborts on a violated claimed bound or an out-of-regime series inversion.
 * the default empirical regime accepts practical band ratios and verifies
   convergence a posteriori, recording every claimed bound as a signed
   margin instead of asserting it.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -61,8 +61,9 @@ class SchemeParams:
     """Parameter pack for a scheme run.
 
     ``gamma=None`` asks the run to measure the separation constant on the
-    box; ``alpha``/``alpha1``/``s_grid`` left as ``None`` are derived from
-    ``s_hopping`` the way the localization corollaries pick them.
+    box, and the run's params carry it; ``alpha``/``alpha1``/``s_grid``
+    left as ``None`` are derived from ``s_hopping`` the way the
+    localization corollaries pick them.
     """
 
     tau: float
@@ -172,7 +173,6 @@ class IterationState:
     tc: TameConstants
     T: LatticeOperator
     D: DiagonalOperator
-    gamma: float
     k: int
     Q: LatticeOperator
     Qinv: LatticeOperator
@@ -203,9 +203,8 @@ class SchemeResult:
     params: SchemeParams
     T: LatticeOperator
     D: DiagonalOperator
-    gamma_used: float
+    theory_conditions: list[ConditionReport]  # evaluated at params.gamma
     master_residual: Optional[float] = None
-    scaling_ratio: Optional[float] = None
     U: Optional[LatticeOperator] = None
     unitarity_defect: Optional[float] = None
 
@@ -288,7 +287,7 @@ def _put_s_family(row, label, op, s_grid, bound_fn):
 
 
 def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
-                 tc: TameConstants, gamma: float) -> IterationState:
+                 tc: TameConstants) -> IterationState:
     """First conjugation: the general step from ``Q = I``, ``R = 0``, ``H = D``.
 
     ``params`` must be resolved.  Returns the state after the step (k = 1),
@@ -297,7 +296,7 @@ def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
     box = T.box
     eye = LatticeOperator.identity(box)
     state = IterationState(
-        box=box, params=params, tc=tc, T=T, D=D, gamma=gamma, k=0,
+        box=box, params=params, tc=tc, T=T, D=D, k=0,
         Q=eye, Qinv=eye, R=LatticeOperator.zeros(box), H=D.as_operator(),
         corrections=np.zeros(box.n_sites, dtype=complex),
     )
@@ -350,7 +349,7 @@ def iterate_step(state: IterationState) -> IterationState:
 
     divisor = DiagonalOperator.from_values(box, divisor_values)
     generator = solve_generator(divisor, G_for_W, theta=theta_next, tau=p.tau,
-                                gamma=state.gamma)
+                                gamma=p.gamma)
     W = generator.W
     # G past the band: G_for_W differs from G only on the main diagonal,
     # which the truncation keeps.  Formed here so that the solution is not
@@ -437,8 +436,11 @@ def run(
 ) -> SchemeResult:
     """Drive the scheme to convergence (or to the step cap) and certify it.
 
-    Stops once every hopping slice has been consumed (band radius past the
-    box diameter) and the 0-norm of the defect is below ``stop_tol``.  The
+    First ``theory_conditions`` fixes gamma and evaluates the sufficient
+    conditions at it; the result keeps the rows, and with ``theory_checks``
+    the first failing effective row stops the run before any step.  Stops
+    once every hopping slice has been consumed (band radius past the box
+    diameter) and the 0-norm of the defect is below ``stop_tol``.  The
     master conjugation identity is re-verified on the assembled operators of
     a converged run (``master_residual`` stays ``None`` otherwise), and for
     real symmetric data the transform is unitarized.
@@ -450,29 +452,13 @@ def run(
     if p.alpha0 <= box.dimension / 2.0:
         raise ValueError("alpha0 must exceed d/2")
     tc = tc or TameConstants(box.dimension, p.alpha0)
+    p, conditions = theory_conditions(T, D, p, tc)
+    failed = next((c for c in conditions if c.effective and not c.holds), None)
+    if p.theory_checks and failed is not None:
+        raise TheoryConditionError(f"theory condition {failed.name} fails with margin "
+                                   f"{failed.margin:g}: {failed.detail}")
 
-    gamma = p.gamma
-    if gamma is None:
-        gamma, _ = distal_gamma_box(D.values, box, p.tau)
-    else:
-        measured, worst = distal_gamma_box(D.values, box, p.tau)
-        if measured < gamma:
-            msg = (
-                f"requested gamma {gamma:g} not certified on the box "
-                f"(measured {measured:g}, worst offset {worst})"
-            )
-            if p.theory_checks:
-                raise TheoryConditionError(msg)
-            warnings.warn(msg, RuntimeWarning, stacklevel=2)
-
-    if p.theory_checks:
-        for cond in theory_conditions(T, p, tc):
-            if cond.effective and not cond.holds:
-                raise TheoryConditionError(
-                    f"theory condition {cond.name} fails with margin {cond.margin:g}"
-                )
-
-    state = initial_step(T, D, p, tc, gamma)
+    state = initial_step(T, D, p, tc)
     converged = False
     while True:
         covered = state.coverage_theta >= 2.0 * box.radius
@@ -482,15 +468,6 @@ def run(
         if state.k >= p.max_steps:
             break
         iterate_step(state)
-
-    scaling_ratio = None
-    s_conv = p.alpha - p.tau - 7.0 * p.delta
-    t_high = T.sobolev_norm(p.alpha + 4.0 * p.delta)
-    if s_conv >= 0 and t_high > 0:
-        eye = DiagonalOperator.identity(box)
-        scaling_ratio = (state.Q - eye).sobolev_norm(s_conv) / t_high ** (
-            p.delta / (p.alpha - p.alpha0)
-        )
 
     result = SchemeResult(
         qplus=state.Q,
@@ -504,8 +481,7 @@ def run(
         params=p,
         T=T,
         D=D,
-        gamma_used=gamma,
-        scaling_ratio=scaling_ratio,
+        theory_conditions=conditions,
     )
     if converged:
         assembled, target = result.conjugation_pair
@@ -619,11 +595,12 @@ def check_theory_conditions(params: SchemeParams, t_norms, tc: TameConstants):
     add("alpha3", kappa1 < 0, -kappa1, "linear",
         detail="kappa1 = alpha0-alpha+tau+7delta < 0")
 
-    gamma = p.gamma if p.gamma is not None else 1.0
-    m = p.delta * lgt0 - lg(3.0 / gamma) - p.tau * lgT
-    add("Theta4", m >= 0, m, "log10",
-        detail="theta0^delta >= 3 gamma^-1 Theta^tau"
-        + ("" if p.gamma is not None else " (gamma defaulted to 1)"))
+    if p.gamma is None:
+        add("Theta4", False, math.nan, "log10", effective=False,
+            detail="gamma not supplied")
+    else:
+        m = p.delta * lgt0 - lg(3.0 / p.gamma) - p.tau * lgT
+        add("Theta4", m >= 0, m, "log10", detail="theta0^delta >= 3 gamma^-1 Theta^tau")
 
     m = p.alpha1 - (2.0 * p.alpha + p.delta)
     add("alpha11", m >= 0, m, "linear", detail="alpha1 >= 2 alpha + delta")
@@ -687,13 +664,27 @@ def check_theory_conditions(params: SchemeParams, t_norms, tc: TameConstants):
     return out
 
 
-def theory_conditions(T: LatticeOperator, params: SchemeParams, tc: TameConstants):
-    """``check_theory_conditions`` with the hopping norms it reads measured on T.
+def theory_conditions(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
+                      tc: TameConstants) -> tuple[SchemeParams, list[ConditionReport]]:
+    """The run's gamma and the sufficient conditions evaluated at it.
 
-    ``params`` must be resolved.
+    ``params`` must be resolved.  ``distal_gamma_box`` measures the
+    separation constant of ``D`` on the box; a missing ``params.gamma`` is
+    set to it, a given one is checked against it in the leading ``gamma``
+    row (margin measured minus used).  The other rows are
+    ``check_theory_conditions`` with the hopping norms measured on ``T``.
+    Returns the params with gamma set and the rows.
     """
-    s_high = (params.alpha + 4 * params.delta, params.alpha + 3 * params.delta)
-    return check_theory_conditions(params, {s: T.sobolev_norm(s) for s in s_high}, tc)
+    measured, worst = distal_gamma_box(D.values, T.box, params.tau)
+    p = params if params.gamma is not None else replace(params, gamma=measured)
+    margin = measured - p.gamma
+    offset = " ".join(str(c) for c in worst)  # no comma: check-theory prints CSV
+    gamma_row = ConditionReport(
+        "gamma", margin >= 0, margin, "linear", True,
+        detail=f"gamma <= {measured:.17g} measured on the box (worst offset {offset})")
+    s_high = (p.alpha + 4 * p.delta, p.alpha + 3 * p.delta)
+    return p, [gamma_row] + check_theory_conditions(
+        p, {s: T.sobolev_norm(s) for s in s_high}, tc)
 
 
 # -- ledger export -----------------------------------------------------------------

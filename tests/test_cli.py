@@ -1,13 +1,27 @@
 import inspect
 import json
+import math
+import warnings
 from dataclasses import fields, replace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from nmloc import HoppingSpec, LatticeBox, LatticeOperator, PotentialSpec, SchemeParams, cli
-from nmloc.errors import ConfigError
+import nmloc.iteration as iteration
+from nmloc import (
+    HoppingSpec,
+    LatticeBox,
+    LatticeOperator,
+    PotentialSpec,
+    SchemeParams,
+    build_hopping,
+    build_potential,
+    cli,
+    distal_gamma_box,
+    run,
+)
+from nmloc.errors import ConfigError, TheoryConditionError
 
 
 def base_config():
@@ -59,12 +73,25 @@ def test_config_keys_map_onto_the_spec_fields():
 
 @pytest.mark.parametrize("override", [
     "params.delta=0", "params.alpha0=0.4", "params.s_grid=[-1]", "params.stop_tol=-1",
+    "potential.omega=[0.6180339887498949,0.5]",
+    "potential.kind=custom potential.custom_values=[1,2]",
 ])
 def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
-    key = override.partition("=")[0]
+    # space-separated overrides; the last one sets the rejected key
+    argv = ["run", "--config", write_config(tmp_path, base_config()),
+            "--out-dir", str(tmp_path / "out")]
+    for item in override.split():
+        argv += ["--override", item]
+    assert cli.main(argv) == 2
+    assert override.split()[-1].partition("=")[0] in capsys.readouterr().err
+
+
+def test_tan_pole_is_a_run_failure(tmp_path, capsys):
+    # omega = 1/2 puts every odd site on a pole: a valid config that cannot run
     assert cli.main(["run", "--config", write_config(tmp_path, base_config()),
-                     "--override", override, "--out-dir", str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
+                     "--override", "potential.omega=[0.5]",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "pole" in capsys.readouterr().err
 
 
 def test_config_parse_error_exit_code(tmp_path):
@@ -246,3 +273,106 @@ def test_non_finite_transform_writes_a_strict_report(tmp_path, monkeypatch):
     jsonschema.validate(report, cli.REPORT_SCHEMA)
     assert report["converged"] is False
     assert report["qplus_norms"]["operator_norm"] is None
+
+
+# -- the theory regime -----------------------------------------------------------
+
+
+def run_report(tmp_path, cfg):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
+def base_inputs():
+    """The library inputs of ``base_config()``: T, D and the params."""
+    cfg = base_config()
+    box = LatticeBox(**cfg["box"])
+    D = build_potential(PotentialSpec("maryland", omega=tuple(cfg["potential"]["omega"])),
+                        box)
+    T = build_hopping(HoppingSpec(**cfg["hopping"]), box)
+    return T, D, SchemeParams(s_hopping=4.0, **cfg["params"])
+
+
+def test_report_conditions_are_evaluated_at_the_measured_gamma(tmp_path):
+    code, report = run_report(tmp_path, base_config())
+    assert code == 0
+    gamma = report["gamma_used"]
+    rows = {c["name"]: c for c in report["theory_conditions"]}
+    assert rows["gamma"]["holds"] and rows["gamma"]["margin"] == 0.0
+    lg = math.log10
+    assert rows["Theta4"]["margin"] == 0.05 * lg(2.0) - lg(3.0 / gamma) - 1.0 * lg(2.0)
+    assert "defaulted" not in rows["Theta4"]["detail"]
+
+
+def test_uncertified_gamma_is_a_failing_row_and_a_strict_error(tmp_path, monkeypatch):
+    T, D, params = base_inputs()
+    measured, _ = distal_gamma_box(D.values, T.box, params.tau)
+    requested = 2.0 * measured
+    cfg = base_config()
+    cfg["params"]["gamma"] = requested
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_report(tmp_path, cfg)
+    assert code == 0
+    assert report["gamma_used"] == requested
+    row = report["theory_conditions"][0]
+    assert row["name"] == "gamma" and row["holds"] is False
+    assert row["margin"] == measured - requested
+    assert f"{measured:.17g}" in row["detail"]
+
+    steps = []
+    monkeypatch.setattr(iteration, "iterate_step", lambda state: steps.append(state))
+    with pytest.raises(TheoryConditionError, match="theory condition gamma fails"):
+        run(T, D, replace(params, gamma=requested, theory_checks=True))
+    assert steps == []
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_run_measures_gamma_and_evaluates_the_conditions_once(
+        tmp_path, monkeypatch, capsys, strict):
+    calls = {"gamma": 0, "conditions": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(iteration, "distal_gamma_box",
+                        counted("gamma", iteration.distal_gamma_box))
+    monkeypatch.setattr(iteration, "check_theory_conditions",
+                        counted("conditions", iteration.check_theory_conditions))
+    cfg = base_config()
+    cfg["params"]["theory_checks"] = strict
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(tmp_path / "out")]) == (1 if strict else 0)
+    assert calls == {"gamma": 1, "conditions": 1}
+    if strict:  # the practical band ratio fails the first band-ratio condition
+        assert "theory condition Theta1 fails" in capsys.readouterr().err
+
+
+def test_check_theory_and_the_report_show_the_same_rows(tmp_path, capsys):
+    code, report = run_report(tmp_path, base_config())
+    assert code == 0
+    capsys.readouterr()
+    assert cli.main(["check-theory", "--config", write_config(tmp_path, base_config(),
+                                                              "c.json")]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    printed = [line.split(",", 5) for line in lines[1:-1]]
+    assert [(name, holds == "True", float(margin), detail)
+            for name, holds, margin, _scale, _eff, detail in printed] == [
+        (c["name"], c["holds"], c["margin"], c["detail"])
+        for c in report["theory_conditions"]]
+
+
+def test_coupling_scaling_ratio_divides_the_transform_by_the_hopping_norm(tmp_path):
+    code, report = run_report(tmp_path, base_config())
+    assert code == 0
+    T, _D, params = base_inputs()
+    p = params.resolved(1)
+    q_norms = report["qplus_norms"]
+    minus_identity = q_norms[f"minus_identity@s={p.alpha - p.tau - 7 * p.delta:g}"]
+    t_high = T.sobolev_norm(p.alpha + 4 * p.delta)
+    assert q_norms["coupling_scaling_ratio"] == minus_identity / t_high ** (
+        p.delta / (p.alpha - p.alpha0))

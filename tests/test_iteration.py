@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from nmloc import (
     run,
     unitarize,
 )
-from nmloc.errors import SymmetryDefectError
+from nmloc.errors import SymmetryDefectError, TheoryConditionError
 
 
 def maryland_setup(radius=16, epsilon=0.1, s0=4.0, **kw):
@@ -64,11 +65,11 @@ def test_slice_one_contains_offsets_three_and_four():
 
 
 def test_initial_step_zero_hopping():
-    box, D, T, params = maryland_setup(epsilon=0.0)
+    box, D, T, params = maryland_setup(epsilon=0.0, gamma=1.0)
     p = params.resolved(1)
     tc = TameConstants(1, p.alpha0)
     T0 = hopping_slice(T, 0, p)
-    state = initial_step(T0, D, p, tc, gamma=1.0)
+    state = initial_step(T0, D, p, tc)
     eye = LatticeOperator.identity(box)
     np.testing.assert_array_equal(state.Q.entries, eye.entries)
     assert np.all(state.R.entries == 0.0)
@@ -82,9 +83,9 @@ def test_initial_step_single_entry_formula():
     e[1, 3] = 0.25
     T0 = LatticeOperator(box, e)
     params = SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0,
-                          alpha=2.0).resolved(1)
+                          alpha=2.0, gamma=1.0).resolved(1)
     tc = TameConstants(1, 0.6)
-    state = initial_step(T0, D, params, tc, gamma=1.0)
+    state = initial_step(T0, D, params, tc)
     W = state.Q.entries - np.eye(5)
     assert W[1, 3] == pytest.approx(0.25 / (dvals[3] - dvals[1]), rel=1e-14)
     assert np.count_nonzero(W) == 1
@@ -188,7 +189,7 @@ def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
     assert res.converged
     assert len(solved) == res.steps - 1
     tc = TameConstants(1, params.alpha0)
-    first = initial_step(T, D, res.params, tc, res.gamma_used)
+    first = initial_step(T, D, res.params, tc)
     eye = LatticeOperator.identity(box)
     by_solve = solve(eye, eye, hopping_slice(T, 0, res.params),
                      LatticeOperator.zeros(box), tc).X
@@ -324,7 +325,7 @@ def synthetic_result(box, Q_entries):
         ledger=[], converged=True, steps=0, box=box,
         params=SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
                             Theta=2.0, alpha=2.0).resolved(1),
-        T=LatticeOperator.zeros(box), D=D, gamma_used=1.0,
+        T=LatticeOperator.zeros(box), D=D, theory_conditions=[],
         master_residual=0.0,
     )
 
@@ -399,3 +400,13 @@ def test_theory_mode_runs_with_witness():
     res = run(T, D, witness_params())
     assert res.converged
     assert np.all(res.final_residual.entries == 0.0)
+
+
+def test_strict_run_with_a_failing_condition_stops_before_any_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(iteration, "initial_step", lambda *args: steps.append(args))
+    box, D, T, params = maryland_setup(theory_checks=True)
+    with pytest.raises(TheoryConditionError,
+                       match=re.escape("Theta1 fails") + ".*" + re.escape("8 c0^2")):
+        run(T, D, params)
+    assert steps == []
