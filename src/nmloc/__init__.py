@@ -20,7 +20,6 @@ from .algebra import (
     distal_gamma_box,
     distal_gamma_window,
     distal_margin,
-    translate,
 )
 from .box import LatticeBox
 from .homological import (

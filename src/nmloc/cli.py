@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import itertools
 import json
 import math
@@ -456,11 +457,12 @@ def cmd_verify_distal(cfg: dict) -> int:
     max_offset = min(2 * box.radius, 64)
     taus = sorted({p.tau, 0.5 * p.tau, 1.5 * p.tau, 2.0 * p.tau})
     print(f"distal frontier for {spec.kind} on {box} (offsets up to {max_offset}):")
-    print("tau,gamma_best,worst_offset")
+    table = csv.writer(sys.stdout, lineterminator="\n")
+    table.writerow(["tau", "gamma_best", "worst_offset"])
     failed = False
     for tau in taus:
         gamma_best, worst = distal_gamma_window(D.diag, tau, max_offset)
-        print(f"{_f17(tau)},{_f17(gamma_best)},{worst}")
+        table.writerow([_f17(tau), _f17(gamma_best), worst])
     if spec.omega is not None:
         gamma_dio, worst = check_diophantine(spec.omega, p.tau, max_offset)
         print(f"torus frequency constant at tau={p.tau:g}: "
@@ -480,9 +482,10 @@ def cmd_check_theory(cfg: dict) -> int:
     box, _spec, D, _hop, T, params = _assemble(cfg)
     p = params.resolved(box.dimension)
     _, rows = theory_conditions(T, D, p, TameConstants(box.dimension, p.alpha0))
-    print("condition,holds,margin,scale,effective,detail")
+    table = csv.writer(sys.stdout, lineterminator="\n")
+    table.writerow(["condition", "holds", "margin", "scale", "effective", "detail"])
     for c in rows:
-        print(f"{c.name},{c.holds},{_f17(c.margin)},{c.scale},{c.effective},{c.detail}")
+        table.writerow([c.name, c.holds, _f17(c.margin), c.scale, c.effective, c.detail])
     binding = next((c for c in rows if c.name == "Theta"), None)
     if binding is not None and binding.data:
         print(

@@ -67,17 +67,17 @@ class HomologicalSolution:
 def solve_generator(
     D: DiagonalOperator,
     G: LatticeOperator,
-    theta: float | None,
+    theta: float,
     tau: float,
     gamma: float,
     s_list=(),
 ) -> HomologicalSolution:
     """Solve [D, W] + S_theta(G) = 0 for the zero-diagonal generator W.
 
-    ``theta=None`` skips the band truncation.  For each s in
-    ``s_list`` the margin ``gamma^-1 ||S_theta G||_{s+tau} - ||W||_s`` is
-    recorded; it is nonnegative whenever ``gamma`` is a valid in-box
-    separation constant for ``D``.
+    For each s in ``s_list`` the margin
+    ``gamma^-1 ||S_theta G||_{s+tau} - ||W||_s`` is recorded; it is
+    nonnegative whenever ``gamma`` is a valid in-box separation constant
+    for ``D``.
     """
     box = G.box
     if D.box != box:
@@ -88,11 +88,9 @@ def solve_generator(
     if diag_dev > 1e-9 * (1.0 + sup_g):
         raise ValueError(f"unreduced diagonal: max |diag(G)| = {diag_dev:.3e}")
 
-    sg = G if theta is None else G.smooth(theta)
+    sg = G.smooth(theta)
     divisors = d[None, :] - d[:, None]  # (i, j) -> d_j - d_i
-    band = box.smooth_mask(theta) if theta is not None else np.ones_like(
-        divisors, dtype=bool
-    )
+    band = box.smooth_mask(theta)
     offdiag = ~np.eye(box.n_sites, dtype=bool)
     need = band & offdiag
     small = need & (np.abs(divisors) < EPS_FLOOR)

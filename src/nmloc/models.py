@@ -1,7 +1,8 @@
 """Concrete diagonal potentials and the polynomial long-range hopping.
 
-All potentials are formula-backed: translating them re-evaluates the
-formula, so distal scans see exact values beyond the stored window.
+Every potential but ``custom`` is formula-backed, so the distal scans
+read exact values beyond the box; a ``custom`` potential has only its
+in-box values.
 
 Available kinds:
 
@@ -105,15 +106,11 @@ def _pole_distance(x: np.ndarray) -> np.ndarray:
     return np.minimum(r, 1.0 - r)
 
 
-def build_potential(
-    spec: PotentialSpec,
-    box: LatticeBox,
-    policy=None,
-) -> DiagonalOperator:
+def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
     """Assemble the diagonal operator for a potential spec on a box.
 
-    ``craig_mod1`` defaults to the sampled bounded-variation policy (its
-    natural algebra); every other kind defaults to the sup policy.
+    ``craig_mod1`` carries the sampled bounded-variation policy (its
+    natural algebra); every other kind carries the sup policy.
     """
     if spec.kind == "custom":
         values = np.asarray(spec.custom_values, dtype=complex)
@@ -121,7 +118,7 @@ def build_potential(
             raise ValueError(
                 f"custom potential needs {box.n_sites} values, got {values.shape}"
             )
-        return DiagonalOperator.from_values(box, values, policy=policy or SUP_NORM)
+        return DiagonalOperator.from_values(box, values)
 
     if spec.kind in ("maryland", "sarnak", "craig_mod1"):
         omega = np.asarray(spec.omega, dtype=float)
@@ -142,8 +139,7 @@ def build_potential(
             fn = lambda x: np.mod(np.asarray(x, dtype=float), 1.0).astype(complex)
         formula = lambda sites: fn(np.asarray(sites, dtype=np.int64) @ omega)
         profile = TorusProfile(fn, tuple(omega))
-        if policy is None:
-            policy = SampledBV() if spec.kind == "craig_mod1" else SUP_NORM
+        policy = SampledBV() if spec.kind == "craig_mod1" else SUP_NORM
         values = formula(box.sites)
         return DiagonalOperator.from_values(
             box, values, policy=policy, formula=formula, torus_profile=profile
@@ -151,9 +147,7 @@ def build_potential(
 
     base, scale = (2, 1.0) if spec.kind == "limit_periodic_binary" else (3, 2.0)
     formula = _limit_periodic_formula(box.dimension, base, scale)
-    return DiagonalOperator.from_values(
-        box, formula(box.sites), policy=policy or SUP_NORM, formula=formula
-    )
+    return DiagonalOperator.from_values(box, formula(box.sites), formula=formula)
 
 
 def build_hopping(spec: HoppingSpec, box: LatticeBox) -> LatticeOperator:

@@ -59,17 +59,6 @@ class LatticeOperator:
 
     # -- diagonal view ------------------------------------------------------
 
-    def diagonal(self, k) -> Sequence:
-        """The k-diagonal A_k as a sequence (absent where i-k leaves the box)."""
-        box = self.box
-        k = np.asarray(k, dtype=np.int64).reshape(box.dimension)
-        col = box.site_index(box.sites - k)
-        ok = col >= 0
-        values = np.zeros(box.n_sites, dtype=complex)
-        rows = np.flatnonzero(ok)
-        values[rows] = self.entries[rows, col[rows]]
-        return Sequence(box, values, ok, policy=SUP_NORM)
-
     def diag_sups(self) -> np.ndarray:
         """Sup of |entries| per flat offset slot (cached)."""
         if self._diag_sups is None:
@@ -144,9 +133,6 @@ class LatticeOperator:
     def transpose(self) -> "LatticeOperator":
         return LatticeOperator(self.box, self.entries.T)
 
-    def diagonal_part(self) -> "DiagonalOperator":
-        return DiagonalOperator.from_values(self.box, np.diagonal(self.entries))
-
     def is_real_symmetric(self) -> bool:
         """Exactly real and symmetric; a NaN entry makes it False."""
         e = self.entries
@@ -216,8 +202,6 @@ class DiagonalOperator:
     def __init__(self, box: LatticeBox, diag: Sequence):
         if diag.box != box:
             raise ValueError("box mismatch")
-        if not np.all(diag.present):
-            raise ValueError("diagonal sequence must be fully present")
         self.box = box
         self.diag = diag
 

@@ -16,18 +16,17 @@ from nmloc import (
     distal_gamma_box,
     distal_gamma_window,
     distal_margin,
-    translate,
 )
 from nmloc.errors import DegenerateSequenceError, DistalViolationError
 from nmloc.models import PotentialSpec
 
 
 def test_unit_sequence_has_norm_one(box1d):
-    assert algebra_norm(Sequence.constant(box1d, 1.0)) == 1.0
+    assert algebra_norm(Sequence(box1d, np.ones(box1d.n_sites))) == 1.0
 
 
 def test_zero_sequence_norm(box1d):
-    assert algebra_norm(Sequence.constant(box1d, 0.0)) == 0.0
+    assert algebra_norm(Sequence(box1d, np.zeros(box1d.n_sites))) == 0.0
 
 
 def test_tan_sequence_norm_matches_direct_evaluation():
@@ -36,57 +35,6 @@ def test_tan_sequence_norm_matches_direct_evaluation():
     expected = max(abs(math.tan(math.pi * i * GOLDEN_MEAN)) for i in range(-8, 9))
     seq = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box).diag
     assert algebra_norm(seq) == pytest.approx(expected, rel=1e-14)
-
-
-def test_degenerate_sequence_raises(box1d):
-    empty = Sequence(box1d, np.zeros(box1d.n_sites), present=np.zeros(box1d.n_sites, bool))
-    with pytest.raises(DegenerateSequenceError, match="degenerate sequence"):
-        algebra_norm(empty)
-
-
-def test_translate_delta(box1d):
-    d0 = Sequence.delta(box1d, (0,))
-    d1 = translate(d0, (1,))
-    assert d1.values[box1d.site_index((1,))] == 1.0
-    assert d1.values[box1d.site_index((0,))] == 0.0
-
-
-def test_translate_constant_and_absentness(box1d):
-    c = Sequence.constant(box1d, 3.0 - 1.0j)
-    t = translate(c, (2,))
-    # preimages of the two leftmost sites leave the box
-    assert t.present.sum() == box1d.n_sites - 2
-    assert algebra_norm(t) == pytest.approx(abs(3.0 - 1.0j))
-
-
-def test_translate_formula_backed_exact():
-    box = LatticeBox(1, 6, 4)
-    seq = Sequence.from_formula(box, lambda s: np.asarray(s, float).ravel() ** 2 + 1.0)
-    shifted = translate(seq, (3,))
-    # formula path is exact on every site, including those with off-box preimages
-    expect = (box.sites.ravel() - 3.0) ** 2 + 1.0
-    np.testing.assert_allclose(shifted.values.real, expect)
-    assert shifted.present.all()
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_sup_norm_translation_invariance_on_supported_sequences(data):
-    # support inside the window, translations keeping it in the box
-    box = LatticeBox(1, 6, 3)
-    vals = data.draw(
-        st.lists(
-            st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-            min_size=7, max_size=7,
-        )
-    )
-    j = data.draw(st.integers(min_value=-3, max_value=3))
-    full = np.zeros(box.n_sites, complex)
-    full[box.site_index((-3,)) : box.site_index((3,)) + 1] = vals
-    seq = Sequence(box, full)
-    if algebra_norm(seq) == 0.0:
-        return
-    assert algebra_norm(translate(seq, (j,))) == algebra_norm(seq)
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,7 +49,8 @@ def test_submultiplicative_and_sup_bound(data):
     )
     a = Sequence(box, draw_vals())
     b = Sequence(box, draw_vals())
-    assert algebra_norm(a * b) <= algebra_norm(a) * algebra_norm(b) * (1 + 1e-12)
+    ab = Sequence(box, a.values * b.values)
+    assert algebra_norm(ab) <= algebra_norm(a) * algebra_norm(b) * (1 + 1e-12)
     assert np.max(np.abs(a.values)) <= algebra_norm(a) + 1e-15
 
 
@@ -127,16 +76,23 @@ def test_arithmetic_progression_distal_margin():
     # p_i = 2i: ||(p - sigma_k p)^-1|| = 1/(2|k|), so (tau=1, gamma=2) is
     # exactly the frontier and every margin is nonnegative
     box = LatticeBox(1, 8, 8)
-    p = Sequence.from_formula(box, lambda s: 2.0 * np.asarray(s, float).ravel())
+    formula = lambda s: 2.0 * np.asarray(s, float).ravel()
+    p = Sequence(box, formula(box.sites), formula=formula)
     report = distal_margin(p, tau=1.0, gamma=2.0, max_offset=8)
     assert report.passed
     assert report.empirical_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_constant_sequence_distal_violation(box1d):
-    p = Sequence.constant(box1d, 5.0)
+    p = Sequence(box1d, np.full(box1d.n_sites, 5.0))
     with pytest.raises(DistalViolationError, match="distal violation"):
         distal_margin(p, tau=1.0, gamma=1.0, max_offset=2)
+
+
+def test_scan_with_no_measurable_offset_raises(box1d):
+    p = Sequence(box1d, np.arange(box1d.n_sites, dtype=float))
+    with pytest.raises(DegenerateSequenceError, match="no measurable pairs"):
+        distal_gamma_window(p, tau=1.0, max_offset=0)
 
 
 def test_maryland_distal_gamma_window_baseline():

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -161,6 +162,43 @@ def test_verify_distal_exit_codes(tmp_path, capsys):
     assert cli.main(
         ["verify-distal", "--config", write_config(tmp_path, cfg, "b.json")]
     ) == 1
+
+
+def test_verify_distal_on_a_custom_potential_skips_offsets_without_pairs(
+        tmp_path, capsys):
+    # a custom potential has no formula: at |k| = 2N no window site has an
+    # in-box partner, and such an offset bounds nothing
+    values = np.random.default_rng(3).normal(size=17) * 3.0
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
+    cfg["potential"] = {"kind": "custom", "custom_values": values.tolist()}
+    assert cli.main(["verify-distal", "--config", write_config(tmp_path, cfg)]) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.strip().split("\n")[1:])
+    assert header == ["tau", "gamma_best", "worst_offset"] and len(rows) == 4
+    sites = LatticeBox(**cfg["box"]).sites[:, 0]
+    for tau, gamma, worst in rows:
+        # oracle: min of |i - j|^tau |v_i - v_j| over window sites i, in-box j
+        best, arg = min(
+            (abs(i - j) ** float(tau) * abs(values[p] - values[q]), (int(i - j),))
+            for p, i in enumerate(sites) if abs(i) <= 6
+            for q, j in enumerate(sites) if q != p
+        )
+        assert float(gamma) == pytest.approx(best, rel=1e-12)
+        assert worst == str(arg)
+
+
+def test_check_theory_and_verify_distal_print_tables_that_parse(tmp_path, capsys):
+    # details and offsets hold commas: every row still has the header's width
+    cfg_path = write_config(tmp_path, base_config())
+    assert cli.main(["check-theory", "--config", cfg_path]) == 0
+    theory = capsys.readouterr().out.strip().split("\n")[:-1]
+    assert cli.main(["verify-distal", "--config", cfg_path]) == 0
+    distal = capsys.readouterr().out.strip().split("\n")[1:6]
+    for table in (theory, distal):
+        header, *rows = csv.reader(table)
+        assert rows and all(len(row) == len(header) for row in rows)
+    details = {row[0]: row[-1] for row in csv.reader(theory)}
+    assert details["Theta5"] == "max(Theta^-alpha0, Theta^-delta) <= 1/10"
 
 
 def test_check_theory_reports_binding_constraint(tmp_path, capsys):
@@ -359,7 +397,7 @@ def test_check_theory_and_the_report_show_the_same_rows(tmp_path, capsys):
     assert cli.main(["check-theory", "--config", write_config(tmp_path, base_config(),
                                                               "c.json")]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    printed = [line.split(",", 5) for line in lines[1:-1]]
+    printed = list(csv.reader(lines[1:-1]))
     assert [(name, holds == "True", float(margin), detail)
             for name, holds, margin, _scale, _eff, detail in printed] == [
         (c["name"], c["holds"], c["margin"], c["detail"])

@@ -45,7 +45,8 @@ def test_three_site_worked_example():
     D = DiagonalOperator.from_values(box, [0.0, 1.0, 3.0])
     g = np.ones((3, 3), complex)
     np.fill_diagonal(g, 0.0)
-    sol = solve_generator(D, LatticeOperator(box, g), theta=None, tau=1.0, gamma=1.0)
+    sol = solve_generator(D, LatticeOperator(box, g), theta=2.0 * box.radius, tau=1.0,
+                          gamma=1.0)
     W = sol.W.entries
     # W_{i,j} = G_{i,j} / (d_j - d_i)
     assert W[1, 0] == pytest.approx(1.0 / (0.0 - 1.0))

@@ -8,6 +8,7 @@ from nmloc import (
     HoppingSpec,
     LatticeBox,
     PotentialSpec,
+    Sequence,
     build_hopping,
     build_potential,
     check_diophantine,
@@ -101,8 +102,7 @@ def test_hopping_is_toeplitz():
     box = LatticeBox(2, 3, 2)
     T = build_hopping(HoppingSpec(s_exponent=3.0, epsilon=0.7), box)
     for k in ((1, 0), (2, -1), (0, 3)):
-        diag = T.diagonal(k)
-        vals = diag.values[diag.present]
+        vals = T.entries[box.pair_offset_flat == box.offset_flat_id(k)]
         assert np.ptp(vals.real) == 0.0 and np.ptp(vals.imag) == 0.0
 
 
@@ -133,13 +133,8 @@ def test_craig_distal_with_measured_gamma():
     assert report.passed
     # the sampled-variation norm dwarfs the plain sup of the same data, so
     # its certified constant is smaller
-    from nmloc import SUP_NORM
-
     sup_gamma, _ = distal_gamma_window(
-        build_potential(
-            PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box, policy=SUP_NORM
-        ).diag,
-        tau=1.0, max_offset=64,
+        Sequence(box, D.values, formula=D.diag.formula), tau=1.0, max_offset=64
     )
     assert gamma <= sup_gamma
 
@@ -177,13 +172,3 @@ def test_diophantine_monotone_in_tau():
     g1, _ = check_diophantine((GOLDEN_MEAN,), tau=1.0, max_k=32)
     g2, _ = check_diophantine((GOLDEN_MEAN,), tau=1.5, max_k=32)
     assert g2 >= g1
-
-
-def test_craig_diagonal_part_measures_under_sup():
-    # an operator carries no norm policy: the main diagonal read back from
-    # the profiled craig_mod1 potential is a bare array, measured in sup
-    box = LatticeBox(1, 8, 6)
-    D = build_potential(PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box)
-    back = D.as_operator().diagonal_part()
-    np.testing.assert_array_equal(back.values, D.values)
-    assert back.sobolev_norm() == float(np.max(np.abs(D.values)))
