@@ -8,10 +8,12 @@ Subcommands::
     nmloc sweep         --config cfg.json --override hopping.epsilon=0.3,0.1 ... [--out-dir DIR]
 
 Configs are JSON, schema-validated with unknown keys rejected.  ``run``
-writes a per-step ledger CSV and a report JSON (schema-validated before
-writing); ``sweep`` treats comma-separated override values as cartesian
-sweep axes and emits one report per cell plus an aggregate CSV.  All
-floating-point output is written in round-trip precision.
+writes ``ledger.csv`` (the per-step ledger) and ``report.json`` into
+``--out-dir`` (default: the working directory).  The report's format is
+``REPORT_SCHEMA``; non-finite values are written as null.  ``sweep``
+treats comma-separated override values as cartesian sweep axes and emits
+one report per cell plus an aggregate CSV.  All floating-point output is
+written in round-trip precision.
 
 Exit codes: 0 success, 1 a numerical invariant failed (named on stderr),
 2 configuration errors.
@@ -98,7 +100,7 @@ CONFIG_SCHEMA = {
             "required": ["tau", "delta", "alpha0", "theta0", "Theta"],
             "properties": {
                 "tau": _NUM,
-                "gamma": _NUM_OR_NULL,
+                "gamma": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
                 "alpha0": _NUM,
                 "alpha": _NUM_OR_NULL,
@@ -111,14 +113,6 @@ CONFIG_SCHEMA = {
                 "max_steps": {"type": "integer", "minimum": 1},
                 "s_grid": {"type": ["array", "null"],
                            "items": {"type": "number", "minimum": 0}},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ledger_csv_path": {"type": ["string", "null"]},
-                "report_json_path": {"type": ["string", "null"]},
             },
         },
     },
@@ -146,7 +140,7 @@ _EIGENREPORT_SCHEMA = {
         "decay_envelope_margin": _NUM,
         "eigen_residual": _NUM,
         "interior": {"type": "boolean"},
-        "envelope_constant": _NUM,
+        "envelope_constant": _NUM_OR_NULL,
     },
 }
 
@@ -209,7 +203,7 @@ REPORT_SCHEMA = {
                 "properties": {
                     "name": {"type": "string"},
                     "holds": {"type": "boolean"},
-                    "margin": _NUM,
+                    "margin": _NUM_OR_NULL,
                     "scale": {"type": "string"},
                     "effective": {"type": "boolean"},
                     "detail": {"type": "string"},
@@ -220,28 +214,8 @@ REPORT_SCHEMA = {
 }
 
 
-def _validator(schema):
-    """A validator for ``schema``, checked against its metaschema once."""
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-_CONFIG_VALIDATOR = _validator(CONFIG_SCHEMA)
-_REPORT_VALIDATOR = _validator(REPORT_SCHEMA)
-
-
-def _validate(validator, instance):
-    """Raise the error ``jsonschema.validate`` would pick, if any."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
-
-
-DEFAULT_OUTPUT = {
-    "ledger_csv_path": "ledger.csv",
-    "report_json_path": "report.json",
-}
+# the schemas are constants; tier-1 checks them against their metaschema
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def load_config(path) -> dict:
@@ -255,13 +229,13 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict):
-    try:
-        _validate(_CONFIG_VALIDATOR, cfg)
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(part) for part in exc.absolute_path)
+    """Raise ``ConfigError`` on the error ``jsonschema.validate`` would pick."""
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        where = ".".join(str(part) for part in error.absolute_path)
         raise ConfigError(
-            f"config rejected{' at ' + where if where else ''}: {exc.message}"
-        ) from exc
+            f"config rejected{' at ' + where if where else ''}: {error.message}"
+        ) from error
 
 
 def apply_override(cfg: dict, key: str, value):
@@ -281,6 +255,7 @@ def apply_override(cfg: dict, key: str, value):
 
 
 def _assemble(cfg):
+    """The box, potential spec, D, T and resolved params of a valid config."""
     try:
         box = LatticeBox(**cfg["box"])
         pot_cfg = dict(cfg["potential"])
@@ -292,7 +267,13 @@ def _assemble(cfg):
         hop = HoppingSpec(**cfg["hopping"])
         params = SchemeParams(
             s_hopping=hop.s_exponent, epsilon=hop.epsilon, **cfg["params"]
-        )
+        ).resolved(box.dimension)
+        if min(params.s_grid) < 0:  # a default grid: the schema bounds a given one
+            grid = ", ".join(f"{s:g}" for s in params.s_grid)
+            raise ValueError(
+                f"the default params.s_grid (alpha0, alpha, alpha1 - tau) = ({grid}) "
+                f"has a negative entry: params.alpha = {params.alpha:g}, "
+                f"params.alpha1 = {params.alpha1:g}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if params.alpha0 <= box.dimension / 2:
@@ -309,7 +290,7 @@ def _assemble(cfg):
     # run failure, not a config failure
     D = build_potential(spec, box)
     T = build_hopping(hop, box)
-    return box, spec, D, hop, T, params
+    return box, spec, D, T, params
 
 
 def _f17(x) -> str:
@@ -394,7 +375,6 @@ def _report_dict(cfg, result):
             for c in result.theory_conditions
         ],
     }
-    _validate(_REPORT_VALIDATOR, report)
     return report
 
 
@@ -417,28 +397,15 @@ def _write_json(path, payload):
     os.replace(tmp, path)
 
 
-def _out_path(out_dir, rel):
-    if rel is None:
-        return None
-    if out_dir is None:
-        return rel
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, rel)
-
-
-def cmd_run(cfg: dict, out_dir=None) -> tuple[int, dict]:
+def cmd_run(cfg: dict, out_dir=".") -> tuple[int, dict]:
     """Run one config and write its outputs; returns the exit code and report."""
-    _box, _spec, D, _hop, T, params = _assemble(cfg)
-    output = {**DEFAULT_OUTPUT, **cfg.get("output", {})}
+    _box, _spec, D, T, params = _assemble(cfg)
     result = run(T, D, params)
-    ledger_path = _out_path(out_dir, output.get("ledger_csv_path"))
-    if ledger_path:
-        with open(ledger_path, "w") as fh:
-            fh.write(ledger_to_csv(result.ledger))
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "ledger.csv"), "w") as fh:
+        fh.write(ledger_to_csv(result.ledger))
     report = _report_dict(cfg, result)
-    report_path = _out_path(out_dir, output.get("report_json_path"))
-    if report_path:
-        _write_json(report_path, report)
+    _write_json(os.path.join(out_dir, "report.json"), report)
     print(
         f"run: converged={result.converged} steps={result.steps} "
         f"final ||R||_0={_f17(result.final_residual.sobolev_norm(0.0))} "
@@ -452,14 +419,19 @@ def cmd_run(cfg: dict, out_dir=None) -> tuple[int, dict]:
 
 
 def cmd_verify_distal(cfg: dict) -> int:
-    box, spec, D, _hop, _T, params = _assemble(cfg)
-    p = params.resolved(box.dimension)
+    """The window scan's frontier; a given gamma is checked by both scans.
+
+    ``theory_conditions`` owns the run's verdict on gamma (its ``gamma``
+    row, measured on the box); the window scan reads the potential's norm
+    policy and can disagree.  Either failing fails the command.
+    """
+    box, spec, D, T, p = _assemble(cfg)
     max_offset = min(2 * box.radius, 64)
     taus = sorted({p.tau, 0.5 * p.tau, 1.5 * p.tau, 2.0 * p.tau})
     print(f"distal frontier for {spec.kind} on {box} (offsets up to {max_offset}):")
     table = csv.writer(sys.stdout, lineterminator="\n")
     table.writerow(["tau", "gamma_best", "worst_offset"])
-    failed = False
+    failed = []
     for tau in taus:
         gamma_best, worst = distal_gamma_window(D.diag, tau, max_offset)
         table.writerow([_f17(tau), _f17(gamma_best), worst])
@@ -472,15 +444,21 @@ def cmd_verify_distal(cfg: dict) -> int:
         status = "pass" if report.passed else "FAIL"
         print(f"requested (tau={p.tau:g}, gamma={p.gamma:g}): {status} "
               f"margin={_f17(report.empirical_margin)} at {report.worst_offset}")
-        failed = not report.passed
+        if not report.passed:
+            failed.append("distal margin negative")
+        _, rows = theory_conditions(T, D, p, TameConstants(box.dimension, p.alpha0))
+        row = rows[0]
+        print(f"theory condition {row.name}: {'holds' if row.holds else 'FAILS'} "
+              f"margin={_f17(row.margin)}; {row.detail}")
+        if not row.holds:
+            failed.append(f"theory condition {row.name} does not hold")
     if failed:
-        print("invariant failed: distal margin negative", file=sys.stderr)
+        print(f"invariant failed: {'; '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0
 
 
 def cmd_check_theory(cfg: dict) -> int:
-    box, _spec, D, _hop, T, params = _assemble(cfg)
-    p = params.resolved(box.dimension)
+    box, _spec, D, T, p = _assemble(cfg)
     _, rows = theory_conditions(T, D, p, TameConstants(box.dimension, p.alpha0))
     table = csv.writer(sys.stdout, lineterminator="\n")
     table.writerow(["condition", "holds", "margin", "scale", "effective", "detail"])
@@ -493,7 +471,7 @@ def cmd_check_theory(cfg: dict) -> int:
             f"(log10 required = {_f17(binding.data['required_log10'])})"
         )
     failed = next((c for c in rows if c.effective and not c.holds), None)
-    if params.theory_checks and failed is not None:
+    if p.theory_checks and failed is not None:
         print(f"invariant failed: theory condition {failed.name} does not hold",
               file=sys.stderr)
         return 1
@@ -518,7 +496,7 @@ def _csv_cell(value) -> str:
     return _f17(value) if isinstance(value, float) else str(value)
 
 
-def cmd_sweep(cfg: dict, overrides, out_dir=None) -> int:
+def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
     axes = []
     for key, raw in overrides:
         values = _axis_values(raw)
@@ -527,8 +505,6 @@ def cmd_sweep(cfg: dict, overrides, out_dir=None) -> int:
         axes.append((key, values))
     if not axes:
         raise ConfigError("sweep requires at least one --override axis")
-    out_dir = out_dir or "sweep_out"
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     status = 0
     for combo in itertools.product(*(vals for _, vals in axes)):
@@ -539,9 +515,7 @@ def cmd_sweep(cfg: dict, overrides, out_dir=None) -> int:
             tags.append(f"{key.split('.')[-1]}={value}")
         validate_config(cell)
         cell_name = "_".join(tags).replace("/", "-")
-        cell_dir = os.path.join(out_dir, cell_name)
-        os.makedirs(cell_dir, exist_ok=True)
-        code, rep = cmd_run(cell, out_dir=cell_dir)
+        code, rep = cmd_run(cell, out_dir=os.path.join(out_dir, cell_name))
         status = max(status, code)
         rows.append(
             {
@@ -580,7 +554,7 @@ def main(argv=None) -> int:
             help="dotted-path config override; comma lists form sweep axes",
         )
         if name in ("run", "sweep"):
-            sp.add_argument("--out-dir", default=None)
+            sp.add_argument("--out-dir", default="." if name == "run" else "sweep_out")
     args = parser.parse_args(argv)
 
     try:

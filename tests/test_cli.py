@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -32,8 +33,6 @@ def base_config():
         "hopping": {"s_exponent": 4.0, "epsilon": 0.1},
         "params": {"tau": 1.0, "delta": 0.05, "alpha0": 0.6,
                    "theta0": 2.0, "Theta": 2.0},
-        "output": {"ledger_csv_path": "ledger.csv",
-                   "report_json_path": "report.json"},
     }
 
 
@@ -58,6 +57,22 @@ def test_unknown_keys_rejected():
         cfg[section][key] = value
         with pytest.raises(ConfigError, match=key):
             cli.validate_config(cfg)
+    cfg = base_config()
+    cfg["output"] = {"ledger_csv_path": "ledger.csv", "report_json_path": "report.json"}
+    with pytest.raises(ConfigError, match="output"):
+        cli.validate_config(cfg)
+
+
+def test_schemas_are_valid_under_their_metaschema():
+    for schema in (cli.CONFIG_SCHEMA, cli.REPORT_SCHEMA):
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_readme_example_config_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cli.validate_config(json.loads(example))
 
 
 def test_config_keys_map_onto_the_spec_fields():
@@ -76,6 +91,7 @@ def test_config_keys_map_onto_the_spec_fields():
     "params.delta=0", "params.alpha0=0.4", "params.s_grid=[-1]", "params.stop_tol=-1",
     "potential.omega=[0.6180339887498949,0.5]",
     "potential.kind=custom potential.custom_values=[1,2]",
+    "params.alpha1=0.5", "params.alpha=-1", "params.gamma=0", "params.gamma=-1",
 ])
 def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
     # space-separated overrides; the last one sets the rejected key
@@ -187,6 +203,36 @@ def test_verify_distal_on_a_custom_potential_skips_offsets_without_pairs(
         assert worst == str(arg)
 
 
+def verify_distal_gamma(tmp_path, capsys, kind, radius, interior, gamma):
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": radius, "interior_radius": interior}
+    cfg["potential"]["kind"] = kind
+    cfg["params"]["gamma"] = gamma
+    code = cli.main(["verify-distal", "--config", write_config(tmp_path, cfg)])
+    out, err = capsys.readouterr()
+    window = next(line for line in out.split("\n") if line.startswith("requested"))
+    box = next(line for line in out.split("\n") if line.startswith("theory condition"))
+    return code, window, box, err
+
+
+def test_verify_distal_fails_a_gamma_the_box_does_not_certify(tmp_path, capsys):
+    # the window scan passes 1.369 (window constant 1.370495); the box gives 1.368372
+    code, window, box, err = verify_distal_gamma(tmp_path, capsys, "maryland", 48, 32, 1.369)
+    assert code == 1
+    assert ": pass " in window
+    assert box.startswith("theory condition gamma: FAILS margin=-0.000628")
+    assert err == "invariant failed: theory condition gamma does not hold\n"
+
+
+def test_verify_distal_fails_a_gamma_the_window_does_not_certify(tmp_path, capsys):
+    # craig_mod1: sampled BV on the window gives 0.090170, sup on the box 0.381966
+    code, window, box, err = verify_distal_gamma(tmp_path, capsys, "craig_mod1", 24, 16, 0.2)
+    assert code == 1
+    assert ": FAIL " in window
+    assert box.startswith("theory condition gamma: holds margin=0.181966")
+    assert err == "invariant failed: distal margin negative\n"
+
+
 def test_check_theory_and_verify_distal_print_tables_that_parse(tmp_path, capsys):
     # details and offsets hold commas: every row still has the header's width
     cfg_path = write_config(tmp_path, base_config())
@@ -225,11 +271,9 @@ def test_sweep_produces_cells_and_aggregate(tmp_path):
     assert (out / "epsilon=0.05" / "report.json").exists()
 
 
-@pytest.mark.parametrize("report_path", ["rep.json", None])
-def test_sweep_rows_do_not_depend_on_report_path(tmp_path, report_path):
+def test_sweep_cells_hold_a_ledger_and_a_report(tmp_path):
     cfg = base_config()
     cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
-    cfg["output"]["report_json_path"] = report_path
     out = tmp_path / "sweep"
     code = cli.main([
         "sweep", "--config", write_config(tmp_path, cfg), "--out-dir", str(out),
@@ -241,7 +285,7 @@ def test_sweep_rows_do_not_depend_on_report_path(tmp_path, report_path):
         ["epsilon=0.1", "True", "5"], ["epsilon=0.05", "True", "5"]]
     for cell in ("epsilon=0.1", "epsilon=0.05"):
         written = sorted(p.name for p in (out / cell).iterdir())
-        assert written == sorted(filter(None, ["ledger.csv", report_path]))
+        assert written == ["ledger.csv", "report.json"]
 
 
 def test_nonconverging_run_exits_one(tmp_path):
@@ -311,6 +355,45 @@ def test_non_finite_transform_writes_a_strict_report(tmp_path, monkeypatch):
     jsonschema.validate(report, cli.REPORT_SCHEMA)
     assert report["converged"] is False
     assert report["qplus_norms"]["operator_norm"] is None
+
+
+@pytest.mark.parametrize("case", ["direct", "sarnak", "custom", "non_finite"])
+def test_written_report_is_strict_json_in_the_report_format(tmp_path, monkeypatch, case):
+    cfg = base_config()
+    if case == "direct":
+        cfg["params"]["mode"] = "direct"
+    elif case == "sarnak":  # not symmetric: the spectrum check is skipped
+        cfg["potential"]["kind"] = "sarnak"
+        cfg["hopping"]["epsilon"] = 0.02
+    elif case == "custom":  # the Maryland values, entered by hand
+        D = build_potential(PotentialSpec("maryland", omega=tuple(cfg["potential"]["omega"])),
+                            LatticeBox(**cfg["box"]))
+        cfg["potential"] = {"kind": "custom", "custom_values": D.values.real.tolist()}
+    else:
+        solve = cli.run
+
+        def non_finite(T, D, params):
+            res = solve(T, D, params)
+            rows = [replace(c, margin=math.inf) if c.name == "Theta1" else c
+                    for c in res.theory_conditions]
+            # an infinite decay exponent makes every off-center envelope constant inf
+            return replace(res, theory_conditions=rows,
+                           params=replace(res.params, s_hopping=math.inf))
+
+        monkeypatch.setattr(cli, "run", non_finite)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    assert report["converged"] is True and report["localization"]["eigenreports"]
+    skipped = report["localization"]["spectrum"]["skipped"]
+    assert (skipped is not None) == (case == "sarnak")
+    if case == "non_finite":
+        rows = {c["name"]: c for c in report["theory_conditions"]}
+        assert rows["Theta1"]["margin"] is None
+        assert None in [r["envelope_constant"] for r in report["localization"]["eigenreports"]]
 
 
 # -- the theory regime -----------------------------------------------------------
