@@ -271,14 +271,18 @@ def test_sweep_produces_cells_and_aggregate(tmp_path):
     assert (out / "epsilon=0.05" / "report.json").exists()
 
 
-def test_sweep_cells_hold_a_ledger_and_a_report(tmp_path):
+@pytest.mark.parametrize("report_path", ["rep.json", None])
+def test_sweep_rows_do_not_depend_on_report_path(tmp_path, report_path):
+    # A report path can no longer be set: a config that names one is refused
+    # before any cell runs, and every cell holds ledger.csv and report.json.
     cfg = base_config()
     cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
     out = tmp_path / "sweep"
-    code = cli.main([
-        "sweep", "--config", write_config(tmp_path, cfg), "--out-dir", str(out),
-        "--override", "hopping.epsilon=0.1,0.05",
-    ])
+    argv = ["sweep", "--out-dir", str(out), "--override", "hopping.epsilon=0.1,0.05"]
+    stale = dict(cfg, output={"report_json_path": report_path})
+    assert cli.main(argv + ["--config", write_config(tmp_path, stale)]) == 2
+    assert not out.exists()
+    code = cli.main(argv + ["--config", write_config(tmp_path, cfg)])
     assert code == 0
     agg = (out / "sweep.csv").read_text().strip().split("\n")
     assert [row.split(",")[:3] for row in agg[1:]] == [
