@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .box import LatticeBox
 from .homological import (
-    FixedPointSolution,
     HomologicalSolution,
     NeumannResult,
     neumann_invert,

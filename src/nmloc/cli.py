@@ -11,9 +11,10 @@ Configs are JSON, schema-validated with unknown keys rejected.  ``run``
 writes ``ledger.csv`` (the per-step ledger) and ``report.json`` into
 ``--out-dir`` (default: the working directory).  The report's format is
 ``REPORT_SCHEMA``; non-finite values are written as null.  ``sweep``
-treats comma-separated override values as cartesian sweep axes and emits
-one report per cell plus an aggregate CSV.  All floating-point output is
-written in round-trip precision.
+treats comma-separated override values as cartesian sweep axes (a
+bracketed list is one value) and emits one report per cell plus an
+aggregate CSV.  All floating-point output is written in round-trip
+precision.
 
 Exit codes: 0 success, 1 a numerical invariant failed (named on stderr),
 2 configuration errors.
@@ -478,15 +479,27 @@ def cmd_check_theory(cfg: dict) -> int:
     return 0
 
 
-def _axis_values(raw: str):
-    vals = [v for v in raw.split(",") if v != ""]
-    parsed = []
-    for v in vals:
+def _axis_values(key: str, raw: str):
+    """``(item, value)`` for each value of one sweep axis: ``raw`` split at
+    the commas outside brackets, each item parsed as JSON (a bare word stays
+    a string).  A value given twice, in any spelling, is a config error."""
+    items, depth = [""], 0
+    for ch in raw:
+        depth += (ch in "[{") - (ch in "]}")
+        if ch == "," and depth == 0:
+            items.append("")
+        else:
+            items[-1] += ch
+    pairs = []
+    for item in filter(None, items):
         try:
-            parsed.append(json.loads(v))
+            value = json.loads(item)
         except json.JSONDecodeError:
-            parsed.append(v)
-    return parsed
+            value = item
+        if value in (v for _, v in pairs):
+            raise ConfigError(f"sweep axis {key!r} repeats the value {value!r}")
+        pairs.append((item, value))
+    return pairs
 
 
 def _csv_cell(value) -> str:
@@ -499,7 +512,7 @@ def _csv_cell(value) -> str:
 def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
     axes = []
     for key, raw in overrides:
-        values = _axis_values(raw)
+        values = _axis_values(key, raw)
         if not values:
             raise ConfigError(f"sweep axis {key!r} has no values")
         axes.append((key, values))
@@ -510,8 +523,8 @@ def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
     for combo in itertools.product(*(vals for _, vals in axes)):
         cell = copy.deepcopy(cfg)
         tags = []
-        for (key, _), value in zip(axes, combo):
-            apply_override(cell, key, value)
+        for (key, _), (item, value) in zip(axes, combo):
+            apply_override(cell, key, item)  # parsed as `run --override` parses it
             tags.append(f"{key.split('.')[-1]}={value}")
         validate_config(cell)
         cell_name = "_".join(tags).replace("/", "-")
@@ -530,12 +543,13 @@ def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
             }
         )
     agg = os.path.join(out_dir, "sweep.csv")
-    with open(agg, "w") as fh:
+    with open(agg, "w", newline="") as fh:
         cols = ["cell", "converged", "steps", "final_residual_0", "dplus_norm",
                 "min_singular_value"]
-        fh.write(",".join(cols) + "\n")
+        table = csv.writer(fh, lineterminator="\n")  # a list-valued cell name holds commas
+        table.writerow(cols)
         for row in rows:
-            fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
+            table.writerow(_csv_cell(row[c]) for c in cols)
     print(f"sweep: {len(rows)} cells, aggregate at {agg}")
     return status
 

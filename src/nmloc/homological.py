@@ -1,4 +1,4 @@
-"""The two linear solves driving each conjugation step.
+"""The three linear solves driving each conjugation step, and their checks.
 
 * ``solve_generator``: the divided-difference solve for the off-diagonal
   generator W, from ``[D, W] + S_theta(G) = 0``; entrywise
@@ -10,9 +10,9 @@
 * ``solve_diagonal_correction``: the diagonal correction X killing the
   main diagonal of ``Q^{-1} X Q + Q^{-1} P Q + P'``, given the conjugated
   ``Q^{-1} P Q`` the step has already built.  The map is affine in X, so X
-  is the direct linear solve; inside the contraction regime the Banach
-  fixed-point iteration runs as an independent check, and whether the
-  regime holds is returned as data.
+  is the direct linear solve.  Inside a run, X is checked by the step's
+  ``solve_generator``: the source G built from X must have a zero main
+  diagonal, and one that does not raises.
 
 * ``neumann_invert``: inversion of ``I + W`` by a Neumann series under the
   smallness condition ``4 c0^2 ||W||_a0 <= 1/2``, with a direct-solve
@@ -21,13 +21,17 @@
   ``||(I + W) V^-1 - I||_0`` costs a dense product, so it is formed only
   when read.
 
-``solve_generator`` and ``neumann_invert`` compute bound margins, which
-cost norms on an s-grid, only for the indices passed in ``s_list``.
+Each solver returns what the conjugation step reads.  The paper's proof
+devices are separate checks, which the certificate tests run and a step
+does not: ``HomologicalSolution.bound_margins`` and
+``NeumannResult.bound_margins`` (norms on an s-grid), and
+``fixed_point_check``, the Banach fixed-point iteration that re-derives X
+inside the contraction regime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +57,6 @@ class HomologicalSolution:
     D: DiagonalOperator
     SG: LatticeOperator
     solved: np.ndarray  # in-band off-diagonal entries
-    bound_margins: dict = field(default_factory=dict)
 
     @property
     def residual_offdiag(self) -> float:
@@ -63,21 +66,24 @@ class HomologicalSolution:
         resid[~self.solved] = 0.0
         return float(np.max(resid))
 
+    def bound_margins(self, tau: float, gamma: float, s_grid) -> dict:
+        """``gamma^-1 ||SG||_{s+tau} - ||W||_s`` for each s in ``s_grid``;
+        nonnegative whenever ``gamma`` is a valid in-box separation constant
+        for ``D``."""
+        return {
+            float(s): self.SG.sobolev_norm(float(s) + tau) / gamma
+            - self.W.sobolev_norm(float(s))
+            for s in s_grid
+        }
 
-def solve_generator(
-    D: DiagonalOperator,
-    G: LatticeOperator,
-    theta: float,
-    tau: float,
-    gamma: float,
-    s_list=(),
-) -> HomologicalSolution:
+
+def solve_generator(D: DiagonalOperator, G: LatticeOperator,
+                    theta: float) -> HomologicalSolution:
     """Solve [D, W] + S_theta(G) = 0 for the zero-diagonal generator W.
 
-    For each s in ``s_list`` the margin
-    ``gamma^-1 ||S_theta G||_{s+tau} - ||W||_s`` is recorded; it is
-    nonnegative whenever ``gamma`` is a valid in-box separation constant
-    for ``D``.
+    A source ``G`` with a nonzero main diagonal raises ``ValueError``: a
+    step removes that diagonal first, so one left over means a wrong
+    diagonal correction.
     """
     box = G.box
     if D.box != box:
@@ -103,51 +109,38 @@ def solve_generator(
 
     w = np.zeros_like(sg.entries)
     w[need] = sg.entries[need] / divisors[need]
-    W = LatticeOperator(box, w)
-
-    margins = {}
-    for s in s_list:
-        margins[float(s)] = (
-            sg.sobolev_norm(float(s) + tau) / gamma - W.sobolev_norm(float(s))
-        )
-    return HomologicalSolution(W, D, sg, need, margins)
+    return HomologicalSolution(LatticeOperator(box, w), D, sg, need)
 
 
-@dataclass
-class FixedPointSolution:
-    """``final_defect`` is the residual of X; ``cross_check`` (the gap to X)
-    and ``bound_margin`` describe the contraction check."""
-
-    X: DiagonalOperator
-    final_defect: float
-    contraction_ok: bool
-    cross_check: float | None = None
-    bound_margin: float | None = None
+def _affine_system(Q, Qinv, QPQ, Pprime):
+    """``(M, c)`` with ``diag(Qinv X Q + QPQ + P') = M x + c`` for ``X = diag(x)``."""
+    c = np.diagonal(QPQ.entries) + np.diagonal(Pprime.entries)
+    return Qinv.entries * Q.entries.T, c
 
 
-def _conjugated_diag_map(Q, Qinv):
-    """Matrix M with diag(Qinv diag(x) Q) = M @ x."""
-    return Qinv.entries * Q.entries.T
+def solve_diagonal_correction(Q: LatticeOperator, Qinv: LatticeOperator,
+                              QPQ: LatticeOperator,
+                              Pprime: LatticeOperator) -> DiagonalOperator:
+    """The diagonal X with diag(Qinv X Q + QPQ + P') = 0, where QPQ = Qinv P Q,
+    by the direct affine solve."""
+    M, c = _affine_system(Q, Qinv, QPQ, Pprime)
+    return DiagonalOperator.from_values(Q.box, np.linalg.solve(M, -c))
 
 
-def solve_diagonal_correction(
-    Q: LatticeOperator,
-    Qinv: LatticeOperator,
-    QPQ: LatticeOperator,
-    Pprime,
-    tc: TameConstants,
-    tol: float = 1e-12,
-) -> FixedPointSolution:
-    """Find diagonal X with diag(Qinv X Q + QPQ + P') = 0, where QPQ = Qinv P Q.
+def fixed_point_check(Q: LatticeOperator, Qinv: LatticeOperator, QPQ: LatticeOperator,
+                      Pprime: LatticeOperator, X: DiagonalOperator, tc: TameConstants,
+                      tol: float = 1e-12) -> tuple[bool, float | None, float | None]:
+    """Re-derive the diagonal correction X by the Banach fixed-point iteration.
 
-    X is the direct affine solve.  When the smallness condition
-    ``c0 ||Q - I||_a0 <= 1/10`` (and likewise for Qinv) holds, the
-    contraction iteration x -> x - (M x + c) also runs as an independent
-    check: ``cross_check`` is its gap to X, ``bound_margin`` the margin of
-    ``||X||_a0 <= 2 (||QPQ||_a0 + ||P'||_a0)``, and an iteration that does
-    not reach ``tol`` in ``FIXED_POINT_MAX_ITER`` steps raises
-    :class:`FixedPointStalledError`.  Outside the regime
-    ``contraction_ok`` is False and the check fields are None.
+    Returns ``(contraction_ok, cross_check, bound_margin)``.  When the
+    smallness condition ``c0 ||Q - I||_a0 <= 1/10`` (and likewise for Qinv)
+    holds, the contraction iteration x -> x - (M x + c) runs from zero until
+    its defect ``max |M x + c|`` reaches ``tol``; ``cross_check`` is its gap
+    to X and ``bound_margin`` the margin of
+    ``||X||_a0 <= 2 (||QPQ||_a0 + ||P'||_a0)``.  An iteration that does not
+    converge within ``FIXED_POINT_MAX_ITER`` steps raises
+    :class:`FixedPointStalledError`.  Outside the regime nothing is iterated
+    and the result is ``(False, None, None)``.
     """
     box = Q.box
     eye = DiagonalOperator.identity(box)
@@ -156,16 +149,10 @@ def solve_diagonal_correction(
         tc.c0 * (Q - eye).sobolev_norm(a0) <= 0.1
         and tc.c0 * (Qinv - eye).sobolev_norm(a0) <= 0.1
     )
-
-    pprime_op = Pprime.as_operator() if isinstance(Pprime, DiagonalOperator) else Pprime
-    c = np.diagonal(QPQ.entries) + np.diagonal(pprime_op.entries)
-    M = _conjugated_diag_map(Q, Qinv)
-    x = np.linalg.solve(M, -c)
-    X = DiagonalOperator.from_values(box, x)
-    defect = float(np.max(np.abs(M @ x + c)))
     if not contraction_ok:
-        return FixedPointSolution(X, defect, False)
+        return False, None, None
 
+    M, c = _affine_system(Q, Qinv, QPQ, Pprime)
     y = np.zeros(box.n_sites, dtype=complex)
     iterations = 0
     y_defect = float(np.max(np.abs(M @ y + c)))
@@ -177,11 +164,11 @@ def solve_diagonal_correction(
         y = y - (M @ y + c)
         iterations += 1
         y_defect = float(np.max(np.abs(M @ y + c)))
-    gap = float(np.max(np.abs(y - x)))
+    gap = float(np.max(np.abs(y - X.values)))
     margin = 2.0 * (
-        QPQ.sobolev_norm(a0) + pprime_op.sobolev_norm(a0)
+        QPQ.sobolev_norm(a0) + Pprime.sobolev_norm(a0)
     ) - X.sobolev_norm(a0)
-    return FixedPointSolution(X, defect, True, gap, margin)
+    return True, gap, margin
 
 
 @dataclass
@@ -191,7 +178,6 @@ class NeumannResult:
 
     Vinv: LatticeOperator
     W: LatticeOperator
-    bound_margins: dict = field(default_factory=dict)
     neumann_terms: int | None = None
     condition_number: float | None = None
 
@@ -201,22 +187,27 @@ class NeumannResult:
         eye = DiagonalOperator.identity(self.W.box)
         return float(((eye + self.W) @ self.Vinv - eye).sobolev_norm(0.0))
 
+    def bound_margins(self, tc: TameConstants, s_grid) -> dict:
+        """Margins of ``||V^-1 - I||_s <= 2 k1(s) ||W||_s`` for each s in
+        ``s_grid``; the series regime guarantees them."""
+        eye = DiagonalOperator.identity(self.W.box)
+        return {
+            float(s): 2.0 * tc.k1(float(s)) * self.W.sobolev_norm(float(s))
+            - (self.Vinv - eye).sobolev_norm(float(s))
+            for s in s_grid
+        }
 
-def neumann_invert(
-    W: LatticeOperator,
-    tc: TameConstants,
-    s_list=(),
-    strict: bool = True,
-) -> NeumannResult:
+
+def neumann_invert(W: LatticeOperator, tc: TameConstants,
+                   strict: bool = True) -> NeumannResult:
     """Invert I + W, preferring the Neumann series when it certifiably converges.
 
     With ``4 c0^2 ||W||_a0 <= 1/2`` the series is summed until the newest
-    term falls below ``NEUMANN_TERM_TOL`` in the 0-norm, and the margins of
-    ``||V^-1 - I||_s <= 2 k1(s) ||W||_s`` are recorded for every s in
-    ``s_list``.  Outside that regime, ``strict=True`` raises while
-    ``strict=False`` falls back to a direct solve and reports the 1-norm
-    condition number ``||I + W||_1 ||(I + W)^-1||_1`` instead of series
-    data, read off the inverse it has just formed.  The result's
+    term falls below ``NEUMANN_TERM_TOL`` in the 0-norm.  Outside that
+    regime, ``strict=True`` raises while ``strict=False`` falls back to a
+    direct solve and reports the 1-norm condition number
+    ``||I + W||_1 ||(I + W)^-1||_1`` instead of series data, read off the
+    inverse it has just formed.  The result's
     ``residual`` is computed when it is read.
     """
     box = W.box
@@ -252,11 +243,4 @@ def neumann_invert(
         vinv = np.linalg.solve(v, eye_m)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 
-    Vinv = LatticeOperator(box, vinv)
-    margins = {}
-    for s in s_list:
-        s = float(s)
-        margins[s] = 2.0 * tc.k1(s) * W.sobolev_norm(s) - (
-            Vinv - DiagonalOperator.identity(box)
-        ).sobolev_norm(s)
-    return NeumannResult(Vinv, W, margins, terms, cond)
+    return NeumannResult(LatticeOperator(box, vinv), W, terms, cond)

@@ -331,7 +331,7 @@ def iterate_step(state: IterationState) -> IterationState:
             Dk = DiagonalOperator.from_values(
                 box, -(np.diagonal(QTQ.entries) + np.diagonal(state.R.entries)))
         else:
-            Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R, tc).X
+            Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R)
         divisor_values = state.D.values
     else:
         # diag of the smoothed G = Q^-1 T_k Q + R; smoothing keeps the main diagonal
@@ -348,8 +348,7 @@ def iterate_step(state: IterationState) -> IterationState:
     G_for_W = G if p.mode == INVERSE else G - Dk
 
     divisor = DiagonalOperator.from_values(box, divisor_values)
-    generator = solve_generator(divisor, G_for_W, theta=theta_next, tau=p.tau,
-                                gamma=p.gamma)
+    generator = solve_generator(divisor, G_for_W, theta=theta_next)
     W = generator.W
     # G past the band: G_for_W differs from G only on the main diagonal,
     # which the truncation keeps.  Formed here so that the solution is not
@@ -428,12 +427,7 @@ def iterate_step(state: IterationState) -> IterationState:
     return state
 
 
-def run(
-    T: LatticeOperator,
-    D: DiagonalOperator,
-    params: SchemeParams,
-    tc: Optional[TameConstants] = None,
-) -> SchemeResult:
+def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> SchemeResult:
     """Drive the scheme to convergence (or to the step cap) and certify it.
 
     First ``theory_conditions`` fixes gamma and evaluates the sufficient
@@ -451,7 +445,7 @@ def run(
     p = params.resolved(box.dimension)
     if p.alpha0 <= box.dimension / 2.0:
         raise ValueError("alpha0 must exceed d/2")
-    tc = tc or TameConstants(box.dimension, p.alpha0)
+    tc = TameConstants(box.dimension, p.alpha0)
     p, conditions = theory_conditions(T, D, p, tc)
     failed = next((c for c in conditions if c.effective and not c.holds), None)
     if p.theory_checks and failed is not None:

@@ -37,6 +37,7 @@ from nmloc import (
     spectrum_compare,
     tame_bound_check,
 )
+from nmloc.homological import fixed_point_check
 
 TAU, DELTA, ALPHA0, S0, EPS = 1.0, 0.05, 0.6, 4.0, 0.1
 ALPHA = S0 - 0.5 - 5 * DELTA          # 3.25
@@ -152,9 +153,10 @@ def test_criterion_03_homological_exactness():
         np.fill_diagonal(g, 0.0)
         G = LatticeOperator(box, g)
         theta = float(rng.uniform(1.0, 2 * box.radius))
-        sol = solve_generator(D, G, theta, tau=TAU, gamma=gamma, s_list=S_GRID)
+        sol = solve_generator(D, G, theta)
         worst_resid = max(worst_resid, sol.residual_offdiag)
-        worst_margin = min(worst_margin, min(sol.bound_margins.values()))
+        worst_margin = min(worst_margin,
+                           min(sol.bound_margins(TAU, gamma, S_GRID).values()))
         diag_clean &= bool(np.all(np.diagonal(sol.W.entries) == 0.0))
     elapsed = time.time() - start
     verdict(
@@ -182,10 +184,13 @@ def test_criterion_04_fixed_point_vs_direct_solve():
         assert tc.c0 * (Qinv - eye).sobolev_norm(ALPHA0) <= 0.1
         P = random_banded(box, rng, n_offsets=4)
         Pp = random_banded(box, rng, n_offsets=4)
-        sol = solve_diagonal_correction(Q, Qinv, Qinv @ P @ Q, Pp, tc, tol=1e-13)
-        assert sol.contraction_ok
-        worst_gap = max(worst_gap, sol.cross_check)
-        worst_margin = min(worst_margin, sol.bound_margin)
+        QPQ = Qinv @ P @ Q
+        X = solve_diagonal_correction(Q, Qinv, QPQ, Pp)
+        contraction_ok, gap, margin = fixed_point_check(Q, Qinv, QPQ, Pp, X, tc,
+                                                        tol=1e-13)
+        assert contraction_ok
+        worst_gap = max(worst_gap, gap)
+        worst_margin = min(worst_margin, margin)
     verdict(
         4,
         worst_gap <= 1e-10 and worst_margin >= 0.0,
@@ -204,9 +209,9 @@ def test_criterion_05_neumann_suite():
         w = random_banded(box, rng, n_offsets=5)
         target = rng.uniform(0.05, 0.5)
         w = w * (target / (4 * tc.c0**2 * w.sobolev_norm(ALPHA0)))
-        res = neumann_invert(w, tc, s_list=S_GRID, strict=True)
+        res = neumann_invert(w, tc, strict=True)
         worst_resid = max(worst_resid, res.residual)
-        worst_margin = min(worst_margin, min(res.bound_margins.values()))
+        worst_margin = min(worst_margin, min(res.bound_margins(tc, S_GRID).values()))
     verdict(
         5,
         worst_resid <= 1e-12 and worst_margin >= 0.0,

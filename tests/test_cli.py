@@ -271,6 +271,36 @@ def test_sweep_produces_cells_and_aggregate(tmp_path):
     assert (out / "epsilon=0.05" / "report.json").exists()
 
 
+def test_sweep_axis_items_are_parsed_before_duplicates_are_refused(tmp_path, capsys):
+    assert cli._axis_values("params.mode", "inverse,direct") == [
+        ("inverse", "inverse"), ("direct", "direct")]
+    assert cli._axis_values("params.s_grid", "[0.6,2.0],[1]") == [
+        ("[0.6,2.0]", [0.6, 2.0]), ("[1]", [1])]
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
+    argv = ["sweep", "--config", write_config(tmp_path, cfg), "--out-dir",
+            str(tmp_path / "sweep"), "--override"]
+    assert cli.main(argv + ["hopping.epsilon=0.1,0.10,1e-1"]) == 2
+    assert "'hopping.epsilon' repeats the value 0.1" in capsys.readouterr().err
+    # a cell is the config `run --override` builds: a JSON string is no number
+    assert cli.main(argv + ['hopping.epsilon="0.1"']) == 2
+    assert "'0.1' is not of type 'number'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_takes_a_bracketed_override_as_one_cell(tmp_path):
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", write_config(tmp_path, cfg), "--out-dir",
+                     str(out), "--override", "params.s_grid=[0.6,2.0]"])
+    assert code == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [row["cell"] for row in csv.DictReader(fh)] == ["s_grid=[0.6, 2.0]"]
+    header = (out / "s_grid=[0.6, 2.0]" / "ledger.csv").read_text().split("\n")[0]
+    assert [c for c in header.split(",") if c.startswith("W@")] == ["W@0.6", "W@2"]
+
+
 @pytest.mark.parametrize("report_path", ["rep.json", None])
 def test_sweep_rows_do_not_depend_on_report_path(tmp_path, report_path):
     # A report path can no longer be set: a config that names one is refused

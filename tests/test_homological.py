@@ -18,6 +18,7 @@ from nmloc import (
     solve_generator,
 )
 from nmloc.errors import DistalViolationError, NeumannSmallnessError
+from nmloc.homological import fixed_point_check
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def zero_diag(op):
 def test_zero_source_gives_zero_generator(box1d, tc):
     D = DiagonalOperator.from_values(box1d, np.arange(box1d.n_sites, dtype=float))
     G = LatticeOperator.zeros(box1d)
-    sol = solve_generator(D, G, theta=4.0, tau=1.0, gamma=1.0)
+    sol = solve_generator(D, G, theta=4.0)
     assert np.all(sol.W.entries == 0.0)
     assert sol.residual_offdiag == 0.0
 
@@ -45,8 +46,7 @@ def test_three_site_worked_example():
     D = DiagonalOperator.from_values(box, [0.0, 1.0, 3.0])
     g = np.ones((3, 3), complex)
     np.fill_diagonal(g, 0.0)
-    sol = solve_generator(D, LatticeOperator(box, g), theta=2.0 * box.radius, tau=1.0,
-                          gamma=1.0)
+    sol = solve_generator(D, LatticeOperator(box, g), theta=2.0 * box.radius)
     W = sol.W.entries
     # W_{i,j} = G_{i,j} / (d_j - d_i)
     assert W[1, 0] == pytest.approx(1.0 / (0.0 - 1.0))
@@ -63,8 +63,7 @@ def test_generator_residual_oracle_maryland(rng):
     for trial in range(10):
         G = zero_diag(random_banded(box, rng, n_offsets=6))
         theta = float(rng.uniform(1.0, 2 * box.radius))
-        sol = solve_generator(D, G, theta, tau=1.0, gamma=gamma,
-                              s_list=(0.6, 2.0, 4.0))
+        sol = solve_generator(D, G, theta)
         # oracle: entrywise commutator residual within the band
         W = sol.W.entries
         d = D.values
@@ -77,14 +76,15 @@ def test_generator_residual_oracle_maryland(rng):
         assert sol.residual_offdiag <= 1e-12 * (1 + np.max(np.abs(G.entries)))
         assert np.all(np.diagonal(W) == 0.0)
         # solver-level norm bound certified by the in-box gamma
-        assert all(m >= -1e-12 for m in sol.bound_margins.values())
+        margins = sol.bound_margins(1.0, gamma, (0.6, 2.0, 4.0))
+        assert all(m >= -1e-12 for m in margins.values())
 
 
 def test_generator_rejects_unreduced_diagonal(box1d):
     D = DiagonalOperator.from_values(box1d, np.arange(box1d.n_sites, dtype=float))
     g = np.ones((box1d.n_sites, box1d.n_sites), complex)
     with pytest.raises(ValueError, match="unreduced diagonal"):
-        solve_generator(D, LatticeOperator(box1d, g), theta=2.0, tau=1.0, gamma=1.0)
+        solve_generator(D, LatticeOperator(box1d, g), theta=2.0)
 
 
 def test_generator_divisor_floor_is_error_not_clamp(box1d):
@@ -94,7 +94,7 @@ def test_generator_divisor_floor_is_error_not_clamp(box1d):
     g = np.ones((box1d.n_sites, box1d.n_sites), complex)
     np.fill_diagonal(g, 0.0)
     with pytest.raises(DistalViolationError, match="distal violation"):
-        solve_generator(D, LatticeOperator(box1d, g), theta=4.0, tau=1.0, gamma=1.0)
+        solve_generator(D, LatticeOperator(box1d, g), theta=4.0)
 
 
 # -- diagonal correction -------------------------------------------------------
@@ -112,9 +112,9 @@ def test_identity_conjugation_solution(box1d, tc, rng):
     eye = LatticeOperator.identity(box1d)
     P = random_banded(box1d, rng, n_offsets=3)
     Pp = random_banded(box1d, rng, n_offsets=3)
-    sol = solve_diagonal_correction(eye, eye, eye @ P @ eye, Pp, tc)
+    X = solve_diagonal_correction(eye, eye, eye @ P @ eye, Pp)
     np.testing.assert_allclose(
-        sol.X.values,
+        X.values,
         -np.diagonal(P.entries) - np.diagonal(Pp.entries),
         rtol=1e-12, atol=1e-14,
     )
@@ -123,9 +123,10 @@ def test_identity_conjugation_solution(box1d, tc, rng):
 def test_zero_sources_give_zero(box1d, tc):
     eye = LatticeOperator.identity(box1d)
     Z = LatticeOperator.zeros(box1d)
-    sol = solve_diagonal_correction(eye, eye, Z, Z, tc)
-    assert np.all(sol.X.values == 0.0)
-    assert sol.final_defect == 0.0
+    X = solve_diagonal_correction(eye, eye, Z, Z)
+    assert np.all(X.values == 0.0)
+    contraction_ok, gap, _ = fixed_point_check(eye, eye, Z, Z, X, tc)
+    assert contraction_ok and gap == 0.0
 
 
 def test_fixed_point_agrees_with_assembled_system(rng, tc):
@@ -134,8 +135,10 @@ def test_fixed_point_agrees_with_assembled_system(rng, tc):
     Q, Qinv = near_identity(box, rng, scale=0.1 / tc.c0 / 10)
     P = random_banded(box, rng, n_offsets=3)
     Pp = random_banded(box, rng, n_offsets=3)
-    sol = solve_diagonal_correction(Q, Qinv, Qinv @ P @ Q, Pp, tc, tol=1e-13)
-    assert sol.contraction_ok
+    QPQ = Qinv @ P @ Q
+    X = solve_diagonal_correction(Q, Qinv, QPQ, Pp)
+    contraction_ok, gap, margin = fixed_point_check(Q, Qinv, QPQ, Pp, X, tc, tol=1e-13)
+    assert contraction_ok
 
     n = box.n_sites
     A = np.zeros((n, n), complex)
@@ -145,28 +148,32 @@ def test_fixed_point_agrees_with_assembled_system(rng, tc):
         A[:, j] = np.diagonal(Qinv.entries @ np.diag(basis) @ Q.entries)
     rhs = -np.diagonal(Qinv.entries @ P.entries @ Q.entries) - np.diagonal(Pp.entries)
     x_direct = np.linalg.solve(A, rhs)
-    assert np.max(np.abs(sol.X.values - x_direct)) <= 1e-10
+    assert np.max(np.abs(X.values - x_direct)) <= 1e-10
+    assert gap <= 1e-10
     # smallness bound from the contraction argument
-    assert sol.bound_margin is not None and sol.bound_margin >= 0.0
+    assert margin >= 0.0
 
 
 def test_diagonal_correction_far_from_identity_is_silent_direct_solve(rng, tc, box1d):
     Q, Qinv = near_identity(box1d, rng, scale=0.5)
     P = random_banded(box1d, rng, n_offsets=2)
     Pp = LatticeOperator.zeros(box1d)
+    QPQ = Qinv @ P @ Q
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_diagonal_correction(Q, Qinv, Qinv @ P @ Q, Pp, tc)
-    assert not sol.contraction_ok
-    assert sol.cross_check is None and sol.bound_margin is None
-    assert sol.final_defect <= 1e-10 * (1 + np.max(np.abs(P.entries)))
+        X = solve_diagonal_correction(Q, Qinv, QPQ, Pp)
+        check = fixed_point_check(Q, Qinv, QPQ, Pp, X, tc)
+    assert check == (False, None, None)
+    # X kills the main diagonal of Qinv X Q + QPQ
+    killed = np.diagonal((Qinv @ X.as_operator() @ Q + QPQ).entries)
+    assert np.max(np.abs(killed)) <= 1e-10 * (1 + np.max(np.abs(P.entries)))
     # X solves the assembled system diag(Qinv (X + P) Q) = 0
     n = box1d.n_sites
     A = np.stack([np.diagonal(Qinv.entries @ np.diag(np.eye(n)[j]) @ Q.entries)
                   for j in range(n)], axis=1)
     rhs = -np.diagonal(Qinv.entries @ P.entries @ Q.entries)
     x_direct = np.linalg.solve(A, rhs)
-    assert np.max(np.abs(sol.X.values - x_direct)) <= 1e-10 * (1 + np.max(np.abs(x_direct)))
+    assert np.max(np.abs(X.values - x_direct)) <= 1e-10 * (1 + np.max(np.abs(x_direct)))
 
 
 # -- series inversion ----------------------------------------------------------
@@ -192,12 +199,12 @@ def test_neumann_residual_and_bounds(rng, tc):
     for _ in range(5):
         W = random_banded(box, rng, n_offsets=5)
         W = W * (0.4 / (4 * tc.c0**2 * W.sobolev_norm(tc.alpha0)))
-        res = neumann_invert(W, tc, s_list=(0.6, 2.0))
+        res = neumann_invert(W, tc)
         eye = LatticeOperator.identity(box)
         assert res.residual == ((eye + W) @ res.Vinv - eye).sobolev_norm(0.0)
         assert res.residual <= 1e-12
         assert res.neumann_terms is not None
-        assert all(m >= 0.0 for m in res.bound_margins.values())
+        assert all(m >= 0.0 for m in res.bound_margins(tc, (0.6, 2.0)).values())
         assert (res.Vinv).sobolev_norm(tc.alpha0) <= 2.0
 
 

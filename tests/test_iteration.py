@@ -192,8 +192,24 @@ def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
     first = initial_step(T, D, res.params, tc)
     eye = LatticeOperator.identity(box)
     by_solve = solve(eye, eye, hopping_slice(T, 0, res.params),
-                     LatticeOperator.zeros(box), tc).X
+                     LatticeOperator.zeros(box))
     np.testing.assert_array_equal(first.corrections, by_solve.values)
+
+
+def test_a_corrupted_diagonal_correction_is_refused_inside_the_run(monkeypatch):
+    # the step's generator solve is the in-run check of X: a wrong X leaves
+    # a main diagonal on the source G built from it
+    solve = iteration.solve_diagonal_correction
+
+    def corrupted(*args):
+        values = solve(*args).values.copy()
+        values[0] += 1e-6
+        return DiagonalOperator.from_values(args[0].box, values)
+
+    monkeypatch.setattr(iteration, "solve_diagonal_correction", corrupted)
+    box, D, T, params = maryland_setup()
+    with pytest.raises(ValueError, match="unreduced diagonal"):
+        run(T, D, params)
 
 
 def test_dropped_hopping_ring_shows_in_conj_residual(monkeypatch):
