@@ -50,17 +50,17 @@ print(f"{'model':<24}{'tau':>6}{'gamma (window)':>16}{'gamma (box)':>14}"
       "  worst offset (window, box)")
 for name, spec, tau in models:
     D = build_potential(spec, box)
-    gamma, k = distal_gamma_window(D.diag, tau, max_offset=64)
+    gamma, k = distal_gamma_window(D, tau, max_offset=64)
     gamma_box, k_box = distal_gamma_box(D.values, box, tau)
     print(f"{name:<24}{tau:>6.3f}{gamma:>16.6f}{gamma_box:>14.6f}  {k}, {k_box}")
 
 print("\nclassical constants certified on the window:")
 Db = build_potential(PotentialSpec("limit_periodic_binary"), box)
-rb = distal_margin(Db.diag, tau=1.0, gamma=1 / 16, max_offset=64)
+rb = distal_margin(Db, tau=1.0, gamma=1 / 16, max_offset=64)
 print(f"  binary staircase at (tau=1, gamma=1/16): margin "
       f"{rb.empirical_margin:+.4f} -> {'pass' if rb.passed else 'fail'}")
 Dt = build_potential(PotentialSpec("limit_periodic_ternary"), box)
-rt = distal_margin(Dt.diag, tau=math.log2(3.0), gamma=1 / 3, max_offset=64)
+rt = distal_margin(Dt, tau=math.log2(3.0), gamma=1 / 3, max_offset=64)
 print(f"  ternary staircase at (tau=log2 3, gamma=1/3): margin "
       f"{rt.empirical_margin:+.4f} -> {'pass' if rt.passed else 'fail'}")
 

@@ -53,7 +53,7 @@ print(f"  eigenvalues are exactly the prescribed diagonal; max interior "
       f"residual {max(r.eigen_residual for r in reports if r.interior):.2e}")
 
 # composition: inverse-correcting the direct run's diagonal cancels it
-D_corrected = DiagonalOperator.from_values(box, D.values + direct.dplus.values)
+D_corrected = DiagonalOperator(box, D.values + direct.dplus.values)
 undo = run(T, D_corrected, params("inverse"))
 gap = np.max(np.abs(undo.dplus.values + direct.dplus.values))
 budget = (direct.final_residual.sobolev_norm(0.0)

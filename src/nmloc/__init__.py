@@ -10,13 +10,9 @@ numerical certificate.
 """
 
 from .algebra import (
-    SUP_NORM,
     DistalReport,
     SampledBV,
-    Sequence,
-    SupNorm,
     TorusProfile,
-    algebra_norm,
     distal_gamma_box,
     distal_gamma_window,
     distal_margin,

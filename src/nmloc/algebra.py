@@ -1,24 +1,21 @@
-"""Coefficient sequences on a lattice box and their algebra norms.
+"""The sampled-BV norm policy and the separation scans of a diagonal.
 
-Sequences model elements of a translation-invariant Banach algebra of
-d-dimensional complex sequences, truncated to a box.  Two concrete norm
-policies are shipped:
-
-``SupNorm``
-    The plain sup norm over the box's entries.  This is a genuine
-    translation-invariant algebra norm and the policy of every potential
-    except ``craig_mod1``.
+A :class:`~nmloc.operators.DiagonalOperator` is the truncation to a box of
+a d-dimensional complex sequence in a translation-invariant Banach
+algebra.  Its norm policy is ``None``, the plain sup norm over the box's
+entries and the policy of every potential except ``craig_mod1``, or:
 
 ``SampledBV``
     For sequences sampled from a period-1 profile ``f`` along a frequency
     vector (``a_i = f(i . omega)``): sup plus discrete total variation of
-    the profile on a uniform grid.  The sup part also includes the lattice
-    values themselves so the sup norm never exceeds the reported value.
-    ``craig_mod1`` carries this policy, and only the window scan reads
-    it; ``run`` measures its constant in sup over in-box pairs.
+    the profile on a uniform grid of ``BV_GRID_POINTS`` points.  The sup
+    part also includes the lattice values themselves so the sup norm never
+    exceeds the reported value.  ``craig_mod1`` carries this policy, and
+    only the window scan reads it; ``run`` measures its constant in sup
+    over in-box pairs.
 
 The separation scans never build a shifted sequence: they evaluate the
-differences ``p_i - p_{i-k}`` directly, from the formula when the sequence
+differences ``p_i - p_{i-k}`` directly, from the formula when the diagonal
 has one (an exact generator on all of Z^d).  Without a formula, pairs whose
 partner ``i - k`` leaves the box are skipped, never zero-filled, since
 zero-filling corrupts sup norms of inverted differences.
@@ -27,12 +24,13 @@ zero-filling corrupts sup norms of inverted differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .box import LatticeBox
 from .errors import DegenerateSequenceError, DistalViolationError
+from .operators import DiagonalOperator
 
 
 @dataclass(frozen=True)
@@ -43,35 +41,19 @@ class TorusProfile:
     omega: tuple[float, ...]
 
 
-class SupNorm:
-    """Sup norm over the box's entries."""
-
-    name = "sup"
-
-    def sequence_norm(self, seq: "Sequence") -> float:
-        return float(np.max(np.abs(seq.values)))
-
-    def __repr__(self):
-        return "SupNorm()"
+BV_GRID_POINTS = 4096  # uniform samples of one period of a profile
 
 
 class SampledBV:
     """Sup plus sampled total variation of the generating profile.
 
-    Requires the sequence to carry a :class:`TorusProfile`; there is no
+    Requires the diagonal to carry a :class:`TorusProfile`; there is no
     meaningful bounded-variation measurement for bare arrays.
     """
 
-    name = "sampled_bv"
-
-    def __init__(self, grid_points: int = 4096):
-        if grid_points < 8:
-            raise ValueError("grid_points too small to sample a period")
-        self.grid_points = int(grid_points)
-
     def _sup_and_variation(self, fn) -> tuple[float, float]:
         """Sup and periodic total variation of ``fn`` on the grid."""
-        x = np.arange(self.grid_points) / self.grid_points
+        x = np.arange(BV_GRID_POINTS) / BV_GRID_POINTS
         fx = np.asarray(fn(x), dtype=complex)
         sup = float(np.max(np.abs(fx)))
         tv = float(np.sum(np.abs(np.diff(fx)))) + float(abs(fx[0] - fx[-1]))
@@ -81,51 +63,14 @@ class SampledBV:
         sup, tv = self._sup_and_variation(fn)
         return sup + tv
 
-    def sequence_norm(self, seq: "Sequence") -> float:
-        if seq.torus_profile is None:
+    def sequence_norm(self, p: DiagonalOperator) -> float:
+        if p.torus_profile is None:
             raise DegenerateSequenceError(
                 "sampled BV norm requires a generating profile"
             )
-        sup, tv = self._sup_and_variation(seq.torus_profile.fn)
-        sup = max(sup, float(np.max(np.abs(seq.values))))
+        sup, tv = self._sup_and_variation(p.torus_profile.fn)
+        sup = max(sup, float(np.max(np.abs(p.values))))
         return sup + tv
-
-    def __repr__(self):
-        return f"SampledBV(grid_points={self.grid_points})"
-
-
-SUP_NORM = SupNorm()
-
-
-class Sequence:
-    """Complex sequence over a box with an attached norm policy.
-
-    Immutable after construction.  ``formula`` (sites -> values) makes the
-    sequence exact off the box; ``torus_profile`` is its generating profile.
-    """
-
-    __slots__ = ("box", "values", "policy", "formula", "torus_profile")
-
-    def __init__(
-        self,
-        box: LatticeBox,
-        values,
-        policy=SUP_NORM,
-        formula: Optional[Callable] = None,
-        torus_profile: Optional[TorusProfile] = None,
-    ):
-        values = np.asarray(values, dtype=complex).reshape(box.n_sites).copy()
-        values.flags.writeable = False
-        self.box = box
-        self.values = values
-        self.policy = policy
-        self.formula = formula
-        self.torus_profile = torus_profile
-
-
-def algebra_norm(a: Sequence) -> float:
-    """Norm of ``a`` under its policy.  Raises on degenerate input."""
-    return a.policy.sequence_norm(a)
 
 
 @dataclass(frozen=True)
@@ -142,7 +87,7 @@ class DistalReport:
         return self.empirical_margin >= 0.0
 
 
-def _inverted_difference_values(p: Sequence, k, window_mask):
+def _inverted_difference_values(p: DiagonalOperator, k, window_mask):
     """Values 1/(p_i - p_{i-k}) over the window sites i whose partner i-k has
     a value: every site under a formula, else the in-box partners only."""
     box = p.box
@@ -177,7 +122,7 @@ def _inverted_profile(fn, shift, k):
     return inv
 
 
-def _distal_scan(p: Sequence, max_offset: int):
+def _distal_scan(p: DiagonalOperator, max_offset: int):
     """Yield ``(k, |k|, ||(p - sigma_k p)^-1||)`` for every 0 < |k| <= max_offset
     with a measurable pair.
 
@@ -211,7 +156,8 @@ def _distal_scan(p: Sequence, max_offset: int):
         )
 
 
-def distal_margin(p: Sequence, tau: float, gamma: float, max_offset: int) -> DistalReport:
+def distal_margin(p: DiagonalOperator, tau: float, gamma: float,
+                  max_offset: int) -> DistalReport:
     """Scan gamma^-1 |k|^tau - ||(p - sigma_k p)^-1|| over all 0 < |k| <= max_offset.
 
     The norms come from the shared scan (see :func:`_distal_scan`); the
@@ -227,7 +173,7 @@ def distal_margin(p: Sequence, tau: float, gamma: float, max_offset: int) -> Dis
     return DistalReport(tau, gamma, tuple(worst), float(min_margin))
 
 
-def distal_gamma_window(p: Sequence, tau: float, max_offset: int):
+def distal_gamma_window(p: DiagonalOperator, tau: float, max_offset: int):
     """Largest gamma passing the window scan: min over k of |k|^tau / norm_k.
 
     Reduces the same scan as :func:`distal_margin`; the returned constant

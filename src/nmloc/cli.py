@@ -45,7 +45,14 @@ from .iteration import (
     run,
     theory_conditions,
 )
-from .models import HoppingSpec, PotentialSpec, build_hopping, build_potential, check_diophantine
+from .models import (
+    POTENTIAL_KINDS,
+    HoppingSpec,
+    PotentialSpec,
+    build_hopping,
+    build_potential,
+    check_diophantine,
+)
 from .algebra import distal_gamma_window, distal_margin
 from .operators import DiagonalOperator, TameConstants
 
@@ -72,16 +79,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["kind"],
             "properties": {
-                "kind": {
-                    "enum": [
-                        "maryland",
-                        "sarnak",
-                        "craig_mod1",
-                        "limit_periodic_binary",
-                        "limit_periodic_ternary",
-                        "custom",
-                    ]
-                },
+                "kind": {"enum": list(POTENTIAL_KINDS)},
                 "omega": {"type": ["array", "null"], "items": _NUM},
                 "custom_values": {"type": ["array", "null"], "items": _NUM},
             },
@@ -112,7 +110,7 @@ CONFIG_SCHEMA = {
                 "theory_checks": {"type": "boolean"},
                 "stop_tol": {"type": "number", "minimum": 0},
                 "max_steps": {"type": "integer", "minimum": 1},
-                "s_grid": {"type": ["array", "null"],
+                "s_grid": {"type": ["array", "null"], "minItems": 1,
                            "items": {"type": "number", "minimum": 0}},
             },
         },
@@ -255,8 +253,9 @@ def apply_override(cfg: dict, key: str, value):
     node[parts[-1]] = value
 
 
-def _assemble(cfg):
-    """The box, potential spec, D, T and resolved params of a valid config."""
+def _resolve(cfg):
+    """The box, potential and hopping specs and resolved params of a
+    schema-valid config; a value out of range is a ``ConfigError``."""
     try:
         box = LatticeBox(**cfg["box"])
         pot_cfg = dict(cfg["potential"])
@@ -287,6 +286,12 @@ def _assemble(cfg):
     if spec.custom_values is not None and len(spec.custom_values) != box.n_sites:
         raise ConfigError(f"potential.custom_values has {len(spec.custom_values)} "
                           f"entries, the box has {box.n_sites} sites")
+    return box, spec, hop, params
+
+
+def _assemble(cfg):
+    """The box, potential spec, D, T and resolved params of a valid config."""
+    box, spec, hop, params = _resolve(cfg)
     # model construction can fail numerically (pole proximity); that is a
     # run failure, not a config failure
     D = build_potential(spec, box)
@@ -434,14 +439,14 @@ def cmd_verify_distal(cfg: dict) -> int:
     table.writerow(["tau", "gamma_best", "worst_offset"])
     failed = []
     for tau in taus:
-        gamma_best, worst = distal_gamma_window(D.diag, tau, max_offset)
+        gamma_best, worst = distal_gamma_window(D, tau, max_offset)
         table.writerow([_f17(tau), _f17(gamma_best), worst])
     if spec.omega is not None:
         gamma_dio, worst = check_diophantine(spec.omega, p.tau, max_offset)
         print(f"torus frequency constant at tau={p.tau:g}: "
               f"gamma={_f17(gamma_dio)} worst_k={worst}")
     if p.gamma is not None:
-        report = distal_margin(D.diag, p.tau, p.gamma, max_offset)
+        report = distal_margin(D, p.tau, p.gamma, max_offset)
         status = "pass" if report.passed else "FAIL"
         print(f"requested (tau={p.tau:g}, gamma={p.gamma:g}): {status} "
               f"margin={_f17(report.empirical_margin)} at {report.worst_offset}")
@@ -518,16 +523,20 @@ def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
         axes.append((key, values))
     if not axes:
         raise ConfigError("sweep requires at least one --override axis")
-    rows = []
-    status = 0
+    cells = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         cell = copy.deepcopy(cfg)
         tags = []
         for (key, _), (item, value) in zip(axes, combo):
             apply_override(cell, key, item)  # parsed as `run --override` parses it
             tags.append(f"{key.split('.')[-1]}={value}")
+        # every cell's config error surfaces before the first cell runs
         validate_config(cell)
-        cell_name = "_".join(tags).replace("/", "-")
+        _resolve(cell)
+        cells.append(("_".join(tags).replace("/", "-"), cell))
+    rows = []
+    status = 0
+    for cell_name, cell in cells:
         code, rep = cmd_run(cell, out_dir=os.path.join(out_dir, cell_name))
         status = max(status, code)
         rows.append(

@@ -124,7 +124,7 @@ def solve_diagonal_correction(Q: LatticeOperator, Qinv: LatticeOperator,
     """The diagonal X with diag(Qinv X Q + QPQ + P') = 0, where QPQ = Qinv P Q,
     by the direct affine solve."""
     M, c = _affine_system(Q, Qinv, QPQ, Pprime)
-    return DiagonalOperator.from_values(Q.box, np.linalg.solve(M, -c))
+    return DiagonalOperator(Q.box, np.linalg.solve(M, -c))
 
 
 def fixed_point_check(Q: LatticeOperator, Qinv: LatticeOperator, QPQ: LatticeOperator,

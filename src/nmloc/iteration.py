@@ -215,8 +215,7 @@ class SchemeResult:
         assembled = self.T + self.D
         if self.params.mode == INVERSE:
             return assembled + self.dplus, self.D
-        return assembled, DiagonalOperator.from_values(
-            self.box, self.D.values + self.dplus.values)
+        return assembled, DiagonalOperator(self.box, self.D.values + self.dplus.values)
 
     @cached_property
     def real_symmetric(self) -> bool:
@@ -328,15 +327,14 @@ def iterate_step(state: IterationState) -> IterationState:
     if p.mode == INVERSE:
         if first:
             # Q = Q^-1 = I makes the affine map the identity: X = -c exactly
-            Dk = DiagonalOperator.from_values(
+            Dk = DiagonalOperator(
                 box, -(np.diagonal(QTQ.entries) + np.diagonal(state.R.entries)))
         else:
             Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R)
         divisor_values = state.D.values
     else:
         # diag of the smoothed G = Q^-1 T_k Q + R; smoothing keeps the main diagonal
-        Dk = DiagonalOperator.from_values(
-            box, np.diagonal(QTQ.entries) + np.diagonal(state.R.entries))
+        Dk = DiagonalOperator(box, np.diagonal(QTQ.entries) + np.diagonal(state.R.entries))
         divisor_values = state.D.values + state.corrections
     corrections = state.corrections + Dk.values
     QDQ = Dk if first else LatticeOperator(
@@ -347,7 +345,7 @@ def iterate_step(state: IterationState) -> IterationState:
     G = B + state.R
     G_for_W = G if p.mode == INVERSE else G - Dk
 
-    divisor = DiagonalOperator.from_values(box, divisor_values)
+    divisor = DiagonalOperator(box, divisor_values)
     generator = solve_generator(divisor, G_for_W, theta=theta_next)
     W = generator.W
     # G past the band: G_for_W differs from G only on the main diagonal,
@@ -364,11 +362,11 @@ def iterate_step(state: IterationState) -> IterationState:
     if p.mode == INVERSE:
         H_next = state.H + Tk + Dk
         R_next = Qinv_next @ H_next @ Q_next - state.D
-        H_diagonal = DiagonalOperator.from_values(box, state.D.values + corrections)
+        H_diagonal = DiagonalOperator(box, state.D.values + corrections)
     else:
         H_next = state.H + Tk
         R_next = (Qinv_next @ H_next @ Q_next - state.D
-                  - DiagonalOperator.from_values(box, corrections))
+                  - DiagonalOperator(box, corrections))
         H_diagonal = state.D
     # the running H against its closed form S_{theta_k} T + D (+ D+ in
     # inverse mode): no product, and a wrong slice or correction shows
@@ -466,7 +464,7 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     result = SchemeResult(
         qplus=state.Q,
         qplus_inv=state.Qinv,
-        dplus=DiagonalOperator.from_values(box, state.corrections),
+        dplus=DiagonalOperator(box, state.corrections),
         final_residual=state.R,
         ledger=state.ledger,
         converged=converged,

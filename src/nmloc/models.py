@@ -24,7 +24,7 @@ from typing import Optional, Sequence as Seq
 
 import numpy as np
 
-from .algebra import SUP_NORM, SampledBV, TorusProfile
+from .algebra import SampledBV, TorusProfile
 from .box import LatticeBox
 from .operators import DiagonalOperator, LatticeOperator
 
@@ -110,7 +110,7 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
     """Assemble the diagonal operator for a potential spec on a box.
 
     ``craig_mod1`` carries the sampled bounded-variation policy (its
-    natural algebra); every other kind carries the sup policy.
+    natural algebra); every other kind carries ``policy=None``, the sup norm.
     """
     if spec.kind == "custom":
         values = np.asarray(spec.custom_values, dtype=complex)
@@ -118,7 +118,7 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
             raise ValueError(
                 f"custom potential needs {box.n_sites} values, got {values.shape}"
             )
-        return DiagonalOperator.from_values(box, values)
+        return DiagonalOperator(box, values)
 
     if spec.kind in ("maryland", "sarnak", "craig_mod1"):
         omega = np.asarray(spec.omega, dtype=float)
@@ -139,15 +139,15 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
             fn = lambda x: np.mod(np.asarray(x, dtype=float), 1.0).astype(complex)
         formula = lambda sites: fn(np.asarray(sites, dtype=np.int64) @ omega)
         profile = TorusProfile(fn, tuple(omega))
-        policy = SampledBV() if spec.kind == "craig_mod1" else SUP_NORM
+        policy = SampledBV() if spec.kind == "craig_mod1" else None
         values = formula(box.sites)
-        return DiagonalOperator.from_values(
+        return DiagonalOperator(
             box, values, policy=policy, formula=formula, torus_profile=profile
         )
 
     base, scale = (2, 1.0) if spec.kind == "limit_periodic_binary" else (3, 2.0)
     formula = _limit_periodic_formula(box.dimension, base, scale)
-    return DiagonalOperator.from_values(box, formula(box.sites), formula=formula)
+    return DiagonalOperator(box, formula(box.sites), formula=formula)
 
 
 def build_hopping(spec: HoppingSpec, box: LatticeBox) -> LatticeOperator:

@@ -6,10 +6,13 @@ Sobolev norm of index ``s`` is
 
     ||A||_s^2 = sum_k ||A_k||^2 <k>^(2s),      <k> = max(1, |k|_inf),
 
-with the diagonal norm taken under the sup policy (the algebra norm of
-choice for matrices; profile-based policies only apply to sequences that
-actually carry a profile).  Sums run over the offsets realized on the box;
-the offset cap at 2N is part of the truncation model.
+with the diagonal norm taken as the sup norm (the algebra norm of choice
+for matrices).  Sums run over the offsets realized on the box; the offset
+cap at 2N is part of the truncation model.
+
+A diagonal operator ``diag(v)`` is stored as its sequence ``v`` instead,
+together with the sequence's norm policy, its formula off the box and its
+generating profile; its norm is the policy's norm of ``v`` for every s.
 
 Operators are immutable; per-offset sups, Sobolev norms and singular
 values are cached on the instance, so each operator takes at most one Gram
@@ -23,7 +26,6 @@ from math import comb
 import numpy as np
 from scipy.special import zeta
 
-from .algebra import SUP_NORM, Sequence, algebra_norm
 from .box import LatticeBox
 from .errors import TameRangeError
 
@@ -185,52 +187,45 @@ class LatticeOperator:
     def __mul__(self, scalar):
         return LatticeOperator(self.box, self.entries * complex(scalar))
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return LatticeOperator(self.box, -self.entries)
-
     def __repr__(self):
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
 
 
 class DiagonalOperator:
-    """Main-diagonal-only operator; its s-norm equals its 0-norm for all s."""
+    """Main-diagonal-only operator ``diag(values)``; its s-norm equals its
+    0-norm for all s.
 
-    __slots__ = ("box", "diag")
+    The values are copied to complex and frozen.  ``policy`` is the algebra
+    norm of the sequence: ``None`` for the sup norm, or a policy object
+    with a ``sequence_norm`` method (see :class:`nmloc.algebra.SampledBV`).
+    ``formula`` (sites -> values) makes the sequence exact off the box;
+    ``torus_profile`` is its generating profile.
+    """
 
-    def __init__(self, box: LatticeBox, diag: Sequence):
-        if diag.box != box:
-            raise ValueError("box mismatch")
+    __slots__ = ("box", "values", "policy", "formula", "torus_profile")
+
+    def __init__(self, box: LatticeBox, values, policy=None, formula=None,
+                 torus_profile=None):
+        values = np.asarray(values, dtype=complex).reshape(box.n_sites).copy()
+        values.flags.writeable = False
         self.box = box
-        self.diag = diag
-
-    @classmethod
-    def from_values(cls, box, values, policy=SUP_NORM, formula=None, torus_profile=None):
-        return cls(
-            box,
-            Sequence(box, values, policy=policy, formula=formula,
-                     torus_profile=torus_profile),
-        )
-
-    @classmethod
-    def zeros(cls, box):
-        return cls.from_values(box, np.zeros(box.n_sites))
+        self.values = values
+        self.policy = policy
+        self.formula = formula
+        self.torus_profile = torus_profile
 
     @classmethod
     def identity(cls, box):
-        return cls.from_values(box, np.ones(box.n_sites))
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.diag.values
+        return cls(box, np.ones(box.n_sites))
 
     def as_operator(self) -> LatticeOperator:
         return LatticeOperator(self.box, np.diag(self.values))
 
     def sobolev_norm(self, s: float = 0.0) -> float:
         del s  # independent of the index for diagonal operators
-        return algebra_norm(self.diag)
+        if self.policy is None:
+            return float(np.max(np.abs(self.values)))
+        return self.policy.sequence_norm(self)
 
     def __repr__(self):
         return f"DiagonalOperator(n={self.box.n_sites})"

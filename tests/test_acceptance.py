@@ -316,7 +316,7 @@ def test_criterion_10_limit_periodic_potentials():
         ("limit_periodic_ternary", math.log2(3.0), 1.0 / 3.0, 0.02),
     ):
         D = build_potential(PotentialSpec(kind), box)
-        rep = distal_margin(D.diag, tau, gamma, max_offset=2 * box.radius)
+        rep = distal_margin(D, tau, gamma, max_offset=2 * box.radius)
         T = build_hopping(HoppingSpec(s_exponent=S0, epsilon=eps), box)
         res = run(T, D, scheme_params(tau=tau, epsilon=eps))
         ok &= rep.passed and res.converged

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from nmloc import (
     GOLDEN_MEAN,
+    DiagonalOperator,
     LatticeBox,
     SampledBV,
-    Sequence,
     TorusProfile,
-    algebra_norm,
     build_potential,
     distal_gamma_box,
     distal_gamma_window,
@@ -22,19 +21,19 @@ from nmloc.models import PotentialSpec
 
 
 def test_unit_sequence_has_norm_one(box1d):
-    assert algebra_norm(Sequence(box1d, np.ones(box1d.n_sites))) == 1.0
+    assert DiagonalOperator(box1d, np.ones(box1d.n_sites)).sobolev_norm() == 1.0
 
 
 def test_zero_sequence_norm(box1d):
-    assert algebra_norm(Sequence(box1d, np.zeros(box1d.n_sites))) == 0.0
+    assert DiagonalOperator(box1d, np.zeros(box1d.n_sites)).sobolev_norm() == 0.0
 
 
 def test_tan_sequence_norm_matches_direct_evaluation():
     # oracle: plain python max over the 17 sites
     box = LatticeBox(1, 8, 6)
     expected = max(abs(math.tan(math.pi * i * GOLDEN_MEAN)) for i in range(-8, 9))
-    seq = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box).diag
-    assert algebra_norm(seq) == pytest.approx(expected, rel=1e-14)
+    seq = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
+    assert seq.sobolev_norm() == pytest.approx(expected, rel=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -47,29 +46,28 @@ def test_submultiplicative_and_sup_bound(data):
             min_size=box.n_sites, max_size=box.n_sites,
         )
     )
-    a = Sequence(box, draw_vals())
-    b = Sequence(box, draw_vals())
-    ab = Sequence(box, a.values * b.values)
-    assert algebra_norm(ab) <= algebra_norm(a) * algebra_norm(b) * (1 + 1e-12)
-    assert np.max(np.abs(a.values)) <= algebra_norm(a) + 1e-15
+    a = DiagonalOperator(box, draw_vals())
+    b = DiagonalOperator(box, draw_vals())
+    ab = DiagonalOperator(box, a.values * b.values)
+    assert ab.sobolev_norm() <= a.sobolev_norm() * b.sobolev_norm() * (1 + 1e-12)
+    assert np.max(np.abs(a.values)) <= a.sobolev_norm() + 1e-15
 
 
 def test_sampled_bv_norm_craig():
     box = LatticeBox(1, 16, 12)
-    D = build_potential(PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box)
-    seq = D.diag
+    seq = build_potential(PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box)
     assert isinstance(seq.policy, SampledBV)
     # sup of x mod 1 approaches 1, total variation of one period approaches 2
-    norm = algebra_norm(seq)
+    norm = seq.sobolev_norm()
     assert 2.9 < norm <= 3.0
     # sup bound of the lattice values still holds
     assert np.max(np.abs(seq.values)) <= norm
 
 
 def test_sampled_bv_requires_profile(box1d):
-    seq = Sequence(box1d, np.ones(box1d.n_sites), policy=SampledBV(64))
+    seq = DiagonalOperator(box1d, np.ones(box1d.n_sites), policy=SampledBV())
     with pytest.raises(DegenerateSequenceError):
-        algebra_norm(seq)
+        seq.sobolev_norm()
 
 
 def test_arithmetic_progression_distal_margin():
@@ -77,20 +75,20 @@ def test_arithmetic_progression_distal_margin():
     # exactly the frontier and every margin is nonnegative
     box = LatticeBox(1, 8, 8)
     formula = lambda s: 2.0 * np.asarray(s, float).ravel()
-    p = Sequence(box, formula(box.sites), formula=formula)
+    p = DiagonalOperator(box, formula(box.sites), formula=formula)
     report = distal_margin(p, tau=1.0, gamma=2.0, max_offset=8)
     assert report.passed
     assert report.empirical_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_constant_sequence_distal_violation(box1d):
-    p = Sequence(box1d, np.full(box1d.n_sites, 5.0))
+    p = DiagonalOperator(box1d, np.full(box1d.n_sites, 5.0))
     with pytest.raises(DistalViolationError, match="distal violation"):
         distal_margin(p, tau=1.0, gamma=1.0, max_offset=2)
 
 
 def test_scan_with_no_measurable_offset_raises(box1d):
-    p = Sequence(box1d, np.arange(box1d.n_sites, dtype=float))
+    p = DiagonalOperator(box1d, np.arange(box1d.n_sites, dtype=float))
     with pytest.raises(DegenerateSequenceError, match="no measurable pairs"):
         distal_gamma_window(p, tau=1.0, max_offset=0)
 
@@ -99,7 +97,7 @@ def test_maryland_distal_gamma_window_baseline():
     # oracle: brute-force min over the window of |k|^tau / sup_i 1/|p_i - p_{i-k}|
     box = LatticeBox(1, 64, 64)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
-    gamma_best, worst = distal_gamma_window(D.diag, tau=1.0, max_offset=64)
+    gamma_best, worst = distal_gamma_window(D, tau=1.0, max_offset=64)
 
     def oracle():
         best = math.inf
@@ -129,8 +127,8 @@ def test_profile_grid_collision_raises_in_both_scans():
     box = LatticeBox(1, 8, 6)
     profile = TorusProfile(lambda x: np.floor(2.0 * np.mod(x, 1.0)) / 2.0,
                            (GOLDEN_MEAN,))
-    p = Sequence(box, np.mod(box.sites[:, 0] * GOLDEN_MEAN, 1.0),
-                 policy=SampledBV(64), torus_profile=profile)
+    p = DiagonalOperator(box, np.mod(box.sites[:, 0] * GOLDEN_MEAN, 1.0),
+                         policy=SampledBV(), torus_profile=profile)
     with pytest.raises(DistalViolationError, match="profile grid"):
         distal_margin(p, 1.0, 0.1, max_offset=4)
     with pytest.raises(DistalViolationError, match="profile grid"):
@@ -141,7 +139,7 @@ def test_distal_margin_monotone_in_gamma():
     box = LatticeBox(1, 16, 12)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
     margins = [
-        distal_margin(D.diag, 1.0, g, max_offset=16).empirical_margin
+        distal_margin(D, 1.0, g, max_offset=16).empirical_margin
         for g in (0.5, 1.0, 2.0, 4.0)
     ]
     assert all(b <= a + 1e-15 for a, b in zip(margins, margins[1:]))

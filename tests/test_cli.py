@@ -92,6 +92,7 @@ def test_config_keys_map_onto_the_spec_fields():
     "potential.omega=[0.6180339887498949,0.5]",
     "potential.kind=custom potential.custom_values=[1,2]",
     "params.alpha1=0.5", "params.alpha=-1", "params.gamma=0", "params.gamma=-1",
+    "params.s_grid=[]",
 ])
 def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
     # space-separated overrides; the last one sets the rejected key
@@ -299,6 +300,18 @@ def test_sweep_takes_a_bracketed_override_as_one_cell(tmp_path):
         assert [row["cell"] for row in csv.DictReader(fh)] == ["s_grid=[0.6, 2.0]"]
     header = (out / "s_grid=[0.6, 2.0]" / "ledger.csv").read_text().split("\n")[0]
     assert [c for c in header.split(",") if c.startswith("W@")] == ["W@0.6", "W@2"]
+
+
+def test_sweep_refuses_a_bad_cell_before_any_cell_runs(tmp_path, capsys):
+    # radius 6 puts the interior radius 8 outside the box: the radius-12
+    # cell ahead of it must not run either
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 12, "interior_radius": 8}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, cfg), "--out-dir",
+                     str(out), "--override", "box.radius=12,6"]) == 2
+    assert "interior_radius must lie in [1, radius]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("report_path", ["rep.json", None])

@@ -33,7 +33,7 @@ def zero_diag(op):
 
 
 def test_zero_source_gives_zero_generator(box1d, tc):
-    D = DiagonalOperator.from_values(box1d, np.arange(box1d.n_sites, dtype=float))
+    D = DiagonalOperator(box1d, np.arange(box1d.n_sites, dtype=float))
     G = LatticeOperator.zeros(box1d)
     sol = solve_generator(D, G, theta=4.0)
     assert np.all(sol.W.entries == 0.0)
@@ -43,7 +43,7 @@ def test_zero_source_gives_zero_generator(box1d, tc):
 def test_three_site_worked_example():
     # sites (-1, 0, 1) with diagonal (0, 1, 3); all-ones off-diagonal source
     box = LatticeBox(1, 1, 1)
-    D = DiagonalOperator.from_values(box, [0.0, 1.0, 3.0])
+    D = DiagonalOperator(box, [0.0, 1.0, 3.0])
     g = np.ones((3, 3), complex)
     np.fill_diagonal(g, 0.0)
     sol = solve_generator(D, LatticeOperator(box, g), theta=2.0 * box.radius)
@@ -81,7 +81,7 @@ def test_generator_residual_oracle_maryland(rng):
 
 
 def test_generator_rejects_unreduced_diagonal(box1d):
-    D = DiagonalOperator.from_values(box1d, np.arange(box1d.n_sites, dtype=float))
+    D = DiagonalOperator(box1d, np.arange(box1d.n_sites, dtype=float))
     g = np.ones((box1d.n_sites, box1d.n_sites), complex)
     with pytest.raises(ValueError, match="unreduced diagonal"):
         solve_generator(D, LatticeOperator(box1d, g), theta=2.0)
@@ -90,7 +90,7 @@ def test_generator_rejects_unreduced_diagonal(box1d):
 def test_generator_divisor_floor_is_error_not_clamp(box1d):
     vals = np.arange(box1d.n_sites, dtype=float)
     vals[3] = vals[2] + 1e-16  # nearly coincident pair
-    D = DiagonalOperator.from_values(box1d, vals)
+    D = DiagonalOperator(box1d, vals)
     g = np.ones((box1d.n_sites, box1d.n_sites), complex)
     np.fill_diagonal(g, 0.0)
     with pytest.raises(DistalViolationError, match="distal violation"):

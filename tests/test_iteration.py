@@ -78,7 +78,7 @@ def test_initial_step_zero_hopping():
 def test_initial_step_single_entry_formula():
     box = LatticeBox(1, 2, 1)
     dvals = np.array([0.3, 1.1, 2.9, 4.1, 5.7])
-    D = DiagonalOperator.from_values(box, dvals)
+    D = DiagonalOperator(box, dvals)
     e = np.zeros((5, 5), complex)
     e[1, 3] = 0.25
     T0 = LatticeOperator(box, e)
@@ -204,7 +204,7 @@ def test_a_corrupted_diagonal_correction_is_refused_inside_the_run(monkeypatch):
     def corrupted(*args):
         values = solve(*args).values.copy()
         values[0] += 1e-6
-        return DiagonalOperator.from_values(args[0].box, values)
+        return DiagonalOperator(args[0].box, values)
 
     monkeypatch.setattr(iteration, "solve_diagonal_correction", corrupted)
     box, D, T, params = maryland_setup()
@@ -286,7 +286,7 @@ def test_direct_and_inverse_corrections_compose():
     # undo the correction, up to the two conjugation defects
     box, D, T, params = maryland_setup(radius=16, epsilon=0.05, mode="direct")
     rd = run(T, D, params)
-    D2 = DiagonalOperator.from_values(box, D.values + rd.dplus.values)
+    D2 = DiagonalOperator(box, D.values + rd.dplus.values)
     ri = run(T, D2, SchemeParams(
         tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0,
         s_hopping=4.0, epsilon=0.05, mode="inverse",
@@ -332,11 +332,11 @@ def test_ledger_csv_layout():
 def synthetic_result(box, Q_entries):
     eye = LatticeOperator.identity(box)
     Q = LatticeOperator(box, Q_entries)
-    D = DiagonalOperator.from_values(box, np.arange(box.n_sites, dtype=float))
+    D = DiagonalOperator(box, np.arange(box.n_sites, dtype=float))
     return SchemeResult(
         qplus=Q,
         qplus_inv=LatticeOperator(box, np.linalg.inv(Q_entries)),
-        dplus=DiagonalOperator.zeros(box),
+        dplus=DiagonalOperator(box, np.zeros(box.n_sites)),
         final_residual=LatticeOperator.zeros(box),
         ledger=[], converged=True, steps=0, box=box,
         params=SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,

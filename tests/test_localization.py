@@ -121,7 +121,7 @@ def test_complex_potential_is_neither_unitarized_nor_given_a_spectrum():
     # part is not real, so the run skips unitarize and the spectrum alike
     box = LatticeBox(1, 16, 12)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
-    D = DiagonalOperator.from_values(box, D.values + 1e-14j)
+    D = DiagonalOperator(box, D.values + 1e-14j)
     T = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=0.1), box)
     res = run(T, D, SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
                                  Theta=2.0, s_hopping=4.0, epsilon=0.1))

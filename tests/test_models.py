@@ -7,8 +7,8 @@ from nmloc import (
     GOLDEN_MEAN,
     HoppingSpec,
     LatticeBox,
+    DiagonalOperator,
     PotentialSpec,
-    Sequence,
     build_hopping,
     build_potential,
     check_diophantine,
@@ -68,10 +68,10 @@ def test_limit_periodic_distal_constants():
     # ternary (d log2 3, 3^-d); at d = 1 both certified on the box window
     box = LatticeBox(1, 64, 64)
     Db = build_potential(PotentialSpec("limit_periodic_binary",), box)
-    rb = distal_margin(Db.diag, tau=1.0, gamma=1.0 / 16.0, max_offset=64)
+    rb = distal_margin(Db, tau=1.0, gamma=1.0 / 16.0, max_offset=64)
     assert rb.passed
     Dt = build_potential(PotentialSpec("limit_periodic_ternary",), box)
-    rt = distal_margin(Dt.diag, tau=math.log2(3.0), gamma=1.0 / 3.0, max_offset=64)
+    rt = distal_margin(Dt, tau=math.log2(3.0), gamma=1.0 / 3.0, max_offset=64)
     assert rt.passed
 
 
@@ -127,14 +127,14 @@ def test_craig_distal_with_measured_gamma():
 
     box = LatticeBox(1, 64, 48)
     D = build_potential(PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box)
-    gamma, _ = distal_gamma_window(D.diag, tau=1.0, max_offset=64)
+    gamma, _ = distal_gamma_window(D, tau=1.0, max_offset=64)
     assert gamma > 0.0
-    report = distal_margin(D.diag, tau=1.0, gamma=gamma, max_offset=64)
+    report = distal_margin(D, tau=1.0, gamma=gamma, max_offset=64)
     assert report.passed
     # the sampled-variation norm dwarfs the plain sup of the same data, so
     # its certified constant is smaller
     sup_gamma, _ = distal_gamma_window(
-        Sequence(box, D.values, formula=D.diag.formula), tau=1.0, max_offset=64
+        DiagonalOperator(box, D.values, formula=D.formula), tau=1.0, max_offset=64
     )
     assert gamma <= sup_gamma
 
@@ -144,8 +144,8 @@ def test_maryland_distal_large_box():
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
     from nmloc import distal_gamma_window
 
-    gamma, _ = distal_gamma_window(D.diag, tau=1.0, max_offset=128)
-    report = distal_margin(D.diag, tau=1.0, gamma=gamma, max_offset=128)
+    gamma, _ = distal_gamma_window(D, tau=1.0, max_offset=128)
+    report = distal_margin(D, tau=1.0, gamma=gamma, max_offset=128)
     assert report.passed
     assert gamma > 0.3
 

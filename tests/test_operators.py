@@ -11,9 +11,7 @@ from nmloc import (
     DiagonalOperator,
     LatticeBox,
     LatticeOperator,
-    Sequence,
     TameConstants,
-    algebra_norm,
     chain_bound_margins,
     lattice_weight_sum,
     tame_bound_check,
@@ -264,19 +262,31 @@ def test_chain_bounds_n_2_3_4(rng, box1d):
 
 
 def test_diagonal_operator_norm_index_free(box1d):
-    seq = Sequence(box1d, np.linspace(-2, 2, box1d.n_sites))
-    D = DiagonalOperator(box1d, seq)
-    assert D.sobolev_norm(0.0) == D.sobolev_norm(5.0) == algebra_norm(seq)
+    D = DiagonalOperator(box1d, np.linspace(-2, 2, box1d.n_sites))
+    assert D.sobolev_norm(0.0) == D.sobolev_norm(5.0) == 2.0
     as_op = D.as_operator()
     for s in (0.0, 3.0):
         assert as_op.sobolev_norm(s) == pytest.approx(D.sobolev_norm(), rel=1e-14)
+
+
+def test_diagonal_operator_copies_and_freezes_its_values(box1d):
+    arr = np.linspace(-2, 2, box1d.n_sites)
+    D = DiagonalOperator(box1d, arr)
+    arr[:] = 7.0
+    np.testing.assert_array_equal(D.values, np.linspace(-2, 2, box1d.n_sites))
+    assert not D.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        D.values[0] = 1.0
+    listed = DiagonalOperator(box1d, [1] * box1d.n_sites)
+    assert listed.values.dtype == complex
+    np.testing.assert_array_equal(listed.values, np.ones(box1d.n_sites))
 
 
 def test_diagonal_sum_matches_dense_sum_entry_for_entry(rng, box1d):
     n = box1d.n_sites
     op = LatticeOperator(box1d, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     for values in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
-        D = DiagonalOperator.from_values(box1d, values)
+        D = DiagonalOperator(box1d, values)
         dense = D.as_operator().entries
         np.testing.assert_array_equal((op + D).entries, op.entries + dense)
         np.testing.assert_array_equal((D + op).entries, dense + op.entries)
