@@ -7,14 +7,14 @@ such gamma for each model in two ways:
 
 * the window constant (``distal_gamma_window``) pairs each site of the
   interior window with its partner i - k, read off the potential's formula
-  even outside the box, and measures the inverted differences under the
-  potential's norm policy;
+  even outside the box, and measures the inverted differences in the
+  potential's norm (sampled BV where it carries a ``bv_profile``);
 * the box constant (``distal_gamma_box``) takes the sup-norm minimum over
   all in-box pairs, which are exactly the divisors of the solve.  This is
   the constant ``run`` measures and the iteration consumes.
 
 The two differ: the window reaches partners the box lacks, and craig_mod1's
-sampled bounded-variation policy shrinks its window constant by the
+sampled bounded-variation norm shrinks its window constant by the
 total-variation factor.
 """
 
@@ -51,7 +51,7 @@ print(f"{'model':<24}{'tau':>6}{'gamma (window)':>16}{'gamma (box)':>14}"
 for name, spec, tau in models:
     D = build_potential(spec, box)
     gamma, k = distal_gamma_window(D, tau, max_offset=64)
-    gamma_box, k_box = distal_gamma_box(D.values, box, tau)
+    gamma_box, k_box = distal_gamma_box(D, tau)
     print(f"{name:<24}{tau:>6.3f}{gamma:>16.6f}{gamma_box:>14.6f}  {k}, {k_box}")
 
 print("\nclassical constants certified on the window:")

@@ -28,7 +28,7 @@ print(f"product-estimate constant c0 = {tc.c0:.2f} at alpha0 = 0.6\n")
 
 practical = SchemeParams(tau=1.0, gamma=1.0, delta=0.05, alpha0=0.6,
                          alpha=3.25, alpha1=6.55, theta0=2.0, Theta=2.0)
-rows = check_theory_conditions(practical, {3.45: 0.31, 3.4: 0.31}, tc)
+rows = check_theory_conditions(practical, tc, t_3delta=0.31, t_4delta=0.31)
 print("practical parameters (delta = 0.05, Theta = 2):")
 for c in rows:
     tag = "" if c.effective else "   [constant not effective]"
@@ -42,7 +42,7 @@ print(f"\nbinding band-ratio requirement: {binding.data['binding']}, i.e. "
 witness = SchemeParams(tau=0.5, gamma=0.25, delta=4.0, alpha0=0.6,
                        alpha=100.0, alpha1=204.0, theta0=1e54, Theta=70.0,
                        theory_checks=True)
-wrows = check_theory_conditions(witness, {116.0: 0.0, 112.0: 0.0}, tc)
+wrows = check_theory_conditions(witness, tc, t_3delta=0.0, t_4delta=0.0)
 print(f"witness parameters (delta = 4, zero coupling): "
       f"{sum(c.holds for c in wrows)}/{len(wrows)} inequalities hold")
 print("admissible coupling under these inequalities is below 1e-300, so "

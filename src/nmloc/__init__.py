@@ -11,8 +11,6 @@ numerical certificate.
 
 from .algebra import (
     DistalReport,
-    SampledBV,
-    TorusProfile,
     distal_gamma_box,
     distal_gamma_window,
     distal_margin,
@@ -60,6 +58,7 @@ from .operators import (
     DiagonalOperator,
     LatticeOperator,
     TameConstants,
+    TorusProfile,
     chain_bound_margins,
     lattice_weight_sum,
     tame_bound_check,

@@ -1,18 +1,11 @@
-"""The sampled-BV norm policy and the separation scans of a diagonal.
+"""The separation scans of a diagonal.
 
-A :class:`~nmloc.operators.DiagonalOperator` is the truncation to a box of
-a d-dimensional complex sequence in a translation-invariant Banach
-algebra.  Its norm policy is ``None``, the plain sup norm over the box's
-entries and the policy of every potential except ``craig_mod1``, or:
-
-``SampledBV``
-    For sequences sampled from a period-1 profile ``f`` along a frequency
-    vector (``a_i = f(i . omega)``): sup plus discrete total variation of
-    the profile on a uniform grid of ``BV_GRID_POINTS`` points.  The sup
-    part also includes the lattice values themselves so the sup norm never
-    exceeds the reported value.  ``craig_mod1`` carries this policy, and
-    only the window scan reads it; ``run`` measures its constant in sup
-    over in-box pairs.
+The potential is a :class:`~nmloc.operators.DiagonalOperator`, the
+truncation to a box of a d-dimensional complex sequence in a
+translation-invariant Banach algebra: the sup norm, or for ``craig_mod1``
+the sampled BV norm of its ``bv_profile``.  Only the window scan reads
+that profile; ``run`` measures the separation constant in sup over in-box
+pairs.
 
 The separation scans never build a shifted sequence: they evaluate the
 differences ``p_i - p_{i-k}`` directly, from the formula when the diagonal
@@ -24,53 +17,11 @@ zero-filling corrupts sup norms of inverted differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .box import LatticeBox
 from .errors import DegenerateSequenceError, DistalViolationError
-from .operators import DiagonalOperator
-
-
-@dataclass(frozen=True)
-class TorusProfile:
-    """Period-1 profile and frequency generating a quasi-periodic sequence."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    omega: tuple[float, ...]
-
-
-BV_GRID_POINTS = 4096  # uniform samples of one period of a profile
-
-
-class SampledBV:
-    """Sup plus sampled total variation of the generating profile.
-
-    Requires the diagonal to carry a :class:`TorusProfile`; there is no
-    meaningful bounded-variation measurement for bare arrays.
-    """
-
-    def _sup_and_variation(self, fn) -> tuple[float, float]:
-        """Sup and periodic total variation of ``fn`` on the grid."""
-        x = np.arange(BV_GRID_POINTS) / BV_GRID_POINTS
-        fx = np.asarray(fn(x), dtype=complex)
-        sup = float(np.max(np.abs(fx)))
-        tv = float(np.sum(np.abs(np.diff(fx)))) + float(abs(fx[0] - fx[-1]))
-        return sup, tv
-
-    def profile_norm(self, fn) -> float:
-        sup, tv = self._sup_and_variation(fn)
-        return sup + tv
-
-    def sequence_norm(self, p: DiagonalOperator) -> float:
-        if p.torus_profile is None:
-            raise DegenerateSequenceError(
-                "sampled BV norm requires a generating profile"
-            )
-        sup, tv = self._sup_and_variation(p.torus_profile.fn)
-        sup = max(sup, float(np.max(np.abs(p.values))))
-        return sup + tv
+from .operators import DiagonalOperator, sup_and_variation
 
 
 @dataclass(frozen=True)
@@ -129,16 +80,17 @@ def _distal_scan(p: DiagonalOperator, max_offset: int):
     Norms are measured over the interior window.  An offset whose window
     sites all lack an in-box partner bounds nothing and is skipped; a scan
     with no measurable offset raises :class:`DegenerateSequenceError`.
-    Under the SampledBV policy the inverted-difference profile is also
-    sampled on the policy grid and the larger value is kept; otherwise the
-    sup of the lattice values is used.  An exact collision, on the lattice
-    or on the profile grid, raises :class:`DistalViolationError`.
+    A diagonal with a ``bv_profile`` also has its inverted-difference
+    profile measured in the sampled BV norm, and the larger value is kept;
+    otherwise the sup of the lattice values is used.  An exact collision,
+    on the lattice or on the profile grid, raises
+    :class:`DistalViolationError`.
     """
     box = p.box
     if max_offset > 2 * box.radius:
         raise ValueError("max_offset exceeds twice the box radius")
     window = box.interior_mask
-    prof = p.torus_profile if isinstance(p.policy, SampledBV) else None
+    prof = p.bv_profile
     measured = False
     for k in box.all_offsets(max_offset):
         inverted = _inverted_difference_values(p, k, window)
@@ -148,7 +100,8 @@ def _distal_scan(p: DiagonalOperator, max_offset: int):
         norm = float(np.max(np.abs(inverted)))
         if prof is not None:
             shift = float(np.asarray(k, dtype=float) @ np.asarray(prof.omega))
-            norm = max(norm, p.policy.profile_norm(_inverted_profile(prof.fn, shift, k)))
+            sup, tv = sup_and_variation(_inverted_profile(prof.fn, shift, k))
+            norm = max(norm, sup + tv)
         yield k, max(abs(int(c)) for c in k), norm
     if not measured:
         raise DegenerateSequenceError(
@@ -189,15 +142,15 @@ def distal_gamma_window(p: DiagonalOperator, tau: float, max_offset: int):
     return float(best), tuple(worst)
 
 
-def distal_gamma_box(values, box: LatticeBox, tau: float):
-    """Largest gamma certified over in-box index pairs.
+def distal_gamma_box(p: DiagonalOperator, tau: float):
+    """Largest gamma certified over in-box index pairs of ``p``'s values.
 
     Returns ``(gamma_best, worst_offset)`` where
     gamma_best = min over offsets k of (min_{(i, i-k) in box^2} |d_i - d_{i-k}|) * |k|^tau.
     This is the constant actually consumed by divided-difference solves,
     whose divisors range over all in-box pairs rather than a window.
     """
-    vals = np.asarray(values, dtype=complex).reshape(box.n_sites)
+    box, vals = p.box, p.values
     diffs = np.abs(vals[:, None] - vals[None, :])
     mins = np.full(box.n_offset_slots, np.inf)
     np.minimum.at(mins, box.pair_offset_flat.ravel(), diffs.ravel())

@@ -94,7 +94,7 @@ class LatticeBox:
 
     @property
     def pair_offset_flat(self) -> np.ndarray:
-        """Flat id of the offset i - j for every pair, int32, shape (n, n)."""
+        """Flat id of the offset i - j for every pair, int64, shape (n, n)."""
         if self._pair_offset_flat is None:
             self._build_pair_tables()
         return self._pair_offset_flat
@@ -149,7 +149,7 @@ class LatticeBox:
             np.maximum(dist, np.abs(dv).astype(np.int32), out=dist)
             flat = flat * span + (dv + 2 * self.radius)
         self._pair_dist = dist
-        self._pair_offset_flat = flat.astype(np.int64)
+        self._pair_offset_flat = flat
         self._pair_dist.flags.writeable = False
         self._pair_offset_flat.flags.writeable = False
 

@@ -13,8 +13,9 @@ writes ``ledger.csv`` (the per-step ledger) and ``report.json`` into
 ``REPORT_SCHEMA``; non-finite values are written as null.  ``sweep``
 treats comma-separated override values as cartesian sweep axes (a
 bracketed list is one value) and emits one report per cell plus an
-aggregate CSV.  All floating-point output is written in round-trip
-precision.
+aggregate CSV; a cell whose build or run raises is named on stderr and
+gets a non-converged row of nan, and the sweep goes on.  All
+floating-point output is written in round-trip precision.
 
 Exit codes: 0 success, 1 a numerical invariant failed (named on stderr),
 2 configuration errors.
@@ -428,8 +429,9 @@ def cmd_verify_distal(cfg: dict) -> int:
     """The window scan's frontier; a given gamma is checked by both scans.
 
     ``theory_conditions`` owns the run's verdict on gamma (its ``gamma``
-    row, measured on the box); the window scan reads the potential's norm
-    policy and can disagree.  Either failing fails the command.
+    row, measured on the box); the window scan reads the potential's BV
+    profile, where it has one, and can disagree.  Either failing fails the
+    command.
     """
     box, spec, D, T, p = _assemble(cfg)
     max_offset = min(2 * box.radius, 64)
@@ -537,7 +539,13 @@ def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
     rows = []
     status = 0
     for cell_name, cell in cells:
-        code, rep = cmd_run(cell, out_dir=os.path.join(out_dir, cell_name))
+        try:
+            code, rep = cmd_run(cell, out_dir=os.path.join(out_dir, cell_name))
+        except Exception as exc:  # a failed cell still gets its row
+            print(f"{cell_name}: invariant failed: {exc}", file=sys.stderr)
+            status = max(status, 1)
+            rows.append({"cell": cell_name, "converged": False})  # the rest read nan
+            continue
         status = max(status, code)
         rows.append(
             {
@@ -558,7 +566,7 @@ def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
         table = csv.writer(fh, lineterminator="\n")  # a list-valued cell name holds commas
         table.writerow(cols)
         for row in rows:
-            table.writerow(_csv_cell(row[c]) for c in cols)
+            table.writerow(_csv_cell(row.get(c)) for c in cols)
     print(f"sweep: {len(rows)} cells, aggregate at {agg}")
     return status
 

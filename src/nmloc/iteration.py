@@ -529,32 +529,28 @@ class ConditionReport:
     data: Optional[dict] = None
 
 
-def check_theory_conditions(params: SchemeParams, t_norms, tc: TameConstants):
+def check_theory_conditions(params: SchemeParams, tc: TameConstants, *,
+                            t_3delta: float, t_4delta: float):
     """Evaluate every displayed sufficient inequality of the scheme.
 
-    ``t_norms`` maps norm indices to values of the hopping norm (the two
-    needed indices are alpha+3delta and alpha+4delta; missing entries mark
-    those rows as not evaluated).  Power-type inequalities report log10
-    margins to survive the astronomical magnitudes the sufficient
-    constants force; linear inequalities report plain differences.
-    Conditions with non-effective constants are evaluated with the
-    constant set to one and flagged ``effective=False``.
+    ``params`` must have ``alpha``, ``alpha1`` and ``gamma`` set;
+    ``t_3delta`` and ``t_4delta`` are the hopping norms
+    ``||T||_(alpha+3delta)`` and ``||T||_(alpha+4delta)``.  Power-type
+    inequalities report log10 margins to survive the astronomical
+    magnitudes the sufficient constants force; linear inequalities report
+    plain differences.  Conditions with non-effective constants are
+    evaluated with the constant set to one and flagged ``effective=False``.
     """
-    p = params if params.alpha is not None else params.resolved(tc.dimension)
+    for name in ("alpha", "alpha1", "gamma"):
+        if getattr(params, name) is None:
+            raise ValueError(f"theory conditions need params.{name}")
+    p = params
     lg = math.log10
     lgT = lg(p.Theta)
     lgt0 = lg(p.theta0)
     c0 = tc.c0
     kappa = -p.alpha + p.alpha0 + p.tau + 6.0 * p.delta
     kappa1 = p.alpha0 - p.alpha + p.tau + 7.0 * p.delta
-
-    def t_norm(s):
-        if t_norms is None:
-            return None
-        for key, val in t_norms.items():
-            if abs(float(key) - s) < 1e-9:
-                return float(val)
-        return None
 
     def lg_or_minus_inf(x):
         return -math.inf if x == 0 else lg(x)
@@ -587,12 +583,8 @@ def check_theory_conditions(params: SchemeParams, t_norms, tc: TameConstants):
     add("alpha3", kappa1 < 0, -kappa1, "linear",
         detail="kappa1 = alpha0-alpha+tau+7delta < 0")
 
-    if p.gamma is None:
-        add("Theta4", False, math.nan, "log10", effective=False,
-            detail="gamma not supplied")
-    else:
-        m = p.delta * lgt0 - lg(3.0 / p.gamma) - p.tau * lgT
-        add("Theta4", m >= 0, m, "log10", detail="theta0^delta >= 3 gamma^-1 Theta^tau")
+    m = p.delta * lgt0 - lg(3.0 / p.gamma) - p.tau * lgT
+    add("Theta4", m >= 0, m, "log10", detail="theta0^delta >= 3 gamma^-1 Theta^tau")
 
     m = p.alpha1 - (2.0 * p.alpha + p.delta)
     add("alpha11", m >= 0, m, "linear", detail="alpha1 >= 2 alpha + delta")
@@ -608,16 +600,11 @@ def check_theory_conditions(params: SchemeParams, t_norms, tc: TameConstants):
     m = p.alpha - (p.alpha0 + p.tau + 3.0 * p.delta)
     add("alpha0", m > 0, m, "linear", detail="-alpha+alpha0+tau+3delta < 0")
 
-    t3 = t_norm(p.alpha + 3.0 * p.delta)
-    if t3 is None:
-        add("T2", False, math.nan, "log10", effective=False,
-            detail="||T||_(alpha+3delta) not supplied")
-    else:
-        part_a = (p.alpha0 - p.alpha) * lgt0 - lg_or_minus_inf(t3)
-        part_b = (p.alpha - p.alpha0) * lgt0
-        m = min(part_a, part_b)
-        add("T2", m >= 0, m, "log10",
-            detail="||T||_(alpha+3delta) <= theta0^(alpha0-alpha) <= 1")
+    part_a = (p.alpha0 - p.alpha) * lgt0 - lg_or_minus_inf(float(t_3delta))
+    part_b = (p.alpha - p.alpha0) * lgt0
+    m = min(part_a, part_b)
+    add("T2", m >= 0, m, "log10",
+        detail="||T||_(alpha+3delta) <= theta0^(alpha0-alpha) <= 1")
 
     m = p.delta * lgt0 - (p.alpha - p.alpha0 + p.delta) * lgT
     add("Theta0", m >= 0, m, "log10", effective=False,
@@ -639,20 +626,13 @@ def check_theory_conditions(params: SchemeParams, t_norms, tc: TameConstants):
         data={"binding": binding, "required_log10": required,
               "candidates_log10": candidates})
 
-    t4 = t_norm(p.alpha + 4.0 * p.delta)
-    if t4 is None:
-        add("T1", False, math.nan, "linear", effective=False,
-            detail="||T||_(alpha+4delta) not supplied")
-        add("itthm_T", False, math.nan, "log10", effective=False,
-            detail="||T||_(alpha+4delta) not supplied")
-    else:
-        add("T1", t4 <= 1.0, 1.0 - t4, "linear",
-            detail="||T||_(alpha+4delta) <= 1")
-        part_a = (p.alpha0 - p.alpha) * lgt0 - lg_or_minus_inf(t4)
-        part_b = (p.alpha - p.alpha0) * lgt0
-        m = min(part_a, part_b)
-        add("itthm_T", m >= 0, m, "log10",
-            detail="||T||_(alpha+4delta) <= theta0^(alpha0-alpha) <= 1")
+    t4 = float(t_4delta)
+    add("T1", t4 <= 1.0, 1.0 - t4, "linear", detail="||T||_(alpha+4delta) <= 1")
+    part_a = (p.alpha0 - p.alpha) * lgt0 - lg_or_minus_inf(t4)
+    part_b = (p.alpha - p.alpha0) * lgt0
+    m = min(part_a, part_b)
+    add("itthm_T", m >= 0, m, "log10",
+        detail="||T||_(alpha+4delta) <= theta0^(alpha0-alpha) <= 1")
     return out
 
 
@@ -667,16 +647,16 @@ def theory_conditions(T: LatticeOperator, D: DiagonalOperator, params: SchemePar
     ``check_theory_conditions`` with the hopping norms measured on ``T``.
     Returns the params with gamma set and the rows.
     """
-    measured, worst = distal_gamma_box(D.values, T.box, params.tau)
+    measured, worst = distal_gamma_box(D, params.tau)
     p = params if params.gamma is not None else replace(params, gamma=measured)
     margin = measured - p.gamma
     offset = " ".join(str(c) for c in worst)  # no comma: check-theory prints CSV
     gamma_row = ConditionReport(
         "gamma", margin >= 0, margin, "linear", True,
         detail=f"gamma <= {measured:.17g} measured on the box (worst offset {offset})")
-    s_high = (p.alpha + 4 * p.delta, p.alpha + 3 * p.delta)
     return p, [gamma_row] + check_theory_conditions(
-        p, {s: T.sobolev_norm(s) for s in s_high}, tc)
+        p, tc, t_4delta=T.sobolev_norm(p.alpha + 4 * p.delta),
+        t_3delta=T.sobolev_norm(p.alpha + 3 * p.delta))
 
 
 # -- ledger export -----------------------------------------------------------------

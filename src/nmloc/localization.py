@@ -50,33 +50,26 @@ def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
     H, target = result.conjugation_pair
     exponent = decay_exponent(result)
     eigenvalues = target.values
-    sites = box.sites
     interior = box.interior_mask
     Q = result.qplus.entries
     residual_mat = H.entries @ Q - Q * eigenvalues[None, :]
-    col_norms = np.linalg.norm(Q, axis=0)
-    res_norms = np.linalg.norm(residual_mat, axis=0)
-
-    reports = []
-    for idx in range(box.n_sites):
-        center = tuple(int(c) for c in sites[idx])
-        dist = np.max(np.abs(sites - sites[idx]), axis=1)
-        weights = np.maximum(dist, 1).astype(float)
-        col = np.abs(Q[:, idx])
-        envelope = 2.0 * weights ** (-exponent)
-        margin = float(np.min(envelope - col))
-        constant = float(np.max(col * weights**exponent))
-        reports.append(
-            EigenReport(
-                center=center,
-                eigenvalue=complex(eigenvalues[idx]),
-                decay_envelope_margin=margin,
-                eigen_residual=float(res_norms[idx] / col_norms[idx]),
-                interior=bool(interior[idx]),
-                envelope_constant=constant,
-            )
+    residuals = np.linalg.norm(residual_mat, axis=0) / np.linalg.norm(Q, axis=0)
+    # column k of the symmetric pair distances holds <i - k> for every site i
+    weights = np.maximum(box.pair_dist, 1).astype(float)
+    cols = np.abs(Q)
+    margins = np.min(2.0 * weights ** (-exponent) - cols, axis=0)
+    constants = np.max(cols * weights**exponent, axis=0)
+    return [
+        EigenReport(
+            center=tuple(int(c) for c in box.sites[idx]),
+            eigenvalue=complex(eigenvalues[idx]),
+            decay_envelope_margin=float(margins[idx]),
+            eigen_residual=float(residuals[idx]),
+            interior=bool(interior[idx]),
+            envelope_constant=float(constants[idx]),
         )
-    return reports
+        for idx in range(box.n_sites)
+    ]
 
 
 def completeness_check(result: SchemeResult):

@@ -2,7 +2,8 @@
 
 Every potential but ``custom`` is formula-backed, so the distal scans
 read exact values beyond the box; a ``custom`` potential has only its
-in-box values.
+in-box values.  Every norm is the sup norm except ``craig_mod1``'s, whose
+diagonal carries its profile ``x mod 1`` as a ``bv_profile``.
 
 Available kinds:
 
@@ -24,9 +25,8 @@ from typing import Optional, Sequence as Seq
 
 import numpy as np
 
-from .algebra import SampledBV, TorusProfile
 from .box import LatticeBox
-from .operators import DiagonalOperator, LatticeOperator
+from .operators import DiagonalOperator, LatticeOperator, TorusProfile
 
 POTENTIAL_KINDS = (
     "maryland",
@@ -109,8 +109,9 @@ def _pole_distance(x: np.ndarray) -> np.ndarray:
 def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
     """Assemble the diagonal operator for a potential spec on a box.
 
-    ``craig_mod1`` carries the sampled bounded-variation policy (its
-    natural algebra); every other kind carries ``policy=None``, the sup norm.
+    ``craig_mod1`` carries its generating profile as ``bv_profile``, so its
+    norm is the sampled bounded-variation norm (its natural algebra); every
+    other kind has the sup norm.
     """
     if spec.kind == "custom":
         values = np.asarray(spec.custom_values, dtype=complex)
@@ -138,12 +139,9 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
         else:
             fn = lambda x: np.mod(np.asarray(x, dtype=float), 1.0).astype(complex)
         formula = lambda sites: fn(np.asarray(sites, dtype=np.int64) @ omega)
-        profile = TorusProfile(fn, tuple(omega))
-        policy = SampledBV() if spec.kind == "craig_mod1" else None
-        values = formula(box.sites)
-        return DiagonalOperator(
-            box, values, policy=policy, formula=formula, torus_profile=profile
-        )
+        profile = TorusProfile(fn, tuple(omega)) if spec.kind == "craig_mod1" else None
+        return DiagonalOperator(box, formula(box.sites), formula=formula,
+                                bv_profile=profile)
 
     base, scale = (2, 1.0) if spec.kind == "limit_periodic_binary" else (3, 2.0)
     formula = _limit_periodic_formula(box.dimension, base, scale)

@@ -11,8 +11,12 @@ for matrices).  Sums run over the offsets realized on the box; the offset
 cap at 2N is part of the truncation model.
 
 A diagonal operator ``diag(v)`` is stored as its sequence ``v`` instead,
-together with the sequence's norm policy, its formula off the box and its
-generating profile; its norm is the policy's norm of ``v`` for every s.
+together with its formula off the box and, for ``craig_mod1`` only, the
+period-1 profile whose bounded-variation norm it carries.  Its norm is the
+same for every s: the sup norm of ``v``, or with a profile the sampled BV
+norm, sup plus the total variation of the profile on ``BV_GRID_POINTS``
+uniform points (the sup also covers the lattice values, so the sup norm
+never exceeds it).
 
 Operators are immutable; per-offset sups, Sobolev norms and singular
 values are cached on the instance, so each operator takes at most one Gram
@@ -21,7 +25,9 @@ eigensolve.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 import numpy as np
 from scipy.special import zeta
@@ -143,8 +149,6 @@ class LatticeOperator:
     # -- arithmetic -------------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, DiagonalOperator):
-            other = other.as_operator()
         if not isinstance(other, LatticeOperator):
             return None
         if other.box != self.box:
@@ -191,28 +195,44 @@ class LatticeOperator:
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
 
 
+@dataclass(frozen=True)
+class TorusProfile:
+    """Period-1 profile and frequency generating a quasi-periodic sequence."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    omega: tuple[float, ...]
+
+
+BV_GRID_POINTS = 4096  # uniform samples of one period of a profile
+
+
+def sup_and_variation(fn) -> tuple[float, float]:
+    """Sup and periodic total variation of a period-1 profile on the grid."""
+    x = np.arange(BV_GRID_POINTS) / BV_GRID_POINTS
+    fx = np.asarray(fn(x), dtype=complex)
+    sup = float(np.max(np.abs(fx)))
+    tv = float(np.sum(np.abs(np.diff(fx)))) + float(abs(fx[0] - fx[-1]))
+    return sup, tv
+
+
 class DiagonalOperator:
     """Main-diagonal-only operator ``diag(values)``; its s-norm equals its
     0-norm for all s.
 
-    The values are copied to complex and frozen.  ``policy`` is the algebra
-    norm of the sequence: ``None`` for the sup norm, or a policy object
-    with a ``sequence_norm`` method (see :class:`nmloc.algebra.SampledBV`).
-    ``formula`` (sites -> values) makes the sequence exact off the box;
-    ``torus_profile`` is its generating profile.
+    The values are copied to complex and frozen.  ``formula`` (sites ->
+    values) makes the sequence exact off the box.  ``bv_profile``, a
+    :class:`TorusProfile`, switches the norm from sup to the sampled BV norm.
     """
 
-    __slots__ = ("box", "values", "policy", "formula", "torus_profile")
+    __slots__ = ("box", "values", "formula", "bv_profile")
 
-    def __init__(self, box: LatticeBox, values, policy=None, formula=None,
-                 torus_profile=None):
+    def __init__(self, box: LatticeBox, values, formula=None, bv_profile=None):
         values = np.asarray(values, dtype=complex).reshape(box.n_sites).copy()
         values.flags.writeable = False
         self.box = box
         self.values = values
-        self.policy = policy
         self.formula = formula
-        self.torus_profile = torus_profile
+        self.bv_profile = bv_profile
 
     @classmethod
     def identity(cls, box):
@@ -223,9 +243,11 @@ class DiagonalOperator:
 
     def sobolev_norm(self, s: float = 0.0) -> float:
         del s  # independent of the index for diagonal operators
-        if self.policy is None:
+        if self.bv_profile is None:
             return float(np.max(np.abs(self.values)))
-        return self.policy.sequence_norm(self)
+        sup, tv = sup_and_variation(self.bv_profile.fn)
+        sup = max(sup, float(np.max(np.abs(self.values))))
+        return sup + tv
 
     def __repr__(self):
         return f"DiagonalOperator(n={self.box.n_sites})"

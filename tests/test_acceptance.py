@@ -143,7 +143,7 @@ def test_criterion_03_homological_exactness():
     start = time.time()
     box = LatticeBox(1, 16, 12)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
-    gamma, _ = distal_gamma_box(D.values, box, TAU)
+    gamma, _ = distal_gamma_box(D, TAU)
     rng = np.random.default_rng(555)
     worst_resid = 0.0
     worst_margin = math.inf
@@ -336,12 +336,13 @@ def test_criterion_11_theory_condition_checker():
         tau=0.5, gamma=0.25, delta=4.0, alpha0=ALPHA0,
         alpha=100.0, alpha1=204.0, theta0=1e54, Theta=70.0,
     )
-    rows = check_theory_conditions(witness, {116.0: 0.0, 112.0: 0.0}, tc)
+    rows = check_theory_conditions(witness, tc, t_3delta=0.0, t_4delta=0.0)
     witness_ok = all(c.holds for c in rows)
 
     practical = scheme_params(alpha=ALPHA, alpha1=ALPHA1, gamma=1.0)
     theta_row = next(
-        c for c in check_theory_conditions(practical, {}, tc) if c.name == "Theta"
+        c for c in check_theory_conditions(practical, tc, t_3delta=0.0, t_4delta=0.0)
+        if c.name == "Theta"
     )
     binding_ok = (
         theta_row.data["binding"] == "8^(2/delta)*c0^(4/delta)"

@@ -9,7 +9,6 @@ from nmloc import (
     GOLDEN_MEAN,
     DiagonalOperator,
     LatticeBox,
-    SampledBV,
     TorusProfile,
     build_potential,
     distal_gamma_box,
@@ -17,7 +16,8 @@ from nmloc import (
     distal_margin,
 )
 from nmloc.errors import DegenerateSequenceError, DistalViolationError
-from nmloc.models import PotentialSpec
+from nmloc.models import POTENTIAL_KINDS, PotentialSpec
+from nmloc.operators import BV_GRID_POINTS
 
 
 def test_unit_sequence_has_norm_one(box1d):
@@ -55,19 +55,23 @@ def test_submultiplicative_and_sup_bound(data):
 
 def test_sampled_bv_norm_craig():
     box = LatticeBox(1, 16, 12)
-    seq = build_potential(PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box)
-    assert isinstance(seq.policy, SampledBV)
-    # sup of x mod 1 approaches 1, total variation of one period approaches 2
+    diagonals = {
+        kind: build_potential(
+            PotentialSpec(kind, omega=(GOLDEN_MEAN,),
+                          custom_values=np.arange(box.n_sites, dtype=float)), box)
+        for kind in POTENTIAL_KINDS
+    }
+    seq = diagonals.pop("craig_mod1")
+    for kind, other in diagonals.items():  # every other kind has the sup norm
+        assert other.bv_profile is None, kind
+        assert other.sobolev_norm() == np.max(np.abs(other.values)), kind
+    assert seq.bv_profile is not None
+    # sup of x mod 1 on the grid is 1 - 1/M, its periodic total variation
+    # 2 (1 - 1/M): they approach the profile's sup 1 and variation 2
     norm = seq.sobolev_norm()
-    assert 2.9 < norm <= 3.0
+    assert norm == 3.0 * (1.0 - 1.0 / BV_GRID_POINTS) == 2.999267578125
     # sup bound of the lattice values still holds
     assert np.max(np.abs(seq.values)) <= norm
-
-
-def test_sampled_bv_requires_profile(box1d):
-    seq = DiagonalOperator(box1d, np.ones(box1d.n_sites), policy=SampledBV())
-    with pytest.raises(DegenerateSequenceError):
-        seq.sobolev_norm()
 
 
 def test_arithmetic_progression_distal_margin():
@@ -128,7 +132,7 @@ def test_profile_grid_collision_raises_in_both_scans():
     profile = TorusProfile(lambda x: np.floor(2.0 * np.mod(x, 1.0)) / 2.0,
                            (GOLDEN_MEAN,))
     p = DiagonalOperator(box, np.mod(box.sites[:, 0] * GOLDEN_MEAN, 1.0),
-                         policy=SampledBV(), torus_profile=profile)
+                         bv_profile=profile)
     with pytest.raises(DistalViolationError, match="profile grid"):
         distal_margin(p, 1.0, 0.1, max_offset=4)
     with pytest.raises(DistalViolationError, match="profile grid"):
@@ -148,7 +152,7 @@ def test_distal_margin_monotone_in_gamma():
 def test_distal_gamma_box_matches_pair_scan(rng):
     box = LatticeBox(1, 6, 4)
     vals = rng.standard_normal(box.n_sites) * 3.0
-    gamma, worst = distal_gamma_box(vals, box, tau=1.3)
+    gamma, worst = distal_gamma_box(DiagonalOperator(box, vals), tau=1.3)
 
     best = math.inf
     arg = None

@@ -314,6 +314,26 @@ def test_sweep_refuses_a_bad_cell_before_any_cell_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_writes_its_aggregate_when_a_cell_fails_to_run(tmp_path, capsys):
+    # omega = 1/2 is a valid config whose model build hits a tan pole
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
+    out = tmp_path / "sweep"
+    omegas = "[0.6180339887498949],[0.5],[0.4142135623730951]"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, cfg), "--out-dir",
+                     str(out), "--override", f"potential.omega={omegas}"]) == 1
+    assert "omega=[0.5]: invariant failed: tan pole proximity" in capsys.readouterr().err
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[:2] for row in rows] == [["omega=[0.6180339887498949]", "True"],
+                                         ["omega=[0.5]", "False"],
+                                         ["omega=[0.4142135623730951]", "True"]]
+    assert rows[1][2:] == ["nan"] * 4
+    assert "nan" not in rows[0] + rows[2]
+    assert (out / "omega=[0.4142135623730951]" / "report.json").exists()
+    assert not (out / "omega=[0.5]").exists()
+
+
 @pytest.mark.parametrize("report_path", ["rep.json", None])
 def test_sweep_rows_do_not_depend_on_report_path(tmp_path, report_path):
     # A report path can no longer be set: a config that names one is refused
@@ -475,7 +495,7 @@ def test_report_conditions_are_evaluated_at_the_measured_gamma(tmp_path):
 
 def test_uncertified_gamma_is_a_failing_row_and_a_strict_error(tmp_path, monkeypatch):
     T, D, params = base_inputs()
-    measured, _ = distal_gamma_box(D.values, T.box, params.tau)
+    measured, _ = distal_gamma_box(D, params.tau)
     requested = 2.0 * measured
     cfg = base_config()
     cfg["params"]["gamma"] = requested

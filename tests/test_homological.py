@@ -59,7 +59,7 @@ def test_three_site_worked_example():
 def test_generator_residual_oracle_maryland(rng):
     box = LatticeBox(1, 16, 12)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
-    gamma, _ = distal_gamma_box(D.values, box, tau=1.0)
+    gamma, _ = distal_gamma_box(D, tau=1.0)
     for trial in range(10):
         G = zero_diag(random_banded(box, rng, n_offsets=6))
         theta = float(rng.uniform(1.0, 2 * box.radius))

@@ -373,7 +373,8 @@ def test_kappa1_boundary_is_strict():
         tau=1.0, delta=0.0625, alpha0=0.625, theta0=2.0, Theta=2.0,
         alpha=0.625 + 1.0 + 7 * 0.0625, alpha1=10.0, gamma=1.0,
     )
-    rows = {c.name: c for c in check_theory_conditions(params, {}, tc)}
+    rows = {c.name: c
+            for c in check_theory_conditions(params, tc, t_3delta=0.0, t_4delta=0.0)}
     assert rows["alpha3"].margin == 0.0
     assert rows["alpha3"].holds is False
 
@@ -384,7 +385,8 @@ def test_small_delta_forces_astronomical_band_ratio():
         tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0,
         alpha=3.25, alpha1=6.55, gamma=1.0,
     )
-    rows = {c.name: c for c in check_theory_conditions(params, {}, tc)}
+    rows = {c.name: c
+            for c in check_theory_conditions(params, tc, t_3delta=0.0, t_4delta=0.0)}
     theta_row = rows["Theta"]
     assert theta_row.data["binding"] == "8^(2/delta)*c0^(4/delta)"
     assert theta_row.data["required_log10"] > 20.0
@@ -403,10 +405,17 @@ def witness_params():
 
 def test_witness_configuration_passes_everything():
     tc = TameConstants(1, 0.6)
-    t_norms = {100.0 + 16.0: 0.0, 100.0 + 12.0: 0.0}
-    rows = check_theory_conditions(witness_params(), t_norms, tc)
+    rows = check_theory_conditions(witness_params(), tc, t_3delta=0.0, t_4delta=0.0)
     for c in rows:
         assert c.holds, f"{c.name} fails with margin {c.margin}"
+
+
+@pytest.mark.parametrize("name", ["alpha", "alpha1", "gamma"])
+def test_theory_conditions_need_alpha_alpha1_and_gamma(name):
+    params = replace(witness_params(), **{name: None})
+    with pytest.raises(ValueError, match=f"params.{name}$"):
+        check_theory_conditions(params, TameConstants(1, 0.6),
+                                t_3delta=0.0, t_4delta=0.0)
 
 
 def test_theory_mode_runs_with_witness():
