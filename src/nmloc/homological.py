@@ -96,9 +96,8 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
 
     sg = G.smooth(theta)
     divisors = d[None, :] - d[:, None]  # (i, j) -> d_j - d_i
-    band = box.smooth_mask(theta)
-    offdiag = ~np.eye(box.n_sites, dtype=bool)
-    need = band & offdiag
+    need = box.smooth_mask(theta).copy()  # the in-band off-diagonal entries
+    np.fill_diagonal(need, False)
     small = need & (np.abs(divisors) < EPS_FLOOR)
     if np.any(small):
         i, j = np.argwhere(small)[0]
@@ -108,7 +107,7 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
         )
 
     w = np.zeros_like(sg.entries)
-    w[need] = sg.entries[need] / divisors[need]
+    np.divide(sg.entries, divisors, out=w, where=need)
     return HomologicalSolution(LatticeOperator(box, w), D, sg, need)
 
 
@@ -211,18 +210,17 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
     ``residual`` is computed when it is read.
     """
     box = W.box
-    eye_m = np.eye(box.n_sites, dtype=complex)
     w_a0 = W.sobolev_norm(tc.alpha0)
     small_enough = 4.0 * tc.c0**2 * w_a0 <= 0.5
 
     terms = None
     cond = None
     if small_enough:
-        acc = eye_m.copy()
-        term = eye_m
+        minus_w = -W.entries
+        acc = np.eye(box.n_sites, dtype=complex)
+        term = minus_w  # the first term, (-W)^1
         terms = 0
         while True:
-            term = term @ (-W.entries)
             acc += term
             terms += 1
             term_norm = LatticeOperator(box, term).sobolev_norm(0.0)
@@ -232,6 +230,7 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
                 raise NeumannSmallnessError(
                     "Neumann series failed to reach the term tolerance"
                 )
+            term = term @ minus_w
         vinv = acc
     else:
         if strict:
@@ -239,6 +238,7 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
                 f"Neumann smallness failed: 4 c0^2 ||W||_a0 = "
                 f"{4.0 * tc.c0**2 * w_a0:.3e} > 1/2"
             )
+        eye_m = np.eye(box.n_sites, dtype=complex)
         v = eye_m + W.entries
         vinv = np.linalg.solve(v, eye_m)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))

@@ -280,9 +280,16 @@ def _exponent_bound(theta: float, expo: float) -> float:
         return float(np.float64(theta) ** np.float64(expo))
 
 
-def _put_s_family(row, label, op, s_grid, bound_fn):
-    for s in s_grid:
-        row.put(f"{label}@{s:g}", op.sobolev_norm(s), bound_fn(s))
+def _put_s_family(row, label, norms, s_grid, bound_fn):
+    for s, norm in zip(s_grid, norms):
+        row.put(f"{label}@{s:g}", norm, bound_fn(s))
+
+
+def _add_diagonal(a: np.ndarray, values) -> np.ndarray:
+    """``a + diag(values)`` in place, on an array the step owns."""
+    diag = a.reshape(-1)[:: a.shape[0] + 1]  # a view
+    diag += values
+    return a
 
 
 def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
@@ -299,6 +306,7 @@ def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
         Q=eye, Qinv=eye, R=LatticeOperator.zeros(box), H=D.as_operator(),
         corrections=np.zeros(box.n_sites, dtype=complex),
     )
+    del eye  # the step frees Q = Q^-1 = I once both successors exist
     return iterate_step(state)
 
 
@@ -310,6 +318,16 @@ def iterate_step(state: IterationState) -> IterationState:
     first step ``Q = Q^-1 = I`` and ``R = 0``, so the products with them are
     exact no-ops and are skipped, and the inverse-mode diagonal correction
     needs no solve.
+
+    Memory: each n x n intermediate has its ledger norms taken when it is
+    formed and is dropped after its last reader, and the state's ``Q``,
+    ``Q^-1``, ``R`` and ``H`` are replaced as soon as their successors
+    exist, so a step that raises leaves the state part-way.  Sums whose
+    operands die accumulate in place, in an array the step owns, with the
+    same floating-point operations in the same order as out-of-place sums.
+    A step peaks at about seven complex n x n buffers above what it holds at
+    entry: ``G``, ``W`` and ``R'`` live from the generator solve to the
+    remainder check, and the Neumann series for ``V^-1`` holds four more.
     """
     p = state.params
     tc = state.tc
@@ -320,6 +338,10 @@ def iterate_step(state: IterationState) -> IterationState:
     theta_prev = p.theta(k)      # radius of the slice consumed now
     theta_next = p.theta(k + 1)  # smoothing radius for the new generator
     eye = DiagonalOperator.identity(box)
+    norms: dict[str, list[float]] = {}  # s-families, taken as each operand forms
+
+    def family(op):
+        return [op.sobolev_norm(s) for s in p.s_grid]
 
     Tk = hopping_slice(state.T, k, p)
     QTQ = Tk if first else state.Qinv @ Tk @ state.Q
@@ -337,49 +359,89 @@ def iterate_step(state: IterationState) -> IterationState:
         Dk = DiagonalOperator(box, np.diagonal(QTQ.entries) + np.diagonal(state.R.entries))
         divisor_values = state.D.values + state.corrections
     corrections = state.corrections + Dk.values
-    QDQ = Dk if first else LatticeOperator(
-        box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries)
-    # inverse mode conjugates the correction into the step; direct mode takes
-    # it out of the generator's source and into the diagonal target
-    B = QTQ + QDQ if p.mode == INVERSE else QTQ
-    G = B + state.R
-    G_for_W = G if p.mode == INVERSE else G - Dk
 
-    divisor = DiagonalOperator(box, divisor_values)
-    generator = solve_generator(divisor, G_for_W, theta=theta_next)
-    W = generator.W
-    # G past the band: G_for_W differs from G only on the main diagonal,
-    # which the truncation keeps.  Formed here so that the solution is not
-    # held through the products below, which would raise peak memory.
-    R_prime = G_for_W - generator.SG
-    del generator
-    V = eye + W
-    Vinv = neumann_invert(W, tc, strict=p.theory_checks).Vinv
-
-    Q_next = V if first else state.Q @ V
-    Qinv_next = Vinv if first else Vinv @ state.Qinv
-
+    # H_k = H + T_k (+ D_k in inverse mode), checked against its closed form
+    # S_{theta_k} T + D (+ D+ in inverse mode): no product, and a wrong slice
+    # or correction shows
+    h = state.H.entries + Tk.entries
     if p.mode == INVERSE:
-        H_next = state.H + Tk + Dk
-        R_next = Qinv_next @ H_next @ Q_next - state.D
+        _add_diagonal(h, Dk.values)
         H_diagonal = DiagonalOperator(box, state.D.values + corrections)
     else:
-        H_next = state.H + Tk
-        R_next = (Qinv_next @ H_next @ Q_next - state.D
-                  - DiagonalOperator(box, corrections))
         H_diagonal = state.D
-    # the running H against its closed form S_{theta_k} T + D (+ D+ in
-    # inverse mode): no product, and a wrong slice or correction shows
+    state.H = H_next = LatticeOperator(box, h)
+    del h, Tk
     h_residual = (H_next - state.T.smooth(theta_prev) - H_diagonal).sobolev_norm(0.0)
 
-    # independent remainder decomposition: substitution error plus the
-    # quadratic remainder, rebuilt from the step ingredients
-    dvals = divisor_values
-    commut = LatticeOperator(box, (dvals[:, None] - dvals[None, :]) * W.entries)
+    if bounds.conjugated_rows:
+        norms["QTQ"] = family(QTQ)
+    # inverse mode conjugates the correction into the step; direct mode takes
+    # it out of the generator's source and into the diagonal target
+    if first:
+        QDQ = Dk
+    else:
+        QDQ = LatticeOperator(
+            box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries)
+        norms["QDQ"] = family(QDQ)
+    if p.mode == INVERSE:
+        if first:
+            g = _add_diagonal(QTQ.entries.copy(), Dk.values)  # B = QTQ + D_k
+        else:
+            g = QTQ.entries + QDQ.entries  # B
+        g += state.R.entries
+    else:
+        g = QTQ.entries + state.R.entries  # B = QTQ
+    del QTQ, QDQ
+    G = LatticeOperator(box, g)
+    del g
+    G_for_W = G if p.mode == INVERSE else G - Dk
+
+    generator = solve_generator(DiagonalOperator(box, divisor_values), G_for_W,
+                                theta=theta_next)
+    W = generator.W
+    norms["W"] = family(W)
+    # G past the band: G_for_W differs from G only on the main diagonal,
+    # which the truncation keeps
+    R_prime = G_for_W - generator.SG
+    del generator, G_for_W
+
+    Vinv = neumann_invert(W, tc, strict=p.theory_checks).Vinv
+    Q_next = eye + W if first else state.Q @ (eye + W)
+    norms["Qstep"] = family(Q_next - state.Q)
+    norms["QmI"] = family(Q_next - eye)
+    state.Q = Q_next
+    Qinv_next = Vinv if first else Vinv @ state.Qinv
+    state.Qinv = Qinv_next
     VmI = Vinv - eye
+    del Vinv
+    norms["VinvmI"] = family(VmI)
+
+    # independent remainder decomposition: substitution error plus the
+    # quadratic remainder, rebuilt from the step ingredients;
+    # R_quad = VmI @ (commut + GW + G) + GW
+    dvals = divisor_values
+    inner = dvals[:, None] - dvals[None, :]
+    inner *= W.entries  # commut
     GW = G @ W
-    R_quad = VmI @ (commut + GW + G) + GW
-    decomp_residual = (R_next - (R_prime + R_quad)).sobolev_norm(0.0)
+    del W
+    inner += GW.entries
+    inner += G.entries
+    del G
+    quad = VmI @ LatticeOperator(box, inner)
+    del VmI, inner
+    r = quad.entries + GW.entries  # R_quad
+    del quad, GW
+    r += R_prime.entries  # R_prime + R_quad
+    del R_prime
+
+    R_next = Qinv_next @ H_next @ Q_next - state.D
+    if p.mode == DIRECT:
+        R_next = R_next - DiagonalOperator(box, corrections)
+    state.R = R_next
+    norms["R"] = family(R_next)
+    np.subtract(R_next.entries, r, out=r)
+    decomp_residual = LatticeOperator(box, r).sobolev_norm(0.0)
+    del r
 
     def vinv_bound(s):
         bound = _exponent_bound(
@@ -392,21 +454,20 @@ def iterate_step(state: IterationState) -> IterationState:
         return _exponent_bound(theta_prev, s - p.alpha)
 
     row = LedgerRow(k=k + 1, theta_k=theta_next)
-    _put_s_family(row, "W", W, p.s_grid,
+    _put_s_family(row, "W", norms["W"], p.s_grid,
                   lambda s: _exponent_bound(
                       theta_prev, s - p.alpha + p.tau + bounds.w_delta * p.delta))
-    _put_s_family(row, "VinvmI", VmI, p.s_grid, vinv_bound)
-    _put_s_family(row, "R", R_next, p.s_grid,
+    _put_s_family(row, "VinvmI", norms["VinvmI"], p.s_grid, vinv_bound)
+    _put_s_family(row, "R", norms["R"], p.s_grid,
                   lambda s: _exponent_bound(theta_next, s - p.alpha))
     if bounds.conjugated_rows:
-        _put_s_family(row, "QTQ", QTQ, p.s_grid,
+        _put_s_family(row, "QTQ", norms["QTQ"], p.s_grid,
                       lambda s: _exponent_bound(theta_prev, s - p.alpha))
-        _put_s_family(row, "QDQ", QDQ, p.s_grid, qdq_bound)
-    _put_s_family(row, "Qstep", Q_next - state.Q, p.s_grid,
+        _put_s_family(row, "QDQ", norms["QDQ"], p.s_grid, qdq_bound)
+    _put_s_family(row, "Qstep", norms["Qstep"], p.s_grid,
                   lambda s: _exponent_bound(theta_prev, s - p.alpha + p.tau + 6 * p.delta))
-    QmI = Q_next - eye
-    for s in p.s_grid:
-        row.norms[f"QmI@{s:g}"] = QmI.sobolev_norm(s)
+    for s, norm in zip(p.s_grid, norms["QmI"]):
+        row.norms[f"QmI@{s:g}"] = norm
     row.put("D@0", Dk.sobolev_norm(0.0),
             3.0 * _exponent_bound(theta_prev, p.alpha0 - p.alpha))
     row.norms["conj_residual"] = float(h_residual)
@@ -416,10 +477,6 @@ def iterate_step(state: IterationState) -> IterationState:
         row.assert_margins()
 
     state.k = k + 1
-    state.Q = Q_next
-    state.Qinv = Qinv_next
-    state.R = R_next
-    state.H = H_next
     state.corrections = corrections
     state.ledger.append(row)
     return state

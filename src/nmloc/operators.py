@@ -127,9 +127,9 @@ class LatticeOperator:
         return float(self.singular_values()[0])
 
     def off_diagonal_max(self) -> float:
-        off = self.entries.copy()
+        off = np.abs(self.entries)
         np.fill_diagonal(off, 0.0)
-        return float(np.max(np.abs(off))) if off.size else 0.0
+        return float(np.max(off)) if off.size else 0.0
 
     # -- structure ------------------------------------------------------------
 

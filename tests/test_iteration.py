@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -172,6 +173,102 @@ def test_run_product_count_and_no_svd(monkeypatch):
     assert res.converged and res.U is not None
     assert res.steps == 5
     assert count[0] == 9 * (res.steps - 1) + 5 + 2 + 2
+
+
+@pytest.mark.parametrize("mode", ["inverse", "direct"])
+def test_step_memory_budget(monkeypatch, mode):
+    # every step, the first included, peaks at no more than ten complex n x n
+    # buffers above what it holds at entry; with every intermediate kept to
+    # the end of the step, the first step took 16 and each later one 20
+    step = iteration.iterate_step
+    box, D, T, params = maryland_setup(radius=64, mode=mode)
+    buffer = 16 * box.n_sites**2
+    peaks = []
+
+    def measured(state):
+        tracemalloc.reset_peak()
+        entry, _ = tracemalloc.get_traced_memory()
+        out = step(state)
+        peaks.append((tracemalloc.get_traced_memory()[1] - entry) / buffer)
+        return out
+
+    monkeypatch.setattr(iteration, "iterate_step", measured)
+    tracemalloc.start()
+    try:
+        res = run(T, D, params)
+    finally:
+        tracemalloc.stop()
+    assert res.converged and len(peaks) == res.steps
+    assert max(peaks) <= 10.0, peaks
+
+
+def _out_of_place_norms(state):
+    """Ledger norms of one later step by out-of-place expressions: the
+    reference for the step's in-place sums and early releases."""
+    p, box, k = state.params, state.box, state.k
+    eye = DiagonalOperator.identity(box)
+    Tk = hopping_slice(state.T, k, p)
+    QTQ = state.Qinv @ Tk @ state.Q
+    if p.mode == "inverse":
+        Dk = iteration.solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R)
+        dvals = state.D.values
+    else:
+        Dk = DiagonalOperator(box, np.diagonal(QTQ.entries) + np.diagonal(state.R.entries))
+        dvals = state.D.values + state.corrections
+    corrections = state.corrections + Dk.values
+    QDQ = LatticeOperator(box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries)
+    B = QTQ + QDQ if p.mode == "inverse" else QTQ
+    G = B + state.R
+    G_for_W = G if p.mode == "inverse" else G - Dk
+    generator = iteration.solve_generator(DiagonalOperator(box, dvals), G_for_W,
+                                          theta=p.theta(k + 1))
+    W = generator.W
+    R_prime = G_for_W - generator.SG
+    V = eye + W
+    Vinv = iteration.neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
+    Q_next = state.Q @ V
+    Qinv_next = Vinv @ state.Qinv
+    if p.mode == "inverse":
+        H_next = state.H + Tk + Dk
+        R_next = Qinv_next @ H_next @ Q_next - state.D
+        H_diagonal = DiagonalOperator(box, state.D.values + corrections)
+    else:
+        H_next = state.H + Tk
+        R_next = (Qinv_next @ H_next @ Q_next - state.D
+                  - DiagonalOperator(box, corrections))
+        H_diagonal = state.D
+    commut = LatticeOperator(box, (dvals[:, None] - dvals[None, :]) * W.entries)
+    VmI = Vinv - eye
+    GW = G @ W
+    R_quad = VmI @ (commut + GW + G) + GW
+    norms = {}
+    for label, op in (("W", W), ("VinvmI", VmI), ("R", R_next), ("QTQ", QTQ),
+                      ("QDQ", QDQ), ("Qstep", Q_next - state.Q), ("QmI", Q_next - eye)):
+        for s in p.s_grid:
+            norms[f"{label}@{s:g}"] = op.sobolev_norm(s)
+    norms["D@0"] = Dk.sobolev_norm(0.0)
+    norms["conj_residual"] = (
+        H_next - state.T.smooth(p.theta(k)) - H_diagonal).sobolev_norm(0.0)
+    norms["decomp_residual"] = (R_next - (R_prime + R_quad)).sobolev_norm(0.0)
+    norms["qqinv_defect"] = (Q_next @ Qinv_next - eye).sobolev_norm(0.0)
+    return norms
+
+
+@pytest.mark.parametrize("mode", ["inverse", "direct"])
+def test_in_place_step_sums_equal_the_out_of_place_formulas(mode):
+    # replay step k = 2 from the pre-step Q, Q^-1, R, H and corrections; the
+    # step's in-place sums keep every operation and its order, so each norm
+    # of the row is equal, not close
+    box, D, T, params = maryland_setup(mode=mode)
+    p = params.resolved(1)
+    state = iteration.iterate_step(initial_step(T, D, p, TameConstants(1, p.alpha0)))
+    assert state.k == 2
+    pre = replace(state, ledger=[])  # the step replaces the state's operators
+    expected = _out_of_place_norms(pre)
+    row = iteration.iterate_step(state).ledger[-1]
+    assert list(row.norms) == list(expected)
+    for key, value in expected.items():
+        assert row.norms[key] == value, key
 
 
 def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
