@@ -19,8 +19,8 @@ form ``S_theta T + D`` (plus the corrections in inverse mode), so every
 derivation step doubles as a runtime test.
 
 There is one step function: the first conjugation is the same step
-started from ``Q = I``, ``R = 0`` and ``H = D``, and only its bound data
-(``FIRST_STEP_BOUNDS``) differ.
+started from ``Q = I``, ``R = 0`` and ``H = D``, and only its bounds differ
+(``step_bounds`` at ``k = 0``).
 
 Every run evaluates the sufficient parameter inequalities once, at the
 separation constant ``gamma`` it uses, and keeps them in
@@ -36,7 +36,6 @@ ratios for small loss budgets; the rows make that visible).  Two regimes:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -87,6 +86,12 @@ class SchemeParams:
             raise ValueError(f"mode must be '{INVERSE}' or '{DIRECT}'")
         if self.theta0 <= 1 or self.Theta <= 1:
             raise ValueError("theta0 and Theta must exceed 1")
+        if self.delta <= 0:
+            raise ValueError("delta must be positive")
+        if self.gamma is not None and self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
     def resolved(self, dimension: int) -> "SchemeParams":
         """Fill derived fields, using s_hopping where values are missing."""
@@ -118,26 +123,36 @@ BOUND_FORMULAS = {
 }
 
 
-@dataclass(frozen=True)
-class StepBounds:
-    """Step-dependent data of the generator bounds in ``BOUND_FORMULAS``.
+def step_bounds(p: SchemeParams, tc: TameConstants, k: int) -> dict:
+    """The bound of each ``BOUND_FORMULAS`` label at step ``k`` (from 0), as
+    a function of s; ``p`` must be resolved.
 
-    ``||W||_s`` and ``||V^-1 - I||_s`` are bounded by
-    ``theta_{k-1}^(s - alpha + tau + m delta)``, the latter times ``2 k1(s)``
-    when ``vinv_k1`` is set.
+    The first step conjugates by ``Q = I``: its ``W`` and ``V^-1 - I``
+    bounds are its own, and it has no ``QTQ``/``QDQ`` rows, which would
+    restate the base band and the unconjugated correction.
     """
+    first = k == 0
+    prev, nxt = p.theta(k), p.theta(k + 1)
+    w_m, vinv_m = (1, 2) if first else (4, 4)
 
-    w_delta: float        # m in the W bound
-    vinv_delta: float     # m in the V^-1 - I bound
-    vinv_k1: bool
-    conjugated_rows: bool  # whether the QTQ/QDQ rows are recorded
+    def power(theta, expo):
+        with np.errstate(over="ignore"):
+            return float(np.float64(theta) ** np.float64(expo))
 
-
-STEP_BOUNDS = StepBounds(w_delta=4, vinv_delta=4, vinv_k1=True, conjugated_rows=True)
-# The first step conjugates by Q = I: its QTQ/QDQ rows would restate the base
-# band and the unconjugated correction, so they are left out.
-FIRST_STEP_BOUNDS = StepBounds(w_delta=1, vinv_delta=2, vinv_k1=False,
-                               conjugated_rows=False)
+    bounds = {
+        "W": lambda s: power(prev, s - p.alpha + p.tau + w_m * p.delta),
+        "VinvmI": lambda s: ((1.0 if first else 2.0 * tc.k1(s))
+                             * power(prev, s - p.alpha + p.tau + vinv_m * p.delta)),
+        "R": lambda s: power(nxt, s - p.alpha),
+        "D": lambda s: 3.0 * power(prev, p.alpha0 - p.alpha),
+        "QTQ": lambda s: power(prev, s - p.alpha),
+        "QDQ": lambda s: power(prev, p.alpha0 - p.alpha + 3.0 * p.delta
+                               if s < p.alpha - p.tau - 4.0 * p.delta else s - p.alpha),
+        "Qstep": lambda s: power(prev, s - p.alpha + p.tau + 6 * p.delta),
+    }
+    if first:
+        del bounds["QTQ"], bounds["QDQ"]
+    return bounds
 
 
 @dataclass
@@ -145,13 +160,11 @@ class LedgerRow:
     k: int
     theta_k: float
     norms: dict[str, float] = field(default_factory=dict)
-    bounds: dict[str, float] = field(default_factory=dict)
     margins: dict[str, float] = field(default_factory=dict)
 
     def put(self, key: str, norm: float, bound: float | None = None):
         self.norms[key] = float(norm)
         if bound is not None:
-            self.bounds[key] = float(bound)
             self.margins[key] = float(bound) - float(norm)
 
     def assert_margins(self):
@@ -180,11 +193,6 @@ class IterationState:
     H: LatticeOperator
     corrections: np.ndarray  # running sum of diagonal corrections
     ledger: list[LedgerRow] = field(default_factory=list)
-
-    @property
-    def coverage_theta(self) -> float:
-        """Band radius of the hopping slices consumed so far."""
-        return self.params.theta(self.k - 1)
 
 
 @dataclass
@@ -272,17 +280,9 @@ def hopping_slice(T: LatticeOperator, k: int, params: SchemeParams) -> LatticeOp
         raise ValueError("slice index must be nonnegative")
     if k == 0:
         return T.smooth(params.theta(0))
-    return T.smooth(params.theta(k)) - T.smooth(params.theta(k - 1))
-
-
-def _exponent_bound(theta: float, expo: float) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.float64(theta) ** np.float64(expo))
-
-
-def _put_s_family(row, label, norms, s_grid, bound_fn):
-    for s, norm in zip(s_grid, norms):
-        row.put(f"{label}@{s:g}", norm, bound_fn(s))
+    box = T.box
+    ring = box.smooth_mask(params.theta(k)) & ~box.smooth_mask(params.theta(k - 1))
+    return LatticeOperator(box, np.where(ring, T.entries, 0))
 
 
 def _add_diagonal(a: np.ndarray, values) -> np.ndarray:
@@ -317,7 +317,8 @@ def iterate_step(state: IterationState) -> IterationState:
     pair, the defect ``R`` and the remainder check, plus ``Q Q^-1``.  At the
     first step ``Q = Q^-1 = I`` and ``R = 0``, so the products with them are
     exact no-ops and are skipped, and the inverse-mode diagonal correction
-    needs no solve.
+    needs no solve.  The row puts each ledger norm next to its bound from
+    ``step_bounds``.
 
     Memory: each n x n intermediate has its ledger norms taken when it is
     formed and is dropped after its last reader, and the state's ``Q``,
@@ -330,60 +331,58 @@ def iterate_step(state: IterationState) -> IterationState:
     remainder check, and the Neumann series for ``V^-1`` holds four more.
     """
     p = state.params
-    tc = state.tc
     box = state.box
     k = state.k
     first = k == 0
-    bounds = FIRST_STEP_BOUNDS if first else STEP_BOUNDS
-    theta_prev = p.theta(k)      # radius of the slice consumed now
+    inverse = p.mode == INVERSE
+    # the diagonal target Lambda_k whose differences divide the generator:
+    # D in inverse mode, D plus the corrections so far in direct mode
+    target = state.D.values if inverse else state.D.values + state.corrections
     theta_next = p.theta(k + 1)  # smoothing radius for the new generator
     eye = DiagonalOperator.identity(box)
-    norms: dict[str, list[float]] = {}  # s-families, taken as each operand forms
+    norms: dict[str, list] = {}  # (s, norm) families, taken as each operand forms
 
     def family(op):
-        return [op.sobolev_norm(s) for s in p.s_grid]
+        return [(s, op.sobolev_norm(s)) for s in p.s_grid]
 
     Tk = hopping_slice(state.T, k, p)
     QTQ = Tk if first else state.Qinv @ Tk @ state.Q
 
-    if p.mode == INVERSE:
-        if first:
-            # Q = Q^-1 = I makes the affine map the identity: X = -c exactly
-            Dk = DiagonalOperator(
-                box, -(np.diagonal(QTQ.entries) + np.diagonal(state.R.entries)))
-        else:
-            Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R)
-        divisor_values = state.D.values
-    else:
+    if not inverse:
         # diag of the smoothed G = Q^-1 T_k Q + R; smoothing keeps the main diagonal
         Dk = DiagonalOperator(box, np.diagonal(QTQ.entries) + np.diagonal(state.R.entries))
-        divisor_values = state.D.values + state.corrections
+    elif first:
+        # Q = Q^-1 = I makes the affine map the identity: X = -c exactly
+        Dk = DiagonalOperator(
+            box, -(np.diagonal(QTQ.entries) + np.diagonal(state.R.entries)))
+    else:
+        Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R)
     corrections = state.corrections + Dk.values
 
     # H_k = H + T_k (+ D_k in inverse mode), checked against its closed form
-    # S_{theta_k} T + D (+ D+ in inverse mode): no product, and a wrong slice
-    # or correction shows
+    # S_{theta_k} T + D (+ D+ in inverse mode), theta_k the radius of the
+    # slice consumed now: no product, and a wrong slice or correction shows
     h = state.H.entries + Tk.entries
-    if p.mode == INVERSE:
+    if inverse:
         _add_diagonal(h, Dk.values)
-        H_diagonal = DiagonalOperator(box, state.D.values + corrections)
-    else:
-        H_diagonal = state.D
     state.H = H_next = LatticeOperator(box, h)
     del h, Tk
-    h_residual = (H_next - state.T.smooth(theta_prev) - H_diagonal).sobolev_norm(0.0)
+    h = np.where(box.smooth_mask(p.theta(k)), state.T.entries, 0)  # S_{theta_k} T
+    np.subtract(H_next.entries, h, out=h)
+    _add_diagonal(h, -(state.D.values + corrections) if inverse else -state.D.values)
+    h_residual = LatticeOperator(box, h).sobolev_norm(0.0)
+    del h
 
-    if bounds.conjugated_rows:
-        norms["QTQ"] = family(QTQ)
     # inverse mode conjugates the correction into the step; direct mode takes
     # it out of the generator's source and into the diagonal target
     if first:
         QDQ = Dk
     else:
+        norms["QTQ"] = family(QTQ)
         QDQ = LatticeOperator(
             box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries)
         norms["QDQ"] = family(QDQ)
-    if p.mode == INVERSE:
+    if inverse:
         if first:
             g = _add_diagonal(QTQ.entries.copy(), Dk.values)  # B = QTQ + D_k
         else:
@@ -393,11 +392,9 @@ def iterate_step(state: IterationState) -> IterationState:
         g = QTQ.entries + state.R.entries  # B = QTQ
     del QTQ, QDQ
     G = LatticeOperator(box, g)
-    del g
-    G_for_W = G if p.mode == INVERSE else G - Dk
+    G_for_W = G if inverse else G - Dk
 
-    generator = solve_generator(DiagonalOperator(box, divisor_values), G_for_W,
-                                theta=theta_next)
+    generator = solve_generator(DiagonalOperator(box, target), G_for_W, theta=theta_next)
     W = generator.W
     norms["W"] = family(W)
     # G past the band: G_for_W differs from G only on the main diagonal,
@@ -405,7 +402,7 @@ def iterate_step(state: IterationState) -> IterationState:
     R_prime = G_for_W - generator.SG
     del generator, G_for_W
 
-    Vinv = neumann_invert(W, tc, strict=p.theory_checks).Vinv
+    Vinv = neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
     Q_next = eye + W if first else state.Q @ (eye + W)
     norms["Qstep"] = family(Q_next - state.Q)
     norms["QmI"] = family(Q_next - eye)
@@ -419,8 +416,7 @@ def iterate_step(state: IterationState) -> IterationState:
     # independent remainder decomposition: substitution error plus the
     # quadratic remainder, rebuilt from the step ingredients;
     # R_quad = VmI @ (commut + GW + G) + GW
-    dvals = divisor_values
-    inner = dvals[:, None] - dvals[None, :]
+    inner = target[:, None] - target[None, :]
     inner *= W.entries  # commut
     GW = G @ W
     del W
@@ -435,44 +431,24 @@ def iterate_step(state: IterationState) -> IterationState:
     del R_prime
 
     R_next = Qinv_next @ H_next @ Q_next - state.D
-    if p.mode == DIRECT:
+    if not inverse:
         R_next = R_next - DiagonalOperator(box, corrections)
     state.R = R_next
     norms["R"] = family(R_next)
     np.subtract(R_next.entries, r, out=r)
     decomp_residual = LatticeOperator(box, r).sobolev_norm(0.0)
     del r
+    norms["D"] = [(0.0, Dk.sobolev_norm(0.0))]
 
-    def vinv_bound(s):
-        bound = _exponent_bound(
-            theta_prev, s - p.alpha + p.tau + bounds.vinv_delta * p.delta)
-        return 2.0 * tc.k1(s) * bound if bounds.vinv_k1 else bound
-
-    def qdq_bound(s):
-        if s < p.alpha - p.tau - 4.0 * p.delta:
-            return _exponent_bound(theta_prev, p.alpha0 - p.alpha + 3.0 * p.delta)
-        return _exponent_bound(theta_prev, s - p.alpha)
-
+    bounds = step_bounds(p, state.tc, k)
     row = LedgerRow(k=k + 1, theta_k=theta_next)
-    _put_s_family(row, "W", norms["W"], p.s_grid,
-                  lambda s: _exponent_bound(
-                      theta_prev, s - p.alpha + p.tau + bounds.w_delta * p.delta))
-    _put_s_family(row, "VinvmI", norms["VinvmI"], p.s_grid, vinv_bound)
-    _put_s_family(row, "R", norms["R"], p.s_grid,
-                  lambda s: _exponent_bound(theta_next, s - p.alpha))
-    if bounds.conjugated_rows:
-        _put_s_family(row, "QTQ", norms["QTQ"], p.s_grid,
-                      lambda s: _exponent_bound(theta_prev, s - p.alpha))
-        _put_s_family(row, "QDQ", norms["QDQ"], p.s_grid, qdq_bound)
-    _put_s_family(row, "Qstep", norms["Qstep"], p.s_grid,
-                  lambda s: _exponent_bound(theta_prev, s - p.alpha + p.tau + 6 * p.delta))
-    for s, norm in zip(p.s_grid, norms["QmI"]):
-        row.norms[f"QmI@{s:g}"] = norm
-    row.put("D@0", Dk.sobolev_norm(0.0),
-            3.0 * _exponent_bound(theta_prev, p.alpha0 - p.alpha))
-    row.norms["conj_residual"] = float(h_residual)
-    row.norms["decomp_residual"] = float(decomp_residual)
-    row.norms["qqinv_defect"] = float((Q_next @ Qinv_next - eye).sobolev_norm(0.0))
+    for label in ("W", "VinvmI", "R", "QTQ", "QDQ", "Qstep", "QmI", "D"):
+        bound = bounds.get(label)
+        for s, norm in norms.get(label, ()):
+            row.put(f"{label}@{s:g}", norm, None if bound is None else bound(s))
+    row.put("conj_residual", h_residual)
+    row.put("decomp_residual", decomp_residual)
+    row.put("qqinv_defect", (Q_next @ Qinv_next - eye).sobolev_norm(0.0))
     if p.theory_checks:
         row.assert_margins()
 
@@ -510,7 +486,7 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     state = initial_step(T, D, p, tc)
     converged = False
     while True:
-        covered = state.coverage_theta >= 2.0 * box.radius
+        covered = p.theta(state.k - 1) >= 2.0 * box.radius  # every slice consumed
         if covered and state.R.sobolev_norm(0.0) <= p.stop_tol:
             converged = True
             break
@@ -719,37 +695,19 @@ def theory_conditions(T: LatticeOperator, D: DiagonalOperator, params: SchemePar
 # -- ledger export -----------------------------------------------------------------
 
 
-def ledger_columns(ledger) -> list[str]:
-    seen: dict[str, None] = {}
-    for row in ledger:
-        for key in row.norms:
-            seen.setdefault(key, None)
-    cols = ["k", "theta_k"] + list(seen)
-    margin_keys: dict[str, None] = {}
-    for row in ledger:
-        for key in row.margins:
-            margin_keys.setdefault(key, None)
-    cols += [f"margin:{key}" for key in margin_keys]
-    return cols
-
-
 def ledger_to_csv(ledger) -> str:
-    """Render the per-step ledger as CSV: k, theta_k, norms, then margins."""
-    cols = ledger_columns(ledger)
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
+    """Render the per-step ledger as CSV: k, theta_k, norms, then margins,
+    each in first-seen order; a cell a row lacks is ``nan``."""
+    norm_keys = list(dict.fromkeys(key for row in ledger for key in row.norms))
+    margin_keys = list(dict.fromkeys(key for row in ledger for key in row.margins))
+
+    def cell(value):
+        return "nan" if value is None else f"{value:.17g}"
+
+    lines = [",".join(["k", "theta_k", *norm_keys,
+                       *(f"margin:{key}" for key in margin_keys)])]
     for row in ledger:
-        cells = []
-        for col in cols:
-            if col == "k":
-                cells.append(str(row.k))
-            elif col == "theta_k":
-                cells.append(f"{row.theta_k:.17g}")
-            elif col.startswith("margin:"):
-                val = row.margins.get(col[len("margin:"):])
-                cells.append("nan" if val is None else f"{val:.17g}")
-            else:
-                val = row.norms.get(col)
-                cells.append("nan" if val is None else f"{val:.17g}")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        lines.append(",".join([str(row.k), cell(row.theta_k),
+                               *(cell(row.norms.get(key)) for key in norm_keys),
+                               *(cell(row.margins.get(key)) for key in margin_keys)]))
+    return "\n".join(lines) + "\n"

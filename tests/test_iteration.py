@@ -14,6 +14,7 @@ from nmloc import (
     HoppingSpec,
     LatticeBox,
     LatticeOperator,
+    LedgerRow,
     PotentialSpec,
     SchemeParams,
     SchemeResult,
@@ -105,8 +106,49 @@ def test_first_ledger_row_uses_first_step_bounds():
     for s in p.s_grid:
         w_bound = p.theta0 ** (s - p.alpha + p.tau + p.delta)
         vinv_bound = p.theta0 ** (s - p.alpha + p.tau + 2 * p.delta)
-        assert first.bounds[f"W@{s:g}"] == pytest.approx(w_bound, rel=1e-14)
-        assert first.bounds[f"VinvmI@{s:g}"] == pytest.approx(vinv_bound, rel=1e-14)
+        for key, bound in ((f"W@{s:g}", w_bound), (f"VinvmI@{s:g}", vinv_bound)):
+            assert first.norms[key] + first.margins[key] == pytest.approx(bound, rel=1e-14)
+
+
+def test_later_ledger_row_bounds_are_the_bound_formulas():
+    # every margin is measured against its BOUND_FORMULAS entry, evaluated
+    # here by hand; s_grid straddles the QDQ switch at alpha - tau - 4 delta
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    p = res.params
+    tc = TameConstants(1, p.alpha0)
+    row = res.ledger[2]
+    prev, a, tau, delta = p.theta(row.k - 1), p.alpha, p.tau, p.delta
+    expected = {"D@0": 3.0 * prev ** (p.alpha0 - a)}
+    for s in p.s_grid:
+        expected[f"W@{s:g}"] = prev ** (s - a + tau + 4 * delta)
+        expected[f"VinvmI@{s:g}"] = 2.0 * tc.k1(s) * prev ** (s - a + tau + 4 * delta)
+        expected[f"R@{s:g}"] = row.theta_k ** (s - a)
+        expected[f"QTQ@{s:g}"] = prev ** (s - a)
+        below = s < a - tau - 4 * delta
+        expected[f"QDQ@{s:g}"] = prev ** (p.alpha0 - a + 3 * delta if below else s - a)
+        expected[f"Qstep@{s:g}"] = prev ** (s - a + tau + 6 * delta)
+    assert set(row.margins) == set(expected)
+    for key, bound in expected.items():
+        assert row.norms[key] + row.margins[key] == pytest.approx(bound, rel=1e-14), key
+
+    def labels(r):
+        return {key.split("@")[0] for key in r.margins}
+
+    assert labels(row) == set(iteration.BOUND_FORMULAS)
+    assert labels(res.ledger[0]) == set(iteration.BOUND_FORMULAS) - {"QTQ", "QDQ"}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("delta", 0.0), ("delta", -0.05), ("gamma", 0.0), ("gamma", -1.0), ("max_steps", 0),
+])
+def test_scheme_params_refuse_values_a_run_cannot_use(name, value):
+    # gamma=0 and delta=0 divided by zero inside run, gamma<0 hit a math
+    # domain error, delta<0 reported convergence with negative loss
+    # exponents and max_steps=0 still took a step
+    kwargs = dict(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0, s_hopping=4.0)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        SchemeParams(**{**kwargs, name: value})
 
 
 def test_trivial_run_is_exact_for_every_model():
@@ -200,6 +242,31 @@ def test_step_memory_budget(monkeypatch, mode):
         tracemalloc.stop()
     assert res.converged and len(peaks) == res.steps
     assert max(peaks) <= 10.0, peaks
+
+
+def test_later_hopping_slices_hold_one_buffer(monkeypatch):
+    # a ring is one masked copy of T; as the difference of two banded
+    # copies it peaked at three complex n x n buffers
+    sliced = iteration.hopping_slice
+    box, D, T, params = maryland_setup(radius=64)
+    buffer = 16 * box.n_sites**2
+    peaks = {}
+
+    def measured(T, k, params):
+        tracemalloc.reset_peak()
+        entry, _ = tracemalloc.get_traced_memory()
+        ring = sliced(T, k, params)
+        peaks[k] = (tracemalloc.get_traced_memory()[1] - entry) / buffer
+        return ring
+
+    monkeypatch.setattr(iteration, "hopping_slice", measured)
+    tracemalloc.start()
+    try:
+        res = run(T, D, params)
+    finally:
+        tracemalloc.stop()
+    assert res.converged and sorted(peaks) == list(range(res.steps))
+    assert max(peaks[k] for k in range(1, res.steps)) <= 1.25, peaks
 
 
 def _out_of_place_norms(state):
@@ -421,6 +488,24 @@ def test_ledger_csv_layout():
     assert any(col.startswith("margin:R@") for col in header)
     assert len(lines) == len(res.ledger) + 1
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+
+def test_ledger_csv_bytes():
+    # first-seen column order, nan for a label a row lacks, .17g floats and
+    # margins after norms
+    first = LedgerRow(k=1, theta_k=2.0)
+    first.put("W@0.6", 0.1, 0.5)
+    first.put("conj_residual", 1e-17)
+    second = LedgerRow(k=2, theta_k=4.0)
+    second.put("W@0.6", 0.25, 1.0)
+    second.put("QTQ@0.6", 1 / 3, 2.0)
+    second.put("conj_residual", 0.0)
+    assert ledger_to_csv([first, second]) == (
+        "k,theta_k,W@0.6,conj_residual,QTQ@0.6,margin:W@0.6,margin:QTQ@0.6\n"
+        "1,2,0.10000000000000001,1.0000000000000001e-17,nan,0.40000000000000002,nan\n"
+        "2,4,0.25,0,0.33333333333333331,0.75,1.6666666666666667\n"
+    )
+    assert ledger_to_csv([]) == "k,theta_k\n"
 
 
 # -- unitarization -------------------------------------------------------------

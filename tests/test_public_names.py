@@ -33,3 +33,22 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         and not isinstance(getattr(nmloc, name), types.ModuleType)
     }
     assert sorted(public - names_read_outside_the_tests()) == []
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    unread = []
+    for path in sorted((ROOT / "src" / "nmloc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unread.append(f"{path.name}: {bound}")
+    assert unread == []
