@@ -7,9 +7,10 @@ Subcommands::
     nmloc check-theory  --config cfg.json ...
     nmloc sweep         --config cfg.json --override hopping.epsilon=0.3,0.1 ... [--out-dir DIR]
 
-Configs are JSON, schema-validated with unknown keys rejected.  ``run``
-writes ``ledger.csv`` (the per-step ledger) and ``report.json`` into
-``--out-dir`` (default: the working directory).  The report's format is
+Configs are JSON, schema-validated with unknown keys and the literals
+``NaN`` and ``Infinity`` rejected.  ``run`` writes ``ledger.csv`` (the
+per-step ledger) and ``report.json`` into ``--out-dir`` (default: the
+working directory).  The report's format is
 ``REPORT_SCHEMA``; non-finite values are written as null.  ``sweep``
 treats comma-separated override values as cartesian sweep axes (a
 bracketed list is one value) and emits one report per cell plus an
@@ -99,7 +100,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["tau", "delta", "alpha0", "theta0", "Theta"],
             "properties": {
-                "tau": _NUM,
+                "tau": {"type": "number", "exclusiveMinimum": 0},
                 "gamma": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
                 "alpha0": _NUM,
@@ -218,11 +219,28 @@ REPORT_SCHEMA = {
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
+def _refuse_constant(name):
+    """``parse_constant`` hook: JSON has no NaN or Infinity, so neither does a
+    config."""
+    raise ConfigError(f"{name} is not a JSON number")
+
+
+def _parse_value(text: str, key: str):
+    """A command-line value parsed as JSON; text that is not JSON (a bare
+    word) stays a string."""
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except json.JSONDecodeError:
+        return text
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_constant=_refuse_constant)
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     validate_config(cfg)
     return cfg
@@ -241,10 +259,7 @@ def validate_config(cfg: dict):
 def apply_override(cfg: dict, key: str, value):
     """Set a dotted-path key, parsing the value as JSON when possible."""
     if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError:
-            pass
+        value = _parse_value(value, key)
     node = cfg
     parts = key.split(".")
     for part in parts[:-1]:
@@ -499,10 +514,7 @@ def _axis_values(key: str, raw: str):
             items[-1] += ch
     pairs = []
     for item in filter(None, items):
-        try:
-            value = json.loads(item)
-        except json.JSONDecodeError:
-            value = item
+        value = _parse_value(item, key)
         if value in (v for _, v in pairs):
             raise ConfigError(f"sweep axis {key!r} repeats the value {value!r}")
         pairs.append((item, value))

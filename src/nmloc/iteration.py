@@ -37,7 +37,7 @@ ratios for small loss budgets; the rows make that visible).  Two regimes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -62,7 +62,9 @@ class SchemeParams:
     ``gamma=None`` asks the run to measure the separation constant on the
     box, and the run's params carry it; ``alpha``/``alpha1``/``s_grid``
     left as ``None`` are derived from ``s_hopping`` the way the
-    localization corollaries pick them.
+    localization corollaries pick them.  Every float field must be finite,
+    except that ``s_hopping`` may be +inf: a finite-range hopping has every
+    decay exponent.
     """
 
     tau: float
@@ -84,6 +86,15 @@ class SchemeParams:
     def __post_init__(self):
         if self.mode not in (INVERSE, DIRECT):
             raise ValueError(f"mode must be '{INVERSE}' or '{DIRECT}'")
+        for f in fields(self):  # NaN passes every comparison below
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value) and not (
+                    f.name == "s_hopping" and value > 0):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.s_grid is not None and not all(map(math.isfinite, self.s_grid)):
+            raise ValueError(f"s_grid entries must be finite, got {self.s_grid}")
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
         if self.theta0 <= 1 or self.Theta <= 1:
             raise ValueError("theta0 and Theta must exceed 1")
         if self.delta <= 0:

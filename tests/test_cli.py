@@ -92,7 +92,8 @@ def test_config_keys_map_onto_the_spec_fields():
     "potential.omega=[0.6180339887498949,0.5]",
     "potential.kind=custom potential.custom_values=[1,2]",
     "params.alpha1=0.5", "params.alpha=-1", "params.gamma=0", "params.gamma=-1",
-    "params.s_grid=[]",
+    "params.s_grid=[]", "params.tau=0", "params.tau=-1", "params.theta0=NaN",
+    "params.Theta=Infinity", "params.s_grid=[0.6,-Infinity]",
 ])
 def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
     # space-separated overrides; the last one sets the rejected key
@@ -119,6 +120,22 @@ def test_config_parse_error_exit_code(tmp_path):
     cfg = base_config()
     cfg["box"]["radius"] = -3
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+def test_non_finite_json_literals_are_config_errors(tmp_path, capsys):
+    # json reads NaN and Infinity as floats, and a NaN theta0 passed every
+    # range check: the run went to max_steps instead of exiting 2
+    cfg = base_config()
+    cfg["params"]["theta0"] = math.nan
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in Path(path).read_text()
+    assert cli.main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert cli.main(["sweep", "--config", write_config(tmp_path, base_config(), "ok.json"),
+                     "--override", "params.theta0=2,NaN",
+                     "--out-dir", str(tmp_path / "sweep")]) == 2
+    assert "params.theta0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_override_paths_and_json_values():

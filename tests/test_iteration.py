@@ -1,3 +1,4 @@
+import math
 import json
 import re
 import tracemalloc
@@ -141,11 +142,17 @@ def test_later_ledger_row_bounds_are_the_bound_formulas():
 
 @pytest.mark.parametrize("name, value", [
     ("delta", 0.0), ("delta", -0.05), ("gamma", 0.0), ("gamma", -1.0), ("max_steps", 0),
+    ("tau", 0.0), ("tau", -1.0), ("theta0", math.nan), ("Theta", math.inf),
+    ("tau", math.nan), ("alpha0", math.nan), ("gamma", math.nan), ("alpha", -math.inf),
+    ("epsilon", math.nan), ("stop_tol", math.inf), ("s_grid", (0.6, math.nan)),
+    ("s_hopping", math.nan), ("s_hopping", -math.inf),
 ])
 def test_scheme_params_refuse_values_a_run_cannot_use(name, value):
     # gamma=0 and delta=0 divided by zero inside run, gamma<0 hit a math
     # domain error, delta<0 reported convergence with negative loss
-    # exponents and max_steps=0 still took a step
+    # exponents and max_steps=0 still took a step; tau<=0 converged with its
+    # loss exponents shifted the wrong way, and a NaN theta0 never covered
+    # its slices and ran to max_steps
     kwargs = dict(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0, s_hopping=4.0)
     with pytest.raises(ValueError, match=f"^{name} "):
         SchemeParams(**{**kwargs, name: value})

@@ -17,6 +17,7 @@ from nmloc import (
     tame_bound_check,
 )
 from nmloc.errors import TameRangeError
+from nmloc.operators import _riemann_zeta
 
 
 def sobolev_oracle(op, s):
@@ -219,6 +220,28 @@ def test_k0_value_d1_alpha06():
     expected = math.sqrt(20.0 * lattice_sum_oracle(1, 0.6))
     assert tc.k0 == pytest.approx(expected, rel=1e-6)
     assert tc.c0 == pytest.approx(tc.k0 + tc.k1(0.6), rel=1e-15)
+
+
+# 150 points log-spaced from 1 + 1e-6 to 64 (the first 60 within 1e-3 of
+# 1, where the pole term dominates) and 100 evenly spaced on (1, 64]
+ZETA_GRID = sorted({1.0 + 63.0 ** (i / 149) * 1e-6 ** (1 - i / 149) for i in range(150)}
+                   | {1.0 + 0.63 * i for i in range(1, 101)})
+
+
+def test_riemann_zeta_within_one_ulp_of_a_200_bit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    assert len(ZETA_GRID) >= 200 and sum(s - 1.0 < 1e-3 for s in ZETA_GRID) >= 50
+    with mpmath.workprec(200):
+        for s in ZETA_GRID:
+            exact = mpmath.zeta(mpmath.mpf(s))
+            error = abs(mpmath.mpf(_riemann_zeta(s)) - exact)
+            assert error <= math.ulp(float(exact)), s
+
+
+def test_riemann_zeta_closed_forms():
+    # the closed forms carry their own float rounding
+    assert abs(_riemann_zeta(2.0) - math.pi**2 / 6) <= 4 * math.ulp(math.pi**2 / 6)
+    assert abs(_riemann_zeta(4.0) - math.pi**4 / 90) <= 4 * math.ulp(math.pi**4 / 90)
 
 
 def test_alpha0_must_exceed_half_dimension():
