@@ -7,7 +7,10 @@ lexicographic order, and that enumeration is the row/column order of every
 operator living on the box.
 
 The box also owns the pairwise geometry caches (offset ids, sup-distances,
-smoothing masks) that make diagonal-wise norms cheap for dense operators.
+offset weights) that make diagonal-wise norms cheap for dense operators.
+Smoothing masks are formed per call from the sup-distances: a run reads each
+one in a step or two, and a cached n x n mask per band radius would outlive
+its readers.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class LatticeBox:
         self._pair_dist = None
         self._pair_offset_flat = None
         self._offset_len = None
-        self._smooth_masks: dict[float, np.ndarray] = {}
+        self._offset_weight = None
 
     # -- site bookkeeping -------------------------------------------------
 
@@ -112,8 +115,12 @@ class LatticeBox:
 
     @property
     def offset_weight(self) -> np.ndarray:
-        """<k> = max(1, |k|) per flat offset id."""
-        return np.maximum(self.offset_len, 1).astype(float)
+        """<k> = max(1, |k|) per flat offset id, float (cached)."""
+        if self._offset_weight is None:
+            weight = np.maximum(self.offset_len, 1).astype(float)
+            weight.flags.writeable = False
+            self._offset_weight = weight
+        return self._offset_weight
 
     def offset_vector(self, flat_id: int) -> tuple[int, ...]:
         """Decode a flat offset id back into the lattice vector k."""
@@ -159,11 +166,6 @@ class LatticeBox:
         self._offset_len.flags.writeable = False
 
     def smooth_mask(self, theta: float) -> np.ndarray:
-        """Boolean mask keeping the band |i - j|_inf <= theta (inclusive)."""
-        theta = float(theta)
-        mask = self._smooth_masks.get(theta)
-        if mask is None:
-            mask = self.pair_dist <= theta
-            mask.flags.writeable = False
-            self._smooth_masks[theta] = mask
-        return mask
+        """Boolean mask keeping the band |i - j|_inf <= theta (inclusive),
+        a new array per call."""
+        return self.pair_dist <= float(theta)

@@ -96,7 +96,7 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
 
     sg = G.smooth(theta)
     divisors = d[None, :] - d[:, None]  # (i, j) -> d_j - d_i
-    need = box.smooth_mask(theta).copy()  # the in-band off-diagonal entries
+    need = box.smooth_mask(theta)  # the in-band off-diagonal entries
     np.fill_diagonal(need, False)
     small = need & (np.abs(divisors) < EPS_FLOOR)
     if np.any(small):
@@ -208,6 +208,15 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
     ``||I + W||_1 ||(I + W)^-1||_1`` instead of series data, read off the
     inverse it has just formed.  The result's
     ``residual`` is computed when it is read.
+
+    Memory: the series holds three n x n buffers, its sum, the newest power
+    of ``W`` and the product forming the next.  No buffer holds ``-W``: the
+    term ``(-W)^k`` is ``(-1)^k W^k``, since negating a factor negates every
+    rounded product exactly, so the signs go into the sum.  The fallback
+    builds ``I + W`` in one buffer and inverts it by ``np.linalg.inv``,
+    LAPACK's ``gesv`` against the identity, bit for bit the direct solve of
+    ``(I + W) X = I``; inside that call numpy.linalg holds a copy of
+    ``I + W`` and of the identity, which ``tracemalloc`` does not see.
     """
     box = W.box
     w_a0 = W.sobolev_norm(tc.alpha0)
@@ -216,21 +225,20 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
     terms = None
     cond = None
     if small_enough:
-        minus_w = -W.entries
         acc = np.eye(box.n_sites, dtype=complex)
-        term = minus_w  # the first term, (-W)^1
+        power = W
         terms = 0
         while True:
-            acc += term
             terms += 1
-            term_norm = LatticeOperator(box, term).sobolev_norm(0.0)
-            if term_norm <= NEUMANN_TERM_TOL:
+            # the term (-W)^k = (-1)^k W^k
+            (np.subtract if terms % 2 else np.add)(acc, power.entries, out=acc)
+            if power.sobolev_norm(0.0) <= NEUMANN_TERM_TOL:
                 break
             if terms >= NEUMANN_MAX_TERMS:
                 raise NeumannSmallnessError(
                     "Neumann series failed to reach the term tolerance"
                 )
-            term = term @ minus_w
+            power = power @ W
         vinv = acc
     else:
         if strict:
@@ -238,9 +246,9 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
                 f"Neumann smallness failed: 4 c0^2 ||W||_a0 = "
                 f"{4.0 * tc.c0**2 * w_a0:.3e} > 1/2"
             )
-        eye_m = np.eye(box.n_sites, dtype=complex)
-        v = eye_m + W.entries
-        vinv = np.linalg.solve(v, eye_m)
+        v = np.eye(box.n_sites, dtype=complex)
+        v += W.entries
+        vinv = np.linalg.inv(v)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 
     return NeumannResult(LatticeOperator(box, vinv), W, terms, cond)

@@ -332,14 +332,18 @@ def iterate_step(state: IterationState) -> IterationState:
     ``step_bounds``.
 
     Memory: each n x n intermediate has its ledger norms taken when it is
-    formed and is dropped after its last reader, and the state's ``Q``,
-    ``Q^-1``, ``R`` and ``H`` are replaced as soon as their successors
-    exist, so a step that raises leaves the state part-way.  Sums whose
-    operands die accumulate in place, in an array the step owns, with the
-    same floating-point operations in the same order as out-of-place sums.
-    A step peaks at about seven complex n x n buffers above what it holds at
-    entry: ``G``, ``W`` and ``R'`` live from the generator solve to the
-    remainder check, and the Neumann series for ``V^-1`` holds four more.
+    formed and is dropped after its last reader.  The state's ``H``, ``Q``
+    and ``Q^-1`` are replaced as soon as their successors exist, and its
+    ``R`` is dropped once ``G`` holds it, so a step that raises leaves the
+    state part-way.  Sums whose operands die accumulate in place, in an
+    array the step owns, with the same floating-point operations in the same
+    order as out-of-place sums.  Through the inversion of ``V = I + W`` the
+    step holds only ``G`` and ``W`` besides the state; ``R'`` is formed from
+    ``G`` after ``G W``.  A later step peaks at about four and a half complex
+    n x n buffers above what it holds at entry, while ``V^-1 - I``, its
+    remainder operand, ``G W``, ``R'`` and their product are live; the first
+    step peaks one buffer higher, since at its entry ``Q`` and ``Q^-1`` share
+    one identity.
     """
     p = state.params
     box = state.box
@@ -390,8 +394,7 @@ def iterate_step(state: IterationState) -> IterationState:
         QDQ = Dk
     else:
         norms["QTQ"] = family(QTQ)
-        QDQ = LatticeOperator(
-            box, (state.Qinv.entries * Dk.values[None, :]) @ state.Q.entries)
+        QDQ = LatticeOperator(box, state.Qinv.entries * Dk.values[None, :]) @ state.Q
         norms["QDQ"] = family(QDQ)
     if inverse:
         if first:
@@ -401,17 +404,12 @@ def iterate_step(state: IterationState) -> IterationState:
         g += state.R.entries
     else:
         g = QTQ.entries + state.R.entries  # B = QTQ
-    del QTQ, QDQ
+    state.R = None  # G holds it now
     G = LatticeOperator(box, g)
-    G_for_W = G if inverse else G - Dk
-
-    generator = solve_generator(DiagonalOperator(box, target), G_for_W, theta=theta_next)
-    W = generator.W
+    del QTQ, QDQ, g
+    W = solve_generator(DiagonalOperator(box, target), G if inverse else G - Dk,
+                        theta=theta_next).W
     norms["W"] = family(W)
-    # G past the band: G_for_W differs from G only on the main diagonal,
-    # which the truncation keeps
-    R_prime = G_for_W - generator.SG
-    del generator, G_for_W
 
     Vinv = neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
     Q_next = eye + W if first else state.Q @ (eye + W)
@@ -433,13 +431,18 @@ def iterate_step(state: IterationState) -> IterationState:
     del W
     inner += GW.entries
     inner += G.entries
+    # R' = G_for_W - S_{theta_{k+1}} G_for_W is G past the band: in direct
+    # mode G_for_W = G - D_k differs from G only on the main diagonal, which
+    # the truncation keeps
+    r_prime = G.entries * box.smooth_mask(theta_next)
+    np.subtract(G.entries, r_prime, out=r_prime)
     del G
     quad = VmI @ LatticeOperator(box, inner)
     del VmI, inner
     r = quad.entries + GW.entries  # R_quad
     del quad, GW
-    r += R_prime.entries  # R_prime + R_quad
-    del R_prime
+    r += r_prime  # R_prime + R_quad
+    del r_prime
 
     R_next = Qinv_next @ H_next @ Q_next - state.D
     if not inverse:
@@ -519,6 +522,7 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
         D=D,
         theory_conditions=conditions,
     )
+    state.H = None  # no reader after the last step
     if converged:
         assembled, target = result.conjugation_pair
         master = state.Qinv @ assembled @ state.Q - target - state.R

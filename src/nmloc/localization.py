@@ -52,7 +52,8 @@ def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
     eigenvalues = target.values
     interior = box.interior_mask
     Q = result.qplus.entries
-    residual_mat = H.entries @ Q - Q * eigenvalues[None, :]
+    residual_mat = H.entries @ Q
+    residual_mat -= Q * eigenvalues[None, :]
     residuals = np.linalg.norm(residual_mat, axis=0) / np.linalg.norm(Q, axis=0)
     # column k of the symmetric pair distances holds <i - k> for every site i
     weights = np.maximum(box.pair_dist, 1).astype(float)

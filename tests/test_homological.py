@@ -217,3 +217,35 @@ def test_neumann_smallness_error_and_fallback(rng, tc, box1d):
     v = (LatticeOperator.identity(box1d) + W).entries
     assert res.condition_number == pytest.approx(np.linalg.cond(v, 1), rel=1e-10)
     assert res.residual <= 1e-10 * res.condition_number
+
+
+def test_neumann_fallback_is_the_direct_solve(rng, tc):
+    # the fallback inverts I + W in one buffer; LAPACK's gesv against the
+    # identity gives the same bits as solving (I + W) X = I
+    box = LatticeBox(1, 16, 12)
+    W = random_banded(box, rng, n_offsets=8, scale=0.5)
+    assert 4 * tc.c0**2 * W.sobolev_norm(tc.alpha0) > 0.5
+    res = neumann_invert(W, tc, strict=False)
+    eye = np.eye(box.n_sites, dtype=complex)
+    v = eye + W.entries
+    vinv = np.linalg.solve(v, eye)
+    assert res.neumann_terms is None
+    assert np.array_equal(res.Vinv.entries, vinv)
+    assert res.condition_number == float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
+
+
+def test_neumann_series_is_the_sum_of_powers_of_minus_w(rng, tc):
+    # the series sums (-1)^k W^k; negating a factor negates each rounded
+    # product exactly, so it equals the sum of the products of -W bit for bit
+    box = LatticeBox(1, 16, 12)
+    W = random_banded(box, rng, n_offsets=5)
+    W = W * (0.4 / (4 * tc.c0**2 * W.sobolev_norm(tc.alpha0)))
+    res = neumann_invert(W, tc)
+    minus_w = -W.entries
+    acc = np.eye(box.n_sites, dtype=complex)
+    term = minus_w
+    for _ in range(res.neumann_terms):
+        acc += term
+        term = term @ minus_w
+    assert res.neumann_terms > 2
+    assert np.array_equal(res.Vinv.entries, acc)
