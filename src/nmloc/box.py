@@ -24,15 +24,20 @@ class LatticeBox:
     """Truncated d-dimensional lattice with a stable site enumeration."""
 
     def __init__(self, dimension: int, radius: int, interior_radius: int):
+        for name, value in (("dimension", dimension), ("radius", radius),
+                            ("interior_radius", interior_radius)):
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         dimension = int(dimension)
         radius = int(radius)
         interior_radius = int(interior_radius)
         if dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+            raise ValueError(f"dimension must be a positive integer, got {dimension}")
         if radius < 1:
-            raise ValueError("radius must be a positive integer")
+            raise ValueError(f"radius must be a positive integer, got {radius}")
         if not 1 <= interior_radius <= radius:
-            raise ValueError("interior_radius must lie in [1, radius]")
+            raise ValueError(f"interior_radius must lie in [1, radius], got "
+                             f"{interior_radius} with radius {radius}")
         self.dimension = dimension
         self.radius = radius
         self.interior_radius = interior_radius

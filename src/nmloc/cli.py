@@ -7,11 +7,12 @@ Subcommands::
     nmloc check-theory  --config cfg.json ...
     nmloc sweep         --config cfg.json --override hopping.epsilon=0.3,0.1 ... [--out-dir DIR]
 
-Configs are JSON, schema-validated with unknown keys and the literals
-``NaN`` and ``Infinity`` rejected.  ``run`` writes ``ledger.csv`` (the
-per-step ledger) and ``report.json`` into ``--out-dir`` (default: the
-working directory).  The report's format is
-``REPORT_SCHEMA``; non-finite values are written as null.  ``sweep``
+Configs are JSON.  ``CONFIG_SCHEMA`` checks their structure (keys, types,
+enums) and the parser refuses ``NaN`` and ``Infinity``; each value's range
+is checked by the spec that owns it, and the error names the dotted key.
+``run`` writes ``ledger.csv`` (the per-step ledger) and ``report.json``
+into ``--out-dir`` (default: the working directory).  The report's format
+is ``REPORT_SCHEMA``; non-finite values are written as null.  ``sweep``
 treats comma-separated override values as cartesian sweep axes (a
 bracketed list is one value) and emits one report per cell plus an
 aggregate CSV; a cell whose build or run raises is named on stderr and
@@ -25,6 +26,7 @@ Exit codes: 0 success, 1 a numerical invariant failed (named on stderr),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import itertools
@@ -59,6 +61,7 @@ from .algebra import distal_gamma_window, distal_margin
 from .operators import DiagonalOperator, TameConstants
 
 _NUM = {"type": "number"}
+_INT = {"type": "integer"}
 _NUM_OR_NULL = {"type": ["number", "null"]}
 
 CONFIG_SCHEMA = {
@@ -71,9 +74,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["dimension", "radius", "interior_radius"],
             "properties": {
-                "dimension": {"type": "integer", "minimum": 1},
-                "radius": {"type": "integer", "minimum": 1},
-                "interior_radius": {"type": "integer", "minimum": 1},
+                "dimension": _INT,
+                "radius": _INT,
+                "interior_radius": _INT,
             },
         },
         "potential": {
@@ -91,8 +94,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["s_exponent", "epsilon"],
             "properties": {
-                "s_exponent": {"type": "number", "exclusiveMinimum": 0},
-                "epsilon": {"type": "number", "minimum": 0},
+                "s_exponent": _NUM,
+                "epsilon": _NUM,
             },
         },
         "params": {
@@ -100,9 +103,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["tau", "delta", "alpha0", "theta0", "Theta"],
             "properties": {
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
+                "tau": _NUM,
+                "gamma": _NUM_OR_NULL,
+                "delta": _NUM,
                 "alpha0": _NUM,
                 "alpha": _NUM_OR_NULL,
                 "alpha1": _NUM_OR_NULL,
@@ -110,10 +113,9 @@ CONFIG_SCHEMA = {
                 "Theta": _NUM,
                 "mode": {"enum": [INVERSE, DIRECT]},
                 "theory_checks": {"type": "boolean"},
-                "stop_tol": {"type": "number", "minimum": 0},
-                "max_steps": {"type": "integer", "minimum": 1},
-                "s_grid": {"type": ["array", "null"], "minItems": 1,
-                           "items": {"type": "number", "minimum": 0}},
+                "stop_tol": _NUM,
+                "max_steps": _INT,
+                "s_grid": {"type": ["array", "null"], "items": _NUM},
             },
         },
     },
@@ -269,39 +271,34 @@ def apply_override(cfg: dict, key: str, value):
     node[parts[-1]] = value
 
 
+@contextlib.contextmanager
+def _keyed(section):
+    """A spec's ``ValueError``, which leads with its field's name, as a
+    ``ConfigError`` that leads with the field's dotted key."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        keys = {f: f"{section}.{f}" for f in CONFIG_SCHEMA["properties"][section]["properties"]}
+        keys.update(s_hopping="hopping.s_exponent", epsilon="hopping.epsilon")
+        raise ConfigError(f"{keys[name]} {rest}" if name in keys else f"{section}: {exc}") from exc
+
+
 def _resolve(cfg):
     """The box, potential and hopping specs and resolved params of a
-    schema-valid config; a value out of range is a ``ConfigError``."""
-    try:
+    schema-valid config; a spec's refusal is a ``ConfigError``."""
+    with _keyed("box"):
         box = LatticeBox(**cfg["box"])
-        pot_cfg = dict(cfg["potential"])
-        spec = PotentialSpec(
-            kind=pot_cfg["kind"],
-            omega=tuple(pot_cfg["omega"]) if pot_cfg.get("omega") else None,
-            custom_values=pot_cfg.get("custom_values"),
-        )
+    with _keyed("potential"):
+        pot = cfg["potential"]
+        spec = PotentialSpec(pot["kind"], pot.get("omega") or None, pot.get("custom_values"))
+        spec.check_box(box)
+    with _keyed("hopping"):
         hop = HoppingSpec(**cfg["hopping"])
+    with _keyed("params"):
         params = SchemeParams(
             s_hopping=hop.s_exponent, epsilon=hop.epsilon, **cfg["params"]
         ).resolved(box.dimension)
-        if min(params.s_grid) < 0:  # a default grid: the schema bounds a given one
-            grid = ", ".join(f"{s:g}" for s in params.s_grid)
-            raise ValueError(
-                f"the default params.s_grid (alpha0, alpha, alpha1 - tau) = ({grid}) "
-                f"has a negative entry: params.alpha = {params.alpha:g}, "
-                f"params.alpha1 = {params.alpha1:g}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if params.alpha0 <= box.dimension / 2:
-        raise ConfigError(
-            f"params.alpha0 = {params.alpha0:g} must exceed d/2 = {box.dimension / 2:g}"
-        )
-    if spec.omega is not None and len(spec.omega) != box.dimension:
-        raise ConfigError(f"potential.omega has {len(spec.omega)} entries, "
-                          f"box.dimension is {box.dimension}")
-    if spec.custom_values is not None and len(spec.custom_values) != box.n_sites:
-        raise ConfigError(f"potential.custom_values has {len(spec.custom_values)} "
-                          f"entries, the box has {box.n_sites} sites")
     return box, spec, hop, params
 
 

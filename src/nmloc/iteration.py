@@ -64,7 +64,9 @@ class SchemeParams:
     left as ``None`` are derived from ``s_hopping`` the way the
     localization corollaries pick them.  Every float field must be finite,
     except that ``s_hopping`` may be +inf: a finite-range hopping has every
-    decay exponent.
+    decay exponent.  A value out of the scheme's domain is a ``ValueError``
+    whose message starts with the field's name; the rules that need the
+    dimension are checked by ``resolved``.
     """
 
     tau: float
@@ -91,30 +93,54 @@ class SchemeParams:
             if isinstance(value, float) and not math.isfinite(value) and not (
                     f.name == "s_hopping" and value > 0):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.s_grid is not None and not all(map(math.isfinite, self.s_grid)):
-            raise ValueError(f"s_grid entries must be finite, got {self.s_grid}")
+        if self.s_grid is not None and not (
+                len(self.s_grid) and all(0 <= s < math.inf for s in self.s_grid)):
+            raise ValueError("s_grid must hold one or more finite nonnegative "
+                             f"norm indices, got {self.s_grid}")
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.theta0 <= 1 or self.Theta <= 1:
-            raise ValueError("theta0 and Theta must exceed 1")
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.theta0 <= 1:
+            raise ValueError(f"theta0 must exceed 1, got {self.theta0}")
+        if self.Theta <= 1:
+            raise ValueError(f"Theta must exceed 1, got {self.Theta}")
         if self.delta <= 0:
-            raise ValueError("delta must be positive")
+            raise ValueError(f"delta must be positive, got {self.delta}")
         if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if self.stop_tol < 0:
+            raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
+        if not (float(self.max_steps).is_integer() and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be a positive integer, got {self.max_steps}")
 
     def resolved(self, dimension: int) -> "SchemeParams":
-        """Fill derived fields, using s_hopping where values are missing."""
-        alpha = self.alpha
+        """Fill derived fields, using s_hopping where values are missing.
+
+        Refuses ``alpha0 <= d/2``, and a derived ``alpha``, ``alpha1`` or
+        default ``s_grid`` entry that is not a finite norm index >= 0, under
+        the given field it derives from.
+        """
+        if self.alpha0 <= dimension / 2.0:
+            raise ValueError(f"alpha0 = {self.alpha0:g} must exceed d/2 = {dimension / 2.0:g}")
+        alpha, source = self.alpha, "alpha"
         if alpha is None:
             if self.s_hopping is None:
-                raise ValueError("either alpha or s_hopping must be given")
-            alpha = self.s_hopping - dimension / 2.0 - 5.0 * self.delta
-        alpha1 = self.alpha1 if self.alpha1 is not None else 2.0 * alpha + self.delta
-        s_grid = self.s_grid
-        if s_grid is None:
-            s_grid = (self.alpha0, alpha, alpha1 - self.tau)
+                raise ValueError("alpha or s_hopping must be given")
+            alpha, source = self.s_hopping - dimension / 2.0 - 5.0 * self.delta, "s_hopping"
+        if not 0 <= alpha < math.inf:  # theory_conditions reads ||T||_(alpha+3delta)
+            raise ValueError(f"alpha must be nonnegative, got {alpha:g}" if self.alpha is not None
+                             else f"s_hopping = {self.s_hopping:g} gives the default alpha = "
+                             f"s_hopping - d/2 - 5 delta = {alpha:g}, not a finite index >= 0")
+        alpha1 = self.alpha1
+        if alpha1 is None:
+            alpha1 = 2.0 * alpha + self.delta
+        else:
+            source = "alpha1"
+        s_grid = self.s_grid if self.s_grid is not None else (
+            self.alpha0, alpha, alpha1 - self.tau)
+        if not (alpha1 < math.inf and min(s_grid) >= 0):
+            raise ValueError(f"{source} = {getattr(self, source):g} gives alpha1 = {alpha1:g} "
+                             f"and s_grid = ({', '.join(f'{s:g}' for s in s_grid)}) at "
+                             f"tau = {self.tau:g}: alpha1 must be finite, each entry >= 0")
         return replace(self, alpha=alpha, alpha1=alpha1, s_grid=tuple(s_grid))
 
     def theta(self, k: int) -> float:
@@ -488,8 +514,6 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     if D.box != box:
         raise ValueError("box mismatch between hopping and potential")
     p = params.resolved(box.dimension)
-    if p.alpha0 <= box.dimension / 2.0:
-        raise ValueError("alpha0 must exceed d/2")
     tc = TameConstants(box.dimension, p.alpha0)
     p, conditions = theory_conditions(T, D, p, tc)
     failed = next((c for c in conditions if c.effective and not c.holds), None)

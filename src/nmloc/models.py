@@ -20,6 +20,7 @@ Available kinds:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence as Seq
 
@@ -46,13 +47,28 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
+            raise ValueError(f"kind {self.kind!r} is not one of {POTENTIAL_KINDS}")
         if self.kind in ("maryland", "sarnak", "craig_mod1") and self.omega is None:
-            raise ValueError(f"potential kind {self.kind!r} requires omega")
+            raise ValueError(f"omega is required by potential kind {self.kind!r}")
         if self.kind == "custom" and self.custom_values is None:
-            raise ValueError("custom potential requires custom_values")
+            raise ValueError("custom_values is required by potential kind 'custom'")
         if self.omega is not None:
             object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
+            if not all(map(math.isfinite, self.omega)):
+                raise ValueError(f"omega entries must be finite, got {self.omega}")
+        if self.custom_values is not None and not np.all(
+                np.isfinite(np.asarray(self.custom_values, dtype=complex))):
+            raise ValueError("custom_values entries must be finite")
+
+    def check_box(self, box: LatticeBox):
+        """Refuse an ``omega`` or ``custom_values`` whose length does not fit
+        ``box``."""
+        if self.omega is not None and len(self.omega) != box.dimension:
+            raise ValueError(f"omega has {len(self.omega)} entries, "
+                             f"the box dimension is {box.dimension}")
+        if self.custom_values is not None and np.shape(self.custom_values) != (box.n_sites,):
+            raise ValueError(f"custom_values has shape {np.shape(self.custom_values)}, "
+                             f"the box has {box.n_sites} sites")
 
 
 @dataclass(frozen=True)
@@ -61,10 +77,10 @@ class HoppingSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.s_exponent <= 0:
-            raise ValueError("s_exponent must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.s_exponent > 0:  # NaN too; +inf is a finite-range hopping
+            raise ValueError(f"s_exponent must be positive, got {self.s_exponent}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
 
 
 def _chi_dyadic(i: np.ndarray, v: int) -> np.ndarray:
@@ -113,18 +129,12 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
     norm is the sampled bounded-variation norm (its natural algebra); every
     other kind has the sup norm.
     """
+    spec.check_box(box)
     if spec.kind == "custom":
-        values = np.asarray(spec.custom_values, dtype=complex)
-        if values.shape != (box.n_sites,):
-            raise ValueError(
-                f"custom potential needs {box.n_sites} values, got {values.shape}"
-            )
-        return DiagonalOperator(box, values)
+        return DiagonalOperator(box, spec.custom_values)
 
     if spec.kind in ("maryland", "sarnak", "craig_mod1"):
         omega = np.asarray(spec.omega, dtype=float)
-        if omega.shape != (box.dimension,):
-            raise ValueError("omega length must match the box dimension")
         if spec.kind == "maryland":
             fn = lambda x: np.tan(np.pi * np.asarray(x, dtype=float)).astype(complex)
             dist = _pole_distance(box.sites @ omega)

@@ -33,6 +33,16 @@ def test_interior_window_and_validation():
         LatticeBox(0, 4, 2)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.7, 8.9, 6), "dimension"), ((1, 8.9, 6), "radius"), ((1, 8, 5.5), "interior_radius"),
+    ((1, 0, 1), "radius"), ((1, 4, 5), "interior_radius"), ((1, 4, 0), "interior_radius"),
+])
+def test_box_refuses_a_size_it_cannot_build(args, name):
+    # LatticeBox(1.7, 8.9, 6) was silently the box (1, 8, 6)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        LatticeBox(*args)
+
+
 def test_offset_tables_consistent():
     box = LatticeBox(2, 2, 1)
     flat = box.pair_offset_flat

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmloc.iteration as iteration
 from nmloc import (
@@ -94,6 +97,8 @@ def test_config_keys_map_onto_the_spec_fields():
     "params.alpha1=0.5", "params.alpha=-1", "params.gamma=0", "params.gamma=-1",
     "params.s_grid=[]", "params.tau=0", "params.tau=-1", "params.theta0=NaN",
     "params.Theta=Infinity", "params.s_grid=[0.6,-Infinity]",
+    "params.theta0=1", "params.Theta=0.5", "box.interior_radius=20", "box.dimension=0",
+    "hopping.s_exponent=0", "hopping.epsilon=-1", "params.max_steps=0",
 ])
 def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
     # space-separated overrides; the last one sets the rejected key
@@ -103,6 +108,80 @@ def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
         argv += ["--override", item]
     assert cli.main(argv) == 2
     assert override.split()[-1].partition("=")[0] in capsys.readouterr().err
+
+
+def test_config_schema_checks_structure_only():
+    # each value's range is stated once, by the spec that owns it
+    def keywords(node):
+        if isinstance(node, dict):
+            yield from node
+            for value in node.values():
+                yield from keywords(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keywords(value)
+
+    range_keywords = {"minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum",
+                      "minItems", "maxItems"}
+    assert not range_keywords & set(keywords(cli.CONFIG_SCHEMA))
+
+
+# non-finite values, zeros, negatives and the boundaries 1/2 (d/2 at d=1) and 1
+_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def _number_text(draw, numbers):
+    """A drawn number as ``--override`` text; an infinity is written either
+    as its literal or as ``1e999``, which json reads as a float inf."""
+    x = draw(st.sampled_from(_EDGES) | numbers)
+    if isinstance(x, float) and math.isinf(x) and draw(st.booleans()):
+        return "-1e999" if x < 0 else "1e999"
+    return json.dumps(x)
+
+
+def _list_text(numbers):
+    return st.lists(_number_text(numbers), max_size=3).map(lambda xs: f"[{','.join(xs)}]")
+
+
+_ANY = st.floats() | st.integers(-3, 50)
+# box draws stay small: a box builds its (2N+1)^d site table at once
+_SMALL = st.integers(-2, 32) | st.floats(-2.0, 32.0)
+_DRAWS = {
+    "box.dimension": _number_text(st.integers(-1, 3) | st.floats(-1.0, 3.5)),
+    "box.radius": _number_text(_SMALL),
+    "box.interior_radius": _number_text(_SMALL),
+    "potential.omega": _list_text(_ANY),
+    "params.s_grid": _list_text(_ANY),
+    **{key: _number_text(_ANY) for key in (
+        "hopping.s_exponent", "hopping.epsilon", "params.tau", "params.delta",
+        "params.alpha0", "params.theta0", "params.Theta", "params.gamma", "params.alpha",
+        "params.alpha1", "params.stop_tol", "params.max_steps")},
+}
+# a rule over two keys names one of them, and a derived default the key it
+# derives from
+_ALSO_NAMED = {
+    "box.dimension": {"potential.omega", "params.alpha0", "hopping.s_exponent"},
+    "box.radius": {"box.interior_radius"},
+    "params.delta": {"hopping.s_exponent"},  # alpha = s - d/2 - 5 delta
+    "params.tau": {"hopping.s_exponent"},  # default s_grid entry alpha1 - tau
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_numeric_value_is_refused_by_its_key_or_its_specs_construct(data):
+    # the steps of `main` up to the specs; no model is built and nothing runs
+    key = data.draw(st.sampled_from(sorted(_DRAWS)), label="key")
+    text = data.draw(_DRAWS[key], label="text")
+    cfg = base_config()
+    try:
+        cli.apply_override(cfg, key, text)
+        cli.validate_config(cfg)
+        cli._resolve(cfg)
+    except ConfigError as exc:
+        named = re.search(r"\b(box|potential|hopping|params)\.\w+", str(exc))
+        assert named and named.group() in {key} | _ALSO_NAMED.get(key, set()), str(exc)
 
 
 def test_tan_pole_is_a_run_failure(tmp_path, capsys):

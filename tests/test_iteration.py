@@ -148,16 +148,25 @@ def test_later_ledger_row_bounds_are_the_bound_formulas():
     ("tau", math.nan), ("alpha0", math.nan), ("gamma", math.nan), ("alpha", -math.inf),
     ("epsilon", math.nan), ("stop_tol", math.inf), ("s_grid", (0.6, math.nan)),
     ("s_hopping", math.nan), ("s_hopping", -math.inf),
+    ("stop_tol", -1.0), ("s_grid", ()), ("s_grid", (0.6, -1.0)), ("alpha", -1.0),
+    ("alpha1", 0.5), ("max_steps", 2.5), ("theta0", 1.0), ("Theta", 0.5),
+    ("alpha0", 0.5), ("s_hopping", 0.5), ("s_hopping", 1.0), ("s_hopping", math.inf),
+    ("s_hopping", 1e308),
 ])
 def test_scheme_params_refuse_values_a_run_cannot_use(name, value):
     # gamma=0 and delta=0 divided by zero inside run, gamma<0 hit a math
     # domain error, delta<0 reported convergence with negative loss
     # exponents and max_steps=0 still took a step; tau<=0 converged with its
     # loss exponents shifted the wrong way, and a NaN theta0 never covered
-    # its slices and ran to max_steps
+    # its slices and ran to max_steps.  stop_tol<0 ran to max_steps, an
+    # empty s_grid "converged" with no bounded ledger column, max_steps=2.5
+    # took 3 steps, and a negative grid entry, given or derived (alpha,
+    # alpha1 - tau), died inside the run naming no field.  A derived value
+    # is refused under the given field it derives from; the rules that need
+    # the dimension (alpha0 > d/2, the default grid) are checked by resolved
     kwargs = dict(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0, Theta=2.0, s_hopping=4.0)
     with pytest.raises(ValueError, match=f"^{name} "):
-        SchemeParams(**{**kwargs, name: value})
+        SchemeParams(**{**kwargs, name: value}).resolved(1)
 
 
 def test_trivial_run_is_exact_for_every_model():

@@ -37,6 +37,45 @@ def test_maryland_pole_guard():
         build_potential(PotentialSpec("maryland", omega=(0.5,)), box)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(kind="maryland", omega=(math.nan,)), "omega"),
+    (dict(kind="sarnak", omega=(0.3, math.inf)), "omega"),
+    (dict(kind="maryland"), "omega"),
+    (dict(kind="custom"), "custom_values"),
+    (dict(kind="custom", custom_values=[1.0, math.nan, 2.0]), "custom_values"),
+    (dict(kind="anderson"), "kind"),
+])
+def test_potential_spec_refuses_values_a_build_cannot_use(kwargs, name):
+    # a NaN omega built an all-NaN Maryland diagonal: its pole check passed,
+    # because nan < 1e-8 is false
+    with pytest.raises(ValueError, match=f"^{name} "):
+        PotentialSpec(**kwargs)
+
+
+def test_potential_spec_must_fit_the_box():
+    box = LatticeBox(1, 4, 2)
+    with pytest.raises(ValueError, match="^omega has 2 entries, the box dimension is 1"):
+        build_potential(PotentialSpec("maryland", omega=(0.3, 0.4)), box)
+    with pytest.raises(ValueError, match=r"^custom_values has shape \(8,\), the box has 9"):
+        build_potential(PotentialSpec("custom", custom_values=[1.0] * 8), box)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("s_exponent", 0.0), ("s_exponent", -1.0), ("s_exponent", math.nan),
+    ("epsilon", -0.1), ("epsilon", math.nan), ("epsilon", math.inf),
+])
+def test_hopping_spec_refuses_values_a_build_cannot_use(name, value):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        HoppingSpec(**{"s_exponent": 4.0, "epsilon": 0.1, name: value})
+
+
+def test_infinite_hopping_exponent_is_nearest_neighbour():
+    # s = +inf is allowed: a finite-range hopping has every decay exponent
+    box = LatticeBox(1, 4, 2)
+    T = build_hopping(HoppingSpec(s_exponent=math.inf, epsilon=0.1), box)
+    assert np.array_equal(T.entries, 0.1 * (box.pair_dist == 1))
+
+
 def test_limit_periodic_binary_range_and_period():
     box = LatticeBox(1, 128, 100)
     D = build_potential(PotentialSpec("limit_periodic_binary",), box)
