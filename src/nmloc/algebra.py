@@ -46,7 +46,7 @@ def _inverted_difference_values(p: DiagonalOperator, k, window_mask):
     base = p.values[window_mask]
     shifted_sites = sites - np.asarray(k, dtype=np.int64)
     if p.formula is not None:
-        shifted = np.asarray(p.formula(shifted_sites), dtype=complex)
+        shifted = p.formula(shifted_sites)
     else:
         idx = box.site_index(shifted_sites)
         ok = idx >= 0

@@ -16,8 +16,13 @@ its readers.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+# log2 of the most sites n whose dense n x n operator, 16 bytes a complex
+# entry, can be one numpy array: 16 n^2 <= the largest intp
+MAX_LOG2_SITES = (math.log2(np.iinfo(np.intp).max) - 4) / 2
 
 
 class LatticeBox:
@@ -26,7 +31,7 @@ class LatticeBox:
     def __init__(self, dimension: int, radius: int, interior_radius: int):
         for name, value in (("dimension", dimension), ("radius", radius),
                             ("interior_radius", interior_radius)):
-            if not float(value).is_integer():
+            if not (isinstance(value, int) or float(value).is_integer()):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         dimension = int(dimension)
         radius = int(radius)
@@ -38,6 +43,14 @@ class LatticeBox:
         if not 1 <= interior_radius <= radius:
             raise ValueError(f"interior_radius must lie in [1, radius], got "
                              f"{interior_radius} with radius {radius}")
+        # n = (2 radius + 1)^dimension, compared in log2 so that no power and
+        # no table forms; an int compares with a float exactly, at any size
+        if dimension > MAX_LOG2_SITES / math.log2(3):
+            raise ValueError("dimension is too large: even at radius 1 the box's "
+                             "dense operator cannot be one numpy array")
+        if dimension * math.log2(2 * radius + 1) > MAX_LOG2_SITES:
+            raise ValueError(f"radius is too large for dimension {dimension}: the "
+                             "box's dense operator cannot be one numpy array")
         self.dimension = dimension
         self.radius = radius
         self.interior_radius = interior_radius

@@ -2,7 +2,7 @@
 
 
 class DegenerateSequenceError(ValueError):
-    """A sequence with no measurable entries was handed to a norm."""
+    """The distal window scan found no offset with a measurable pair of sites."""
 
 
 class DistalViolationError(ValueError):

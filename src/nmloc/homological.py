@@ -152,7 +152,7 @@ def fixed_point_check(Q: LatticeOperator, Qinv: LatticeOperator, QPQ: LatticeOpe
         return False, None, None
 
     M, c = _affine_system(Q, Qinv, QPQ, Pprime)
-    y = np.zeros(box.n_sites, dtype=complex)
+    y = np.zeros_like(c)
     iterations = 0
     y_defect = float(np.max(np.abs(M @ y + c)))
     while y_defect > tol:
@@ -225,7 +225,7 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
     terms = None
     cond = None
     if small_enough:
-        acc = np.eye(box.n_sites, dtype=complex)
+        acc = np.eye(box.n_sites, dtype=W.entries.dtype)
         power = W
         terms = 0
         while True:
@@ -246,7 +246,7 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
                 f"Neumann smallness failed: 4 c0^2 ||W||_a0 = "
                 f"{4.0 * tc.c0**2 * w_a0:.3e} > 1/2"
             )
-        v = np.eye(box.n_sites, dtype=complex)
+        v = np.eye(box.n_sites, dtype=W.entries.dtype)
         v += W.entries
         vinv = np.linalg.inv(v)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))

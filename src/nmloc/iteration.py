@@ -47,7 +47,7 @@ from .algebra import distal_gamma_box
 from .box import LatticeBox
 from .errors import SymmetryDefectError, TheoryConditionError
 from .homological import neumann_invert, solve_diagonal_correction, solve_generator
-from .operators import DiagonalOperator, LatticeOperator, TameConstants
+from .operators import DiagonalOperator, LatticeOperator, TameConstants, shift_diagonal
 
 INVERSE = "inverse"
 DIRECT = "direct"
@@ -250,7 +250,6 @@ class SchemeResult:
     D: DiagonalOperator
     theory_conditions: list[ConditionReport]  # evaluated at params.gamma
     master_residual: Optional[float] = None
-    U: Optional[LatticeOperator] = None
     unitarity_defect: Optional[float] = None
 
     @cached_property
@@ -322,13 +321,6 @@ def hopping_slice(T: LatticeOperator, k: int, params: SchemeParams) -> LatticeOp
     return LatticeOperator(box, np.where(ring, T.entries, 0))
 
 
-def _add_diagonal(a: np.ndarray, values) -> np.ndarray:
-    """``a + diag(values)`` in place, on an array the step owns."""
-    diag = a.reshape(-1)[:: a.shape[0] + 1]  # a view
-    diag += values
-    return a
-
-
 def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
                  tc: TameConstants) -> IterationState:
     """First conjugation: the general step from ``Q = I``, ``R = 0``, ``H = D``.
@@ -341,7 +333,7 @@ def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
     state = IterationState(
         box=box, params=params, tc=tc, T=T, D=D, k=0,
         Q=eye, Qinv=eye, R=LatticeOperator.zeros(box), H=D.as_operator(),
-        corrections=np.zeros(box.n_sites, dtype=complex),
+        corrections=np.zeros_like(D.values),
     )
     del eye  # the step frees Q = Q^-1 = I once both successors exist
     return iterate_step(state)
@@ -405,12 +397,13 @@ def iterate_step(state: IterationState) -> IterationState:
     # slice consumed now: no product, and a wrong slice or correction shows
     h = state.H.entries + Tk.entries
     if inverse:
-        _add_diagonal(h, Dk.values)
+        shift_diagonal(h, Dk.values)
     state.H = H_next = LatticeOperator(box, h)
     del h, Tk
     h = np.where(box.smooth_mask(p.theta(k)), state.T.entries, 0)  # S_{theta_k} T
     np.subtract(H_next.entries, h, out=h)
-    _add_diagonal(h, -(state.D.values + corrections) if inverse else -state.D.values)
+    shift_diagonal(h, (state.D.values + corrections) if inverse else state.D.values,
+                   np.subtract)
     h_residual = LatticeOperator(box, h).sobolev_norm(0.0)
     del h
 
@@ -424,7 +417,7 @@ def iterate_step(state: IterationState) -> IterationState:
         norms["QDQ"] = family(QDQ)
     if inverse:
         if first:
-            g = _add_diagonal(QTQ.entries.copy(), Dk.values)  # B = QTQ + D_k
+            g = shift_diagonal(QTQ.entries.copy(), Dk.values)  # B = QTQ + D_k
         else:
             g = QTQ.entries + QDQ.entries  # B
         g += state.R.entries
@@ -564,6 +557,8 @@ def unitarize(result: SchemeResult) -> LatticeOperator:
     unitary U, checked by ``||U^t U - I||_0 <= 1e-9``.  Its conjugation
     identity needs no replay: with ``U = Q+ S``, ``S`` diagonal,
     ``U^-1 A U - Lambda = S^-1 R S`` is the run's certified defect, rescaled.
+    The defect goes into ``result.unitarity_defect``; ``U`` is returned, not
+    stored.
     """
     Q = result.qplus
     gram = result.gram
@@ -582,7 +577,6 @@ def unitarize(result: SchemeResult) -> LatticeOperator:
         raise SymmetryDefectError(
             f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds 1e-9"
         )
-    result.U = U
     result.unitarity_defect = float(defect)
     return U
 

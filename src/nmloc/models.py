@@ -111,7 +111,7 @@ def _limit_periodic_formula(dimension: int, base: int, scale: float):
             for u in range(1, dimension + 1):
                 w = float(base) ** (-((v - 1) * dimension + u))
                 out += w * _chi_dyadic(sites[:, u - 1], v)
-        return scale * out.astype(complex)
+        return scale * out
 
     return formula
 
@@ -136,7 +136,7 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
     if spec.kind in ("maryland", "sarnak", "craig_mod1"):
         omega = np.asarray(spec.omega, dtype=float)
         if spec.kind == "maryland":
-            fn = lambda x: np.tan(np.pi * np.asarray(x, dtype=float)).astype(complex)
+            fn = lambda x: np.tan(np.pi * np.asarray(x, dtype=float))
             dist = _pole_distance(box.sites @ omega)
             if float(np.min(dist)) < 1e-8:
                 worst = box.sites[int(np.argmin(dist))]
@@ -147,7 +147,7 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
         elif spec.kind == "sarnak":
             fn = lambda x: np.exp(2j * np.pi * np.asarray(x, dtype=float))
         else:
-            fn = lambda x: np.mod(np.asarray(x, dtype=float), 1.0).astype(complex)
+            fn = lambda x: np.mod(np.asarray(x, dtype=float), 1.0)
         formula = lambda sites: fn(np.asarray(sites, dtype=np.int64) @ omega)
         profile = TorusProfile(fn, tuple(omega)) if spec.kind == "craig_mod1" else None
         return DiagonalOperator(box, formula(box.sites), formula=formula,
@@ -168,7 +168,7 @@ def build_hopping(spec: HoppingSpec, box: LatticeBox) -> LatticeOperator:
     dist = box.pair_dist.astype(float)
     with np.errstate(divide="ignore"):
         phi = np.where(dist == 0.0, 0.0, dist ** (-spec.s_exponent))
-    return LatticeOperator(box, spec.epsilon * phi.astype(complex))
+    return LatticeOperator(box, spec.epsilon * phi)
 
 
 def check_diophantine(omega, tau: float, max_k: int):

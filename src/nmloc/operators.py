@@ -1,8 +1,8 @@
 """Dense lattice operators with diagonal-wise Sobolev norms.
 
-An operator on a box is stored as a dense complex matrix in the box's site
-enumeration.  Its k-diagonal is the sequence ``A_k(i) = A_{i, i-k}``; the
-Sobolev norm of index ``s`` is
+An operator on a box is stored as a dense complex128 matrix in the box's
+site enumeration.  Its k-diagonal is the sequence ``A_k(i) = A_{i, i-k}``;
+the Sobolev norm of index ``s`` is
 
     ||A||_s^2 = sum_k ||A_k||^2 <k>^(2s),      <k> = max(1, |k|_inf),
 
@@ -17,6 +17,11 @@ same for every s: the sup norm of ``v``, or with a profile the sampled BV
 norm, sup plus the total variation of the profile on ``BV_GRID_POINTS``
 uniform points (the sup also covers the lattice values, so the sup norm
 never exceeds it).
+
+This module alone chooses the number type: the constructors of both
+operator classes cast their input to complex128, so the builders hand them
+arrays of any numeric type.  It alone also reaches the main diagonal of a
+dense array in place (``shift_diagonal``).
 
 Operators are immutable; per-offset sups, Sobolev norms and singular
 values are cached on the instance, so each operator takes at most one Gram
@@ -159,9 +164,7 @@ class LatticeOperator:
         """``self (+ or -) other``: one copy, then only the main diagonal moves."""
         if other.box != self.box:
             raise ValueError("box mismatch")
-        entries = self.entries.copy()
-        diag = entries.reshape(-1)[:: self.box.n_sites + 1]  # a view
-        ufunc(diag, other.values, out=diag)
+        entries = shift_diagonal(self.entries.copy(), other.values, ufunc)
         return LatticeOperator(self.box, entries)
 
     def __matmul__(self, other):
@@ -195,6 +198,19 @@ class LatticeOperator:
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
 
 
+def shift_diagonal(a: np.ndarray, values, ufunc=np.add) -> np.ndarray:
+    """``a + diag(values)`` (``ufunc=np.subtract``: ``a - diag(values)``) in
+    place on a square array; returns ``a``.
+
+    ``einsum("ii->i")`` is a writable view of the main diagonal in any
+    layout, transposed or sliced arrays included; it refuses a non-square
+    array, and a read-only one stays read-only.
+    """
+    diag = np.einsum("ii->i", a)
+    ufunc(diag, values, out=diag)
+    return a
+
+
 @dataclass(frozen=True)
 class TorusProfile:
     """Period-1 profile and frequency generating a quasi-periodic sequence."""
@@ -209,7 +225,7 @@ BV_GRID_POINTS = 4096  # uniform samples of one period of a profile
 def sup_and_variation(fn) -> tuple[float, float]:
     """Sup and periodic total variation of a period-1 profile on the grid."""
     x = np.arange(BV_GRID_POINTS) / BV_GRID_POINTS
-    fx = np.asarray(fn(x), dtype=complex)
+    fx = np.asarray(fn(x))
     sup = float(np.max(np.abs(fx)))
     tv = float(np.sum(np.abs(np.diff(fx)))) + float(abs(fx[0] - fx[-1]))
     return sup, tv

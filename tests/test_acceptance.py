@@ -282,9 +282,9 @@ def test_criterion_08_sarnak_complex_run(maryland_box):
     min_sv, _ = completeness_check(res)
     verdict(
         8,
-        res.converged and min_sv >= 0.9 and res.U is None,
+        res.converged and min_sv >= 0.9 and res.unitarity_defect is None,
         f"complex non-normal run converged in {res.steps} steps, min "
-        f"singular value {min_sv:.6f}, unitarization skipped {res.U is None}",
+        f"singular value {min_sv:.6f}, unitarization skipped {res.unitarity_defect is None}",
     )
 
 

@@ -36,9 +36,14 @@ def test_interior_window_and_validation():
 @pytest.mark.parametrize("args, name", [
     ((1.7, 8.9, 6), "dimension"), ((1, 8.9, 6), "radius"), ((1, 8, 5.5), "interior_radius"),
     ((1, 0, 1), "radius"), ((1, 4, 5), "interior_radius"), ((1, 4, 0), "interior_radius"),
+    ((8, 12, 6), "radius"), ((40, 12, 9), "dimension"), ((1e300, 12, 9), "dimension"),
+    ((1, 1e300, 9), "radius"), ((1, 379625062, 1), "radius"), ((2, 13777, 1), "radius"),
+    ((19, 1, 1), "dimension"), ((10**400, 1, 1), "dimension"), ((1, 10**400, 1), "radius"),
 ])
 def test_box_refuses_a_size_it_cannot_build(args, name):
-    # LatticeBox(1.7, 8.9, 6) was silently the box (1, 8, 6)
+    # LatticeBox(1.7, 8.9, 6) was silently the box (1, 8, 6); a box whose
+    # dense complex operator cannot be one numpy array is refused before its
+    # site table forms (n = 759250125 and 27555^2 are the first such n)
     with pytest.raises(ValueError, match=f"^{name} "):
         LatticeBox(*args)
 

@@ -99,6 +99,8 @@ def test_config_keys_map_onto_the_spec_fields():
     "params.Theta=Infinity", "params.s_grid=[0.6,-Infinity]",
     "params.theta0=1", "params.Theta=0.5", "box.interior_radius=20", "box.dimension=0",
     "hopping.s_exponent=0", "hopping.epsilon=-1", "params.max_steps=0",
+    "box.dimension=1e300", "box.dimension=40", "box.radius=1e300",
+    pytest.param("box.radius=1" + "0" * 400, id="box.radius=10**400"),
 ])
 def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
     # space-separated overrides; the last one sets the rejected key

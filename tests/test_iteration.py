@@ -206,8 +206,8 @@ def test_maryland_regression_small_box():
         assert row.norms["conj_residual"] <= 1e-9
         assert row.norms["decomp_residual"] <= 1e-9
     assert res.master_residual <= 1e-12
-    # real symmetric input: the unitarized transform is attached
-    assert res.U is not None and res.unitarity_defect <= 1e-9
+    # real symmetric input: the run is unitarized
+    assert res.unitarity_defect is not None and res.unitarity_defect <= 1e-9
 
 
 def test_run_product_count_and_no_svd(monkeypatch):
@@ -239,7 +239,7 @@ def test_run_product_count_and_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     box, D, T, params = maryland_setup()
     res = run(T, D, params)
-    assert res.converged and res.U is not None
+    assert res.converged and res.unitarity_defect is not None
     assert res.steps == 5 and len(series_terms) == 2
     series_products = sum(terms - 1 for terms in series_terms)
     assert count[0] == 10 * (res.steps - 1) + 5 + series_products + 2 + 2
@@ -301,7 +301,7 @@ def test_certified_run_memory_budget():
         return res
 
     res, peak = _traced(_buffers_above_entry, box, certified)
-    assert res.converged and res.U is not None
+    assert res.converged and res.unitarity_defect is not None
     assert peak <= 9.5, peak
 
 
@@ -451,7 +451,7 @@ def test_dropped_hopping_ring_shows_in_conj_residual(monkeypatch):
 def test_completeness_reuses_the_unitarize_gram(monkeypatch):
     box, D, T, params = maryland_setup()
     res = run(T, D, params)
-    assert res.U is not None
+    assert res.unitarity_defect is not None
 
     def refuse(a, b):
         raise AssertionError("completeness_check made a dense product")

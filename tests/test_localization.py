@@ -125,7 +125,7 @@ def test_complex_potential_is_neither_unitarized_nor_given_a_spectrum():
     T = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=0.1), box)
     res = run(T, D, SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
                                  Theta=2.0, s_hopping=4.0, epsilon=0.1))
-    assert res.converged and res.U is None
+    assert res.converged and res.unitarity_defect is None
     with pytest.raises(SymmetryDefectError, match="requires symmetry"):
         spectrum_compare(res)
 
@@ -160,7 +160,7 @@ def fresh_certificate_operators(res):
 def test_certificate_takes_no_svd_and_one_eigensolve_of_q_plus(which, request,
                                                                 monkeypatch):
     res = fresh_certificate_operators(request.getfixturevalue(which))
-    symmetric = res.U is not None
+    symmetric = res.unitarity_defect is not None
     eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
     calls = []
 

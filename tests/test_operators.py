@@ -1,5 +1,8 @@
 import itertools
 import math
+import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from nmloc import (
     tame_bound_check,
 )
 from nmloc.errors import TameRangeError
-from nmloc.operators import _riemann_zeta
+from nmloc.operators import _riemann_zeta, shift_diagonal
 
 
 def sobolev_oracle(op, s):
@@ -318,6 +321,56 @@ def test_diagonal_sum_matches_dense_sum_entry_for_entry(rng, box1d):
     np.testing.assert_array_equal((op - eye).entries, op.entries - np.eye(n))
     with pytest.raises(ValueError, match="box mismatch"):
         op + DiagonalOperator.identity(LatticeBox(1, 2, 1))
+
+
+def test_shift_diagonal_matches_the_dense_diagonal_bit_for_bit(rng):
+    n = 7
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    a[np.arange(3), np.arange(3)] = zeros
+    box = LatticeBox(1, 3, 1)
+    for values in (np.r_[-0.0, 0.0, -0.0, rng.normal(size=n - 3)],
+                   np.r_[zeros, rng.normal(size=n - 3) + 1j * rng.normal(size=n - 3)]):
+        for ufunc, op_sum in ((np.add, operator.add), (np.subtract, operator.sub)):
+            expected = ufunc(a, np.diag(values)).tobytes()
+            copy = a.copy()
+            assert shift_diagonal(copy, values, ufunc) is copy
+            assert copy.tobytes() == expected
+            # a transposed view and a strided slice move through to their base
+            base = a.T.copy()
+            shift_diagonal(base.T, values, ufunc)
+            assert base.T.tobytes() == expected
+            big = np.zeros((2 * n, 3 * n), dtype=complex)
+            big[::2, ::3] = a
+            shift_diagonal(big[::2, ::3], values, ufunc)
+            assert big[::2, ::3].tobytes() == expected
+            # the operator sums copy once and leave their operand alone
+            op, D = LatticeOperator(box, a), DiagonalOperator(box, values)
+            assert op_sum(op, D).entries.tobytes() == expected
+            assert op.entries.tobytes() == a.tobytes()
+    with pytest.raises(ValueError):
+        shift_diagonal(np.zeros((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="read-only"):
+        shift_diagonal(LatticeOperator(box, a).entries, np.ones(n))
+
+
+# a dtype naming a complex number type, in any spelling numpy takes
+COMPLEX_DTYPE = re.compile(r"(?:dtype\s*=\s*|astype\(\s*)(?:np\.)?[\"']?complex"
+                           r"|complex(?:64|128)\b|\bc(?:single|double)\b")
+
+
+def test_only_operators_py_names_a_complex_dtype():
+    # operators.py owns the number type of every operator; the one other
+    # site parses a caller's custom_values to check that they are finite
+    src = Path(__file__).resolve().parents[1] / "src" / "nmloc"
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name != "operators.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if COMPLEX_DTYPE.search(line) and not (
+            path.name == "models.py" and "np.asarray(self.custom_values, dtype=complex)" in line)
+    ]
+    assert found == []
 
 
 # -- singular values: the Gram eigensolve against the reference SVD ----------------

@@ -1,6 +1,8 @@
-"""Every public name of the package has a reader outside the tests."""
+"""Every public name of the package, and every field of a public dataclass,
+has a reader outside the tests."""
 
 import ast
+import dataclasses
 import types
 from pathlib import Path
 
@@ -9,20 +11,25 @@ import nmloc
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def names_read_outside_the_tests():
-    """Loaded names, attributes and import aliases of the package modules
-    (less ``__init__.py``), the demos and the benchmark scripts."""
+def nodes_outside_the_tests():
+    """Every AST node of the package modules (less ``__init__.py``), the
+    demos and the benchmark scripts."""
     files = [p for p in (ROOT / "src" / "nmloc").glob("*.py") if p.name != "__init__.py"]
     files += list((ROOT / "demos").glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
-    read = set()
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name.rsplit(".", 1)[-1])
+        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+def names_read_outside_the_tests():
+    """Loaded names, attributes and import aliases outside the tests."""
+    read = set()
+    for node in nodes_outside_the_tests():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rsplit(".", 1)[-1])
     return read
 
 
@@ -33,6 +40,19 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         and not isinstance(getattr(nmloc, name), types.ModuleType)
     }
     assert sorted(public - names_read_outside_the_tests()) == []
+
+
+def test_every_public_dataclass_field_has_a_reader_outside_the_tests():
+    # a field is read as an attribute: neither a store (``result.x = x``)
+    # nor a local variable of the same name reads it
+    read = {node.attr for node in nodes_outside_the_tests()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{name}.{f.name}" for name in nmloc.__all__
+        if dataclasses.is_dataclass(getattr(nmloc, name))
+        for f in dataclasses.fields(getattr(nmloc, name)) if f.name not in read
+    ]
+    assert unread == []
 
 
 def test_every_module_level_import_is_read_in_its_module():
