@@ -17,7 +17,6 @@ from .algebra import (
 )
 from .box import LatticeBox
 from .homological import (
-    HomologicalSolution,
     NeumannResult,
     neumann_invert,
     solve_diagonal_correction,

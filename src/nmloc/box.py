@@ -11,18 +11,36 @@ offset weights) that make diagonal-wise norms cheap for dense operators.
 Smoothing masks are formed per call from the sup-distances: a run reads each
 one in a step or two, and a cached n x n mask per band radius would outlive
 its readers.
+
+A box whose dense complex n x n operator cannot be one numpy array, or
+would exceed the machine's physical memory, is refused before any table
+forms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 
 import numpy as np
 
 # log2 of the most sites n whose dense n x n operator, 16 bytes a complex
 # entry, can be one numpy array: 16 n^2 <= the largest intp
 MAX_LOG2_SITES = (math.log2(np.iinfo(np.intp).max) - 4) / 2
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+# no box whose single dense complex operator, 16 n^2 bytes, exceeds this is built
+PHYSICAL_MEMORY = _physical_memory()
 
 
 class LatticeBox:
@@ -51,6 +69,14 @@ class LatticeBox:
         if dimension * math.log2(2 * radius + 1) > MAX_LOG2_SITES:
             raise ValueError(f"radius is too large for dimension {dimension}: the "
                              "box's dense operator cannot be one numpy array")
+        # past the bound above n is small enough to compare in integers
+        if PHYSICAL_MEMORY is not None:
+            if 16 * 3 ** (2 * dimension) > PHYSICAL_MEMORY:
+                raise ValueError("dimension is too large: even at radius 1 the box's "
+                                 "dense operator exceeds the physical memory")
+            if 16 * (2 * radius + 1) ** (2 * dimension) > PHYSICAL_MEMORY:
+                raise ValueError(f"radius is too large for dimension {dimension}: the "
+                                 "box's dense operator exceeds the physical memory")
         self.dimension = dimension
         self.radius = radius
         self.interior_radius = interior_radius

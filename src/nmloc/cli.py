@@ -484,12 +484,11 @@ def cmd_check_theory(cfg: dict) -> int:
     table.writerow(["condition", "holds", "margin", "scale", "effective", "detail"])
     for c in rows:
         table.writerow([c.name, c.holds, _f17(c.margin), c.scale, c.effective, c.detail])
-    binding = next((c for c in rows if c.name == "Theta"), None)
-    if binding is not None and binding.data:
-        print(
-            f"binding Theta constraint: {binding.data['binding']} "
-            f"(log10 required = {_f17(binding.data['required_log10'])})"
-        )
+    binding = next(c for c in rows if c.name == "Theta")
+    print(
+        f"binding Theta constraint: {binding.data['binding']} "
+        f"(log10 required = {_f17(binding.data['required_log10'])})"
+    )
     failed = next((c for c in rows if c.effective and not c.holds), None)
     if p.theory_checks and failed is not None:
         print(f"invariant failed: theory condition {failed.name} does not hold",

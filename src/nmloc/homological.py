@@ -4,8 +4,7 @@
   generator W, from ``[D, W] + S_theta(G) = 0``; entrywise
   ``W_{i,j} = (S_theta G)_{i,j} / (d_j - d_i)``, with an exactly zero
   diagonal.  Divisors below ``EPS_FLOOR`` raise; they are never
-  clamped, since clamping silently breaks the conjugation identity.  The
-  entrywise residual of that equation is formed only when read.
+  clamped, since clamping silently breaks the conjugation identity.
 
 * ``solve_diagonal_correction``: the diagonal correction X killing the
   main diagonal of ``Q^{-1} X Q + Q^{-1} P Q + P'``, given the conjugated
@@ -17,16 +16,17 @@
 * ``neumann_invert``: inversion of ``I + W`` by a Neumann series under the
   smallness condition ``4 c0^2 ||W||_a0 <= 1/2``, with a direct-solve
   fallback for out-of-regime inputs that reports the exact 1-norm
-  condition number of ``I + W``.  The inversion residual
-  ``||(I + W) V^-1 - I||_0`` costs a dense product, so it is formed only
-  when read.
+  condition number of ``I + W``.
 
-Each solver returns what the conjugation step reads.  The paper's proof
-devices are separate checks, which the certificate tests run and a step
-does not: ``HomologicalSolution.bound_margins`` and
-``NeumannResult.bound_margins`` (norms on an s-grid), and
-``fixed_point_check``, the Banach fixed-point iteration that re-derives X
-inside the contraction regime.
+Each solve returns what the conjugation step reads: ``W``, ``X`` and the
+inverse ``V^-1`` with its series term count or condition number.  The
+paper's proof devices are five functions of their operands, which the
+certificate tests run and a step does not: ``generator_residual`` and
+``generator_bound_margins`` (the equation's residual on the solved entries
+and the norm bounds on an s-grid), ``neumann_residual`` and
+``neumann_bound_margins`` (``||(I + W) V^-1 - I||_0``, one dense product,
+and the series bounds), and ``fixed_point_check``, the Banach fixed-point
+iteration that re-derives X inside the contraction regime.
 """
 
 from __future__ import annotations
@@ -48,37 +48,15 @@ NEUMANN_TERM_TOL = 1e-14  # 0-norm of the newest series term that ends the sum
 NEUMANN_MAX_TERMS = 400
 
 
-@dataclass
-class HomologicalSolution:
-    """``W`` solves ``[D, W] + SG = 0`` on the ``solved`` entries, where
-    ``SG`` is the band-truncated source."""
-
-    W: LatticeOperator
-    D: DiagonalOperator
-    SG: LatticeOperator
-    solved: np.ndarray  # in-band off-diagonal entries
-
-    @property
-    def residual_offdiag(self) -> float:
-        """``max |[D, W] + SG|`` over the solved entries, formed per read."""
-        d = self.D.values
-        resid = np.abs((d[:, None] - d[None, :]) * self.W.entries + self.SG.entries)
-        resid[~self.solved] = 0.0
-        return float(np.max(resid))
-
-    def bound_margins(self, tau: float, gamma: float, s_grid) -> dict:
-        """``gamma^-1 ||SG||_{s+tau} - ||W||_s`` for each s in ``s_grid``;
-        nonnegative whenever ``gamma`` is a valid in-box separation constant
-        for ``D``."""
-        return {
-            float(s): self.SG.sobolev_norm(float(s) + tau) / gamma
-            - self.W.sobolev_norm(float(s))
-            for s in s_grid
-        }
+def _in_band_offdiagonal(box, theta: float) -> np.ndarray:
+    """The entries the generator solve sets: in the band, off the diagonal."""
+    mask = box.smooth_mask(theta)
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 def solve_generator(D: DiagonalOperator, G: LatticeOperator,
-                    theta: float) -> HomologicalSolution:
+                    theta: float) -> LatticeOperator:
     """Solve [D, W] + S_theta(G) = 0 for the zero-diagonal generator W.
 
     A source ``G`` with a nonzero main diagonal raises ``ValueError``: a
@@ -96,8 +74,7 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
 
     sg = G.smooth(theta)
     divisors = d[None, :] - d[:, None]  # (i, j) -> d_j - d_i
-    need = box.smooth_mask(theta)  # the in-band off-diagonal entries
-    np.fill_diagonal(need, False)
+    need = _in_band_offdiagonal(box, theta)
     small = need & (np.abs(divisors) < EPS_FLOOR)
     if np.any(small):
         i, j = np.argwhere(small)[0]
@@ -108,7 +85,28 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
 
     w = np.zeros_like(sg.entries)
     np.divide(sg.entries, divisors, out=w, where=need)
-    return HomologicalSolution(LatticeOperator(box, w), D, sg, need)
+    return LatticeOperator(box, w)
+
+
+def generator_residual(D: DiagonalOperator, G: LatticeOperator, W: LatticeOperator,
+                       theta: float) -> float:
+    """``max |[D, W] + S_theta G|`` over the entries the solve sets."""
+    d = D.values
+    resid = np.abs((d[:, None] - d[None, :]) * W.entries + G.smooth(theta).entries)
+    resid[~_in_band_offdiagonal(G.box, theta)] = 0.0
+    return float(np.max(resid))
+
+
+def generator_bound_margins(G: LatticeOperator, W: LatticeOperator, theta: float,
+                            tau: float, gamma: float, s_grid) -> dict:
+    """``gamma^-1 ||S_theta G||_{s+tau} - ||W||_s`` for each s in ``s_grid``;
+    nonnegative whenever ``gamma`` is a valid in-box separation constant for
+    the diagonal of the solve."""
+    sg = G.smooth(theta)
+    return {
+        float(s): sg.sobolev_norm(float(s) + tau) / gamma - W.sobolev_norm(float(s))
+        for s in s_grid
+    }
 
 
 def _affine_system(Q, Qinv, QPQ, Pprime):
@@ -176,25 +174,26 @@ class NeumannResult:
     1-norm condition number of ``I + W``) on the direct-solve fallback."""
 
     Vinv: LatticeOperator
-    W: LatticeOperator
     neumann_terms: int | None = None
     condition_number: float | None = None
 
-    @property
-    def residual(self) -> float:
-        """``||(I + W) V^-1 - I||_0``, one dense product per read."""
-        eye = DiagonalOperator.identity(self.W.box)
-        return float(((eye + self.W) @ self.Vinv - eye).sobolev_norm(0.0))
 
-    def bound_margins(self, tc: TameConstants, s_grid) -> dict:
-        """Margins of ``||V^-1 - I||_s <= 2 k1(s) ||W||_s`` for each s in
-        ``s_grid``; the series regime guarantees them."""
-        eye = DiagonalOperator.identity(self.W.box)
-        return {
-            float(s): 2.0 * tc.k1(float(s)) * self.W.sobolev_norm(float(s))
-            - (self.Vinv - eye).sobolev_norm(float(s))
-            for s in s_grid
-        }
+def neumann_residual(W: LatticeOperator, Vinv: LatticeOperator) -> float:
+    """``||(I + W) V^-1 - I||_0``, one dense product."""
+    eye = DiagonalOperator.identity(W.box)
+    return float(((eye + W) @ Vinv - eye).sobolev_norm(0.0))
+
+
+def neumann_bound_margins(W: LatticeOperator, Vinv: LatticeOperator,
+                          tc: TameConstants, s_grid) -> dict:
+    """Margins of ``||V^-1 - I||_s <= 2 k1(s) ||W||_s`` for each s in
+    ``s_grid``; the series regime guarantees them."""
+    eye = DiagonalOperator.identity(W.box)
+    return {
+        float(s): 2.0 * tc.k1(float(s)) * W.sobolev_norm(float(s))
+        - (Vinv - eye).sobolev_norm(float(s))
+        for s in s_grid
+    }
 
 
 def neumann_invert(W: LatticeOperator, tc: TameConstants,
@@ -206,8 +205,7 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
     regime, ``strict=True`` raises while ``strict=False`` falls back to a
     direct solve and reports the 1-norm condition number
     ``||I + W||_1 ||(I + W)^-1||_1`` instead of series data, read off the
-    inverse it has just formed.  The result's
-    ``residual`` is computed when it is read.
+    inverse it has just formed.
 
     Memory: the series holds three n x n buffers, its sum, the newest power
     of ``W`` and the product forming the next.  No buffer holds ``-W``: the
@@ -251,4 +249,4 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
         vinv = np.linalg.inv(v)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 
-    return NeumannResult(LatticeOperator(box, vinv), W, terms, cond)
+    return NeumannResult(LatticeOperator(box, vinv), terms, cond)

@@ -53,6 +53,7 @@ INVERSE = "inverse"
 DIRECT = "direct"
 
 GRAM_OFFDIAG_TOL = 1e-8  # largest off-diagonal entry of Q+^t Q+ unitarize accepts
+UNITARITY_TOL = 1e-9  # largest ||U^t U - I||_0 unitarize accepts
 
 
 @dataclass(frozen=True)
@@ -427,7 +428,7 @@ def iterate_step(state: IterationState) -> IterationState:
     G = LatticeOperator(box, g)
     del QTQ, QDQ, g
     W = solve_generator(DiagonalOperator(box, target), G if inverse else G - Dk,
-                        theta=theta_next).W
+                        theta=theta_next)
     norms["W"] = family(W)
 
     Vinv = neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
@@ -549,18 +550,18 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     return result
 
 
-def unitarize(result: SchemeResult) -> LatticeOperator:
-    """Polar-normalize the transform of a real symmetric converged run.
+def unitarize(result: SchemeResult) -> float:
+    """Check that the transform of a real symmetric converged run polar-normalizes.
 
-    The Gram matrix Q+^t Q+ of such a run is diagonal up to the residual;
-    dividing each column by the square root of its Gram entry yields the
-    unitary U, checked by ``||U^t U - I||_0 <= 1e-9``.  Its conjugation
-    identity needs no replay: with ``U = Q+ S``, ``S`` diagonal,
+    The Gram matrix ``G = Q+^t Q+`` of such a run is diagonal up to the
+    residual; dividing each column of ``Q+`` by the square root of its Gram
+    entry yields the unitary ``U = Q+ S``, ``S = diag(G)^-1/2``, checked by
+    ``||U^t U - I||_0 <= UNITARITY_TOL``.  Since ``U^t U = S G S``, the check
+    scales one copy of the Gram the run already holds and forms no ``U``.
+    Its conjugation identity needs no replay:
     ``U^-1 A U - Lambda = S^-1 R S`` is the run's certified defect, rescaled.
-    The defect goes into ``result.unitarity_defect``; ``U`` is returned, not
-    stored.
+    The defect is stored in ``result.unitarity_defect`` and returned.
     """
-    Q = result.qplus
     gram = result.gram
     off = gram.off_diagonal_max()
     if off > GRAM_OFFDIAG_TOL:
@@ -571,14 +572,16 @@ def unitarize(result: SchemeResult) -> LatticeOperator:
     if np.any(g.real <= 0):
         raise SymmetryDefectError("symmetry defect: non-positive Gram diagonal")
     scale = 1.0 / np.sqrt(g)
-    U = LatticeOperator(result.box, Q.entries * scale[None, :])
-    defect = (U.transpose() @ U - DiagonalOperator.identity(result.box)).sobolev_norm(0.0)
-    if defect > 1e-9:
+    sgs = gram.entries * scale[:, None]  # U^t U = S G S, in one buffer
+    sgs *= scale[None, :]
+    shift_diagonal(sgs, 1.0, np.subtract)
+    defect = LatticeOperator(result.box, sgs).sobolev_norm(0.0)
+    if defect > UNITARITY_TOL:
         raise SymmetryDefectError(
-            f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds 1e-9"
+            f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
     result.unitarity_defect = float(defect)
-    return U
+    return result.unitarity_defect
 
 
 # -- parameter-condition checker ------------------------------------------------

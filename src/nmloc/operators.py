@@ -134,7 +134,7 @@ class LatticeOperator:
     def off_diagonal_max(self) -> float:
         off = np.abs(self.entries)
         np.fill_diagonal(off, 0.0)
-        return float(np.max(off)) if off.size else 0.0
+        return float(np.max(off))
 
     # -- structure ------------------------------------------------------------
 

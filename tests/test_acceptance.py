@@ -37,7 +37,13 @@ from nmloc import (
     spectrum_compare,
     tame_bound_check,
 )
-from nmloc.homological import fixed_point_check
+from nmloc.homological import (
+    fixed_point_check,
+    generator_bound_margins,
+    generator_residual,
+    neumann_bound_margins,
+    neumann_residual,
+)
 
 TAU, DELTA, ALPHA0, S0, EPS = 1.0, 0.05, 0.6, 4.0, 0.1
 ALPHA = S0 - 0.5 - 5 * DELTA          # 3.25
@@ -153,11 +159,11 @@ def test_criterion_03_homological_exactness():
         np.fill_diagonal(g, 0.0)
         G = LatticeOperator(box, g)
         theta = float(rng.uniform(1.0, 2 * box.radius))
-        sol = solve_generator(D, G, theta)
-        worst_resid = max(worst_resid, sol.residual_offdiag)
-        worst_margin = min(worst_margin,
-                           min(sol.bound_margins(TAU, gamma, S_GRID).values()))
-        diag_clean &= bool(np.all(np.diagonal(sol.W.entries) == 0.0))
+        W = solve_generator(D, G, theta)
+        worst_resid = max(worst_resid, generator_residual(D, G, W, theta))
+        worst_margin = min(worst_margin, min(
+            generator_bound_margins(G, W, theta, TAU, gamma, S_GRID).values()))
+        diag_clean &= bool(np.all(np.diagonal(W.entries) == 0.0))
     elapsed = time.time() - start
     verdict(
         3,
@@ -210,8 +216,9 @@ def test_criterion_05_neumann_suite():
         target = rng.uniform(0.05, 0.5)
         w = w * (target / (4 * tc.c0**2 * w.sobolev_norm(ALPHA0)))
         res = neumann_invert(w, tc, strict=True)
-        worst_resid = max(worst_resid, res.residual)
-        worst_margin = min(worst_margin, min(res.bound_margins(tc, S_GRID).values()))
+        worst_resid = max(worst_resid, neumann_residual(w, res.Vinv))
+        worst_margin = min(worst_margin,
+                           min(neumann_bound_margins(w, res.Vinv, tc, S_GRID).values()))
     verdict(
         5,
         worst_resid <= 1e-12 and worst_margin >= 0.0,

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nmloc import LatticeBox
+from nmloc import LatticeBox, box as box_module
+
+# without a physical-memory bound these boxes would build a 12 GB site table
+NEEDS_MEMORY_BOUND = pytest.mark.skipif(box_module.PHYSICAL_MEMORY is None,
+                                        reason="os.sysconf gives no physical memory")
 
 
 def test_enumeration_is_stable_and_total():
@@ -39,13 +45,49 @@ def test_interior_window_and_validation():
     ((8, 12, 6), "radius"), ((40, 12, 9), "dimension"), ((1e300, 12, 9), "dimension"),
     ((1, 1e300, 9), "radius"), ((1, 379625062, 1), "radius"), ((2, 13777, 1), "radius"),
     ((19, 1, 1), "dimension"), ((10**400, 1, 1), "dimension"), ((1, 10**400, 1), "radius"),
+    pytest.param((2, 13776, 1), "radius", marks=NEEDS_MEMORY_BOUND),
+    pytest.param((1, 379625061, 1), "radius", marks=NEEDS_MEMORY_BOUND),
 ])
 def test_box_refuses_a_size_it_cannot_build(args, name):
     # LatticeBox(1.7, 8.9, 6) was silently the box (1, 8, 6); a box whose
     # dense complex operator cannot be one numpy array is refused before its
-    # site table forms (n = 759250125 and 27555^2 are the first such n)
-    with pytest.raises(ValueError, match=f"^{name} "):
-        LatticeBox(*args)
+    # site table forms (n = 759250125 and 27555^2 are the first such n), and
+    # so is one whose operator exceeds the physical memory: (2, 13776, 1)
+    # passed the array bound and was killed building its site table
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            LatticeBox(*args)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_box_memory_bound_is_exact_in_integers(monkeypatch):
+    # 16 n^2 bytes may equal the physical memory, not exceed it
+    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", 16 * 25**2)
+    assert LatticeBox(1, 12, 1).n_sites == 25
+    with pytest.raises(ValueError, match="^radius .*physical memory"):
+        LatticeBox(1, 13, 1)
+    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", 16 * 9**2 - 1)
+    with pytest.raises(ValueError, match="^dimension .*physical memory"):
+        LatticeBox(2, 1, 1)
+    assert LatticeBox(1, 1, 1).n_sites == 3
+    # where sysconf cannot tell, only the numpy-array bound applies
+    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", None)
+    assert LatticeBox(2, 1, 1).n_sites == 9
+
+
+def test_physical_memory_is_none_where_sysconf_cannot_tell(monkeypatch):
+    assert box_module._physical_memory() == box_module.PHYSICAL_MEMORY
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(box_module.os, "sysconf", unknown)
+    assert box_module._physical_memory() is None
+    monkeypatch.setattr(box_module.os, "sysconf", lambda name: -1)
+    assert box_module._physical_memory() is None
 
 
 def test_offset_tables_consistent():

@@ -26,6 +26,7 @@ from nmloc import (
     distal_gamma_box,
     run,
 )
+from nmloc.box import PHYSICAL_MEMORY
 from nmloc.errors import ConfigError, TheoryConditionError
 
 
@@ -101,6 +102,9 @@ def test_config_keys_map_onto_the_spec_fields():
     "hopping.s_exponent=0", "hopping.epsilon=-1", "params.max_steps=0",
     "box.dimension=1e300", "box.dimension=40", "box.radius=1e300",
     pytest.param("box.radius=1" + "0" * 400, id="box.radius=10**400"),
+    # without a physical-memory bound this box would build a 12 GB site table
+    pytest.param("box.dimension=2 box.radius=13776", marks=pytest.mark.skipif(
+        PHYSICAL_MEMORY is None, reason="os.sysconf gives no physical memory")),
 ])
 def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
     # space-separated overrides; the last one sets the rejected key

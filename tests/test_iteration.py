@@ -213,8 +213,9 @@ def test_maryland_regression_small_box():
 def test_run_product_count_and_no_svd(monkeypatch):
     # 10 dense products per later step and 5 at the first, where Q = I and
     # R = 0; one per Neumann series term after the first; 2 for the master
-    # identity and 2 for unitarize.  Three of the five steps take the
-    # direct-solve fallback, whose condition number must not cost an SVD
+    # identity and 1 for the Gram that unitarize reads.  Three of the five
+    # steps take the direct-solve fallback, whose condition number must not
+    # cost an SVD
     count = [0]
     series_terms = []
     matmul = LatticeOperator.__matmul__
@@ -242,7 +243,7 @@ def test_run_product_count_and_no_svd(monkeypatch):
     assert res.converged and res.unitarity_defect is not None
     assert res.steps == 5 and len(series_terms) == 2
     series_products = sum(terms - 1 for terms in series_terms)
-    assert count[0] == 10 * (res.steps - 1) + 5 + series_products + 2 + 2
+    assert count[0] == 10 * (res.steps - 1) + 5 + series_products + 2 + 1
 
 
 def _buffers_above_entry(box, call, *args):
@@ -287,10 +288,11 @@ def test_step_memory_budget(monkeypatch, mode):
 
 
 def test_certified_run_memory_budget():
-    # run plus the certificate peaks at no more than 9.5 complex n x n
-    # buffers above what was traced before the run (measured: 9.25, in
-    # unitarize; it was 11.7 while a step kept the old R, R' and an
-    # explicit identity alive through the inversion of I + W)
+    # run plus the certificate peaks at no more than 9 complex n x n
+    # buffers above what was traced before the run (measured: 8.77; it was
+    # 9.25, in unitarize, while unitarize formed U and U^t U, and 11.7 while
+    # a step kept the old R, R' and an explicit identity alive through the
+    # inversion of I + W)
     box, D, T, params = maryland_setup(radius=64)
 
     def certified():
@@ -302,7 +304,7 @@ def test_certified_run_memory_budget():
 
     res, peak = _traced(_buffers_above_entry, box, certified)
     assert res.converged and res.unitarity_defect is not None
-    assert peak <= 9.5, peak
+    assert peak <= 9.0, peak
 
 
 def test_later_hopping_slices_hold_one_buffer(monkeypatch):
@@ -340,10 +342,9 @@ def _out_of_place_norms(state):
     B = QTQ + QDQ if p.mode == "inverse" else QTQ
     G = B + state.R
     G_for_W = G if p.mode == "inverse" else G - Dk
-    generator = iteration.solve_generator(DiagonalOperator(box, dvals), G_for_W,
-                                          theta=p.theta(k + 1))
-    W = generator.W
-    R_prime = G_for_W - generator.SG
+    W = iteration.solve_generator(DiagonalOperator(box, dvals), G_for_W,
+                                  theta=p.theta(k + 1))
+    R_prime = G_for_W - G_for_W.smooth(p.theta(k + 1))
     V = eye + W
     Vinv = iteration.neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
     Q_next = state.Q @ V
@@ -582,12 +583,25 @@ def synthetic_result(box, Q_entries):
 
 
 def test_unitarize_identity_and_scaling(box1d):
+    # U = I exactly, and U^t U - I = S G S - I is zero for any column scale
     res = synthetic_result(box1d, np.eye(box1d.n_sites, dtype=complex))
-    U = unitarize(res)
-    np.testing.assert_array_equal(U.entries, np.eye(box1d.n_sites))
+    assert unitarize(res) == 0.0 == res.unitarity_defect
     res2 = synthetic_result(box1d, 2.0 * np.eye(box1d.n_sites, dtype=complex))
-    U2 = unitarize(res2)
-    np.testing.assert_allclose(U2.entries, np.eye(box1d.n_sites), atol=1e-15)
+    assert unitarize(res2) <= 1e-15
+    scaled = np.diag(np.arange(1.0, box1d.n_sites + 1)).astype(complex)
+    assert unitarize(synthetic_result(box1d, scaled)) <= 1e-15
+
+
+def test_unitarize_refuses_a_defect_above_its_tolerance(box1d):
+    # a Gram off-diagonal of 5e-9 passes the Gram check (1e-8) and puts
+    # ||U^t U - I||_0 at sqrt(2) 5e-9, above UNITARITY_TOL
+    q = np.eye(box1d.n_sites, dtype=complex)
+    q[0, 3] = 5e-9
+    res = synthetic_result(box1d, q)
+    assert res.gram.off_diagonal_max() <= iteration.GRAM_OFFDIAG_TOL
+    with pytest.raises(SymmetryDefectError, match=r"\|\|U\^t U - I\|\|_0"):
+        unitarize(res)
+    assert res.unitarity_defect is None
 
 
 def test_unitarize_rejects_skew_transform(box1d, rng):
