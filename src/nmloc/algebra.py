@@ -151,9 +151,7 @@ def distal_gamma_box(p: DiagonalOperator, tau: float):
     whose divisors range over all in-box pairs rather than a window.
     """
     box, vals = p.box, p.values
-    diffs = np.abs(vals[:, None] - vals[None, :])
-    mins = np.full(box.n_offset_slots, np.inf)
-    np.minimum.at(mins, box.pair_offset_flat.ravel(), diffs.ravel())
+    mins = box.offset_reduce(np.abs(vals[:, None] - vals[None, :]), np.minimum, np.inf)
     lens = box.offset_len
     realized = np.isfinite(mins) & (lens > 0)
     if np.any(mins[realized] == 0.0):

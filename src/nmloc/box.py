@@ -6,19 +6,18 @@ polluted by the truncation boundary.  Sites are enumerated once, in
 lexicographic order, and that enumeration is the row/column order of every
 operator living on the box.
 
-The box also owns the pairwise geometry caches (offset ids, sup-distances,
-offset weights) that make diagonal-wise norms cheap for dense operators.
-Smoothing masks are formed per call from the sup-distances: a run reads each
-one in a step or two, and a cached n x n mask per band radius would outlive
-its readers.
-
-A box whose dense complex n x n operator cannot be one numpy array, or
-would exceed the machine's physical memory, is refused before any table
-forms.
+Only the box knows which offset slot a pair (i, j) belongs to, and it holds
+no n x n array: the site order puts each axis's offset ``i_v - j_v`` one
+reshape away, so ``offset_reduce`` folds an n x n array onto the slots one
+axis at a time, and sup-distances and band masks are formed per call from
+m x m pieces, m = 2N + 1.  A box is refused before its site table forms
+when its operator cannot be one numpy array, or when a run on it,
+``RUN_BUFFERS`` such operators, would exceed the physical memory.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -39,8 +38,12 @@ def _physical_memory() -> int | None:
     return page * pages if page > 0 and pages > 0 else None
 
 
-# no box whose single dense complex operator, 16 n^2 bytes, exceeds this is built
+# no box whose run, RUN_BUFFERS complex n x n operators, exceeds this is built
 PHYSICAL_MEMORY = _physical_memory()
+
+# the hopping T a run holds at entry, plus the nine buffers that a certified
+# run peaks at above it (tier-1 test_certified_run_memory_budget)
+RUN_BUFFERS = 10
 
 
 class LatticeBox:
@@ -71,12 +74,12 @@ class LatticeBox:
                              "box's dense operator cannot be one numpy array")
         # past the bound above n is small enough to compare in integers
         if PHYSICAL_MEMORY is not None:
-            if 16 * 3 ** (2 * dimension) > PHYSICAL_MEMORY:
-                raise ValueError("dimension is too large: even at radius 1 the box's "
-                                 "dense operator exceeds the physical memory")
-            if 16 * (2 * radius + 1) ** (2 * dimension) > PHYSICAL_MEMORY:
-                raise ValueError(f"radius is too large for dimension {dimension}: the "
-                                 "box's dense operator exceeds the physical memory")
+            if 16 * RUN_BUFFERS * 3 ** (2 * dimension) > PHYSICAL_MEMORY:
+                raise ValueError("dimension is too large: even at radius 1 a run on "
+                                 "the box needs more than the physical memory")
+            if 16 * RUN_BUFFERS * (2 * radius + 1) ** (2 * dimension) > PHYSICAL_MEMORY:
+                raise ValueError(f"radius is too large for dimension {dimension}: a run "
+                                 "on the box needs more than the physical memory")
         self.dimension = dimension
         self.radius = radius
         self.interior_radius = interior_radius
@@ -88,12 +91,6 @@ class LatticeBox:
         self.sites.flags.writeable = False
         self.n_sites = side**dimension
         self._side = side
-
-        # lazily built pairwise caches
-        self._pair_dist = None
-        self._pair_offset_flat = None
-        self._offset_len = None
-        self._offset_weight = None
 
     # -- site bookkeeping -------------------------------------------------
 
@@ -132,56 +129,19 @@ class LatticeBox:
 
     # -- pairwise geometry -------------------------------------------------
 
-    @property
-    def pair_dist(self) -> np.ndarray:
-        """|i - j|_inf for every (row, column) pair, int32, shape (n, n)."""
-        if self._pair_dist is None:
-            self._build_pair_tables()
-        return self._pair_dist
-
-    @property
-    def pair_offset_flat(self) -> np.ndarray:
-        """Flat id of the offset i - j for every pair, int64, shape (n, n)."""
-        if self._pair_offset_flat is None:
-            self._build_pair_tables()
-        return self._pair_offset_flat
-
-    @property
-    def n_offset_slots(self) -> int:
-        return (4 * self.radius + 1) ** self.dimension
-
-    @property
+    @functools.cached_property
     def offset_len(self) -> np.ndarray:
         """|k|_inf per flat offset id (offsets range over [-2N, 2N]^d)."""
-        if self._offset_len is None:
-            self._build_pair_tables()
-        return self._offset_len
-
-    @property
-    def offset_weight(self) -> np.ndarray:
-        """<k> = max(1, |k|) per flat offset id, float (cached)."""
-        if self._offset_weight is None:
-            weight = np.maximum(self.offset_len, 1).astype(float)
-            weight.flags.writeable = False
-            self._offset_weight = weight
-        return self._offset_weight
+        return self._build_pair_tables()
 
     def offset_vector(self, flat_id: int) -> tuple[int, ...]:
-        """Decode a flat offset id back into the lattice vector k."""
-        span = 4 * self.radius + 1
-        comps = []
-        for _ in range(self.dimension):
-            comps.append(flat_id % span - 2 * self.radius)
-            flat_id //= span
-        return tuple(reversed(comps))
+        """Decode a flat offset id, the C-order index of k + 2N in [0, 4N]^d, into k."""
+        k = np.unravel_index(flat_id, (4 * self.radius + 1,) * self.dimension)
+        return tuple(int(c) - 2 * self.radius for c in k)
 
     def offset_flat_id(self, k) -> int:
-        k = np.asarray(k, dtype=np.int64).reshape(self.dimension)
-        span = 4 * self.radius + 1
-        flat = 0
-        for v in range(self.dimension):
-            flat = flat * span + (int(k[v]) + 2 * self.radius)
-        return int(flat)
+        k = np.asarray(k, dtype=np.int64).reshape(self.dimension) + 2 * self.radius
+        return int(np.ravel_multi_index(tuple(k), (4 * self.radius + 1,) * self.dimension))
 
     def all_offsets(self, max_offset: int | None = None):
         """All nonzero offsets with |k|_inf <= max_offset (default 2N)."""
@@ -191,25 +151,58 @@ class LatticeBox:
             if any(k):
                 yield k
 
-    def _build_pair_tables(self):
-        span = 4 * self.radius + 1
-        dist = np.zeros((self.n_sites, self.n_sites), dtype=np.int32)
-        flat = np.zeros((self.n_sites, self.n_sites), dtype=np.int64)
-        for v in range(self.dimension):
-            dv = self.sites[:, v][:, None] - self.sites[:, v][None, :]
-            np.maximum(dist, np.abs(dv).astype(np.int32), out=dist)
-            flat = flat * span + (dv + 2 * self.radius)
-        self._pair_dist = dist
-        self._pair_offset_flat = flat
-        self._pair_dist.flags.writeable = False
-        self._pair_offset_flat.flags.writeable = False
-
+    def _build_pair_tables(self) -> np.ndarray:
+        """|k|_inf per flat offset id, the one pair table the box builds."""
         axes = [np.arange(-2 * self.radius, 2 * self.radius + 1, dtype=np.int64)]
         mesh = np.meshgrid(*(axes * self.dimension), indexing="ij")
-        self._offset_len = np.max(np.abs(np.stack([m.ravel() for m in mesh])), axis=0)
-        self._offset_len.flags.writeable = False
+        lens = np.max(np.abs(np.stack([m.ravel() for m in mesh])), axis=0)
+        lens.flags.writeable = False
+        return lens
+
+    def offset_reduce(self, a, ufunc, fill) -> np.ndarray:
+        """Fold the n x n array ``a`` onto the flat offset ids: id k gets
+        ``ufunc`` over ``fill`` and every ``a[i, j]`` with i - j = k.
+
+        One axis pair (i_v, j_v) folds at a time.  Blocks of b rows, their
+        columns reversed and padded with ``fill`` to width m + b, read back at
+        width m + b - 1 put each offset i_v - j_v in one column.  b is a
+        sixteenth of the rows, or more while the scratch stays under 16 KiB,
+        so the scratch is about a fifteenth the size of a large ``a``."""
+        d, m = self.dimension, self._side
+        x = np.asarray(a).reshape((m,) * (2 * d))
+        for pairs in range(d, 0, -1):  # axes: i_v.., j_v.., then the offsets
+            x = x.transpose(0, pairs, *range(1, pairs), *range(pairs + 1, x.ndim))
+            rest = x.shape[2:]
+            b = min(m, max(-(-m // 16), 2048 // ((m + 1) * math.prod(rest))))
+            out = np.full((2 * m - 1,) + rest, fill, dtype=x.dtype)
+            pad = np.full((b, m + b) + rest, fill, dtype=x.dtype)
+            skew = pad.reshape((-1,) + rest)[:b * (m + b - 1)].reshape((b, -1) + rest)
+            for r in range(0, m, b):  # a short last block reads only its own rows
+                rows = min(b, m - r)
+                pad[:rows, :m] = x[r:r + rows, ::-1]
+                seg = out[r:r + m + b - 1]
+                ufunc(seg, ufunc.reduce(skew[:rows, :len(seg)]), out=seg)
+            x = out.transpose(*range(1, out.ndim), 0)
+        return x.ravel()
+
+    def _per_axis(self, ufunc, theta=None) -> np.ndarray:
+        """``ufunc`` across the axes of the m x m |i_v - j_v|, or of the band
+        |i_v - j_v| <= theta, each at its (i_v, j_v): a new n x n array."""
+        d, m = self.dimension, self._side
+        k = np.abs(np.arange(1 - m, m, dtype=float))  # |k| at k + m - 1
+        k = k if theta is None else k <= float(theta)
+        s = k.strides[0]  # a view: piece[i, j] = k[i - j + m - 1]
+        piece = np.ndarray((m, m), k.dtype, k, (m - 1) * s, (s, -s))
+        pieces = [piece.reshape([m if a in (v, d + v) else 1 for a in range(2 * d)])
+                  for v in range(d)]
+        out = np.ascontiguousarray(functools.reduce(ufunc, pieces))
+        return out.reshape(self.n_sites, self.n_sites)
+
+    def sup_distance(self) -> np.ndarray:
+        """|i - j|_inf for every (row, column) pair, float, a new array per call."""
+        return self._per_axis(np.maximum)
 
     def smooth_mask(self, theta: float) -> np.ndarray:
         """Boolean mask keeping the band |i - j|_inf <= theta (inclusive),
         a new array per call."""
-        return self.pair_dist <= float(theta)
+        return self._per_axis(np.logical_and, theta)

@@ -53,13 +53,23 @@ def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
     interior = box.interior_mask
     Q = result.qplus.entries
     residual_mat = H.entries @ Q
-    residual_mat -= Q * eigenvalues[None, :]
-    residuals = np.linalg.norm(residual_mat, axis=0) / np.linalg.norm(Q, axis=0)
+    # QΛ and the norms by blocks of columns; a block two or more columns wide
+    # sums its norms in the order the whole matrix does
+    bounds = np.linspace(0, box.n_sites, min(8, box.n_sites // 2) + 1).astype(int)
+    residuals = np.concatenate([
+        np.linalg.norm(residual_mat[:, c] - Q[:, c] * eigenvalues[c], axis=0)
+        / np.linalg.norm(Q[:, c], axis=0) for c in map(slice, bounds[:-1], bounds[1:])])
+    del residual_mat
     # column k of the symmetric pair distances holds <i - k> for every site i
-    weights = np.maximum(box.pair_dist, 1).astype(float)
+    weights = np.maximum(box.sup_distance(), 1.0)
     cols = np.abs(Q)
-    margins = np.min(2.0 * weights ** (-exponent) - cols, axis=0)
-    constants = np.max(cols * weights**exponent, axis=0)
+    envelope = weights ** (-exponent)  # the one scratch array
+    envelope *= 2.0
+    envelope -= cols
+    margins = np.min(envelope, axis=0)
+    del envelope
+    cols *= weights**exponent
+    constants = np.max(cols, axis=0)
     return [
         EigenReport(
             center=tuple(int(c) for c in box.sites[idx]),

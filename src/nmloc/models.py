@@ -163,7 +163,7 @@ def build_hopping(spec: HoppingSpec, box: LatticeBox) -> LatticeOperator:
     phi_0 = 0; it depends on |k| only, so the operator is real symmetric.
     The coupling is baked in here once; downstream code never rescales.
     """
-    dist = box.pair_dist.astype(float)
+    dist = box.sup_distance()
     with np.errstate(divide="ignore"):
         phi = np.where(dist == 0.0, 0.0, dist ** (-spec.s_exponent))
     return LatticeOperator(box, spec.epsilon * phi)

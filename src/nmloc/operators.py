@@ -75,11 +75,8 @@ class LatticeOperator:
     def diag_sups(self) -> np.ndarray:
         """Sup of |entries| per flat offset slot (cached)."""
         if self._diag_sups is None:
-            sups = np.zeros(self.box.n_offset_slots)
             with np.errstate(invalid="ignore"):  # a NaN entry makes its sup NaN
-                np.maximum.at(
-                    sups, self.box.pair_offset_flat.ravel(), np.abs(self.entries).ravel()
-                )
+                sups = self.box.offset_reduce(np.abs(self.entries), np.maximum, 0.0)
             sups.flags.writeable = False
             self._diag_sups = sups
         return self._diag_sups
@@ -93,7 +90,7 @@ class LatticeOperator:
         cached = self._norms.get(s)
         if cached is None:
             sups = self.diag_sups()
-            w = self.box.offset_weight
+            w = np.maximum(self.box.offset_len, 1.0)  # <k> = max(1, |k|)
             cached = float(np.sqrt(np.sum((sups * w**s) ** 2)))
             self._norms[s] = cached
         return cached

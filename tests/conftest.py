@@ -14,13 +14,48 @@ from nmloc import (
 )
 
 
+# the boxes on which the box's pair geometry is checked against the tables
+DIFFERENTIAL_BOXES = [(d, r) for d in (1, 2, 3) for r in (1, 2, 3, 4)] + [(1, 256)]
+
+
+def pair_offset_ids(box):
+    """Flat offset id of i - j for every pair (i, j), int64, shape (n, n): the
+    n x n table the box once cached, built the way it built it."""
+    span = 4 * box.radius + 1
+    flat = np.zeros((box.n_sites, box.n_sites), dtype=np.int64)
+    for v in range(box.dimension):
+        dv = box.sites[:, v][:, None] - box.sites[:, v][None, :]
+        flat = flat * span + (dv + 2 * box.radius)
+    return flat
+
+
+def pair_dist(box):
+    """|i - j|_inf for every pair (i, j), int32, shape (n, n): the other n x n
+    table the box once cached, built the way it built it."""
+    dist = np.zeros((box.n_sites, box.n_sites), dtype=np.int32)
+    for v in range(box.dimension):
+        dv = box.sites[:, v][:, None] - box.sites[:, v][None, :]
+        np.maximum(dist, np.abs(dv).astype(np.int32), out=dist)
+    return dist
+
+
+def scatter_offsets(box, a, ufunc, fill):
+    """The reference for ``box.offset_reduce``: ``ufunc.at`` from ``fill``
+    at every pair's offset id, as the norms and the distal scan once did."""
+    out = np.full(len(box.offset_len), fill)
+    with np.errstate(invalid="ignore"):  # a NaN entry makes its slot NaN
+        ufunc.at(out, pair_offset_ids(box).ravel(), np.asarray(a).ravel())
+    return out
+
+
 def random_banded(box, rng, n_offsets=6, scale=1.0, max_offset=None):
     """Random operator supported on a few random diagonals."""
     m = 2 * box.radius if max_offset is None else int(max_offset)
+    ids = pair_offset_ids(box)
     mask = np.zeros((box.n_sites, box.n_sites), dtype=bool)
     for _ in range(n_offsets):
         k = rng.integers(-m, m + 1, size=box.dimension)
-        mask |= box.pair_offset_flat == box.offset_flat_id(k)
+        mask |= ids == box.offset_flat_id(k)
     vals = rng.standard_normal((box.n_sites, box.n_sites)) + 1j * rng.standard_normal(
         (box.n_sites, box.n_sites)
     )

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DIFFERENTIAL_BOXES, scatter_offsets
 from nmloc import (
     GOLDEN_MEAN,
     DiagonalOperator,
@@ -170,3 +172,32 @@ def test_distal_gamma_box_matches_pair_scan(rng):
             best, arg = val, (k,)
     assert gamma == pytest.approx(best, rel=1e-12)
     assert worst == arg
+
+
+def _scatter_distal(box, vals, tau):
+    """``distal_gamma_box`` on the scatter of |d_i - d_j| over the pair
+    offsets: ``(gamma, worst)``, or the offset of the first coincidence."""
+    mins = scatter_offsets(box, np.abs(vals[:, None] - vals[None, :]), np.minimum, np.inf)
+    lens = box.offset_len
+    realized = np.isfinite(mins) & (lens > 0)
+    if np.any(mins[realized] == 0.0):
+        return None, box.offset_vector(int(np.flatnonzero(realized & (mins == 0.0))[0]))
+    gammas = mins[realized] * lens[realized].astype(float) ** tau
+    pos = int(np.argmin(gammas))
+    return float(gammas[pos]), box.offset_vector(int(np.flatnonzero(realized)[pos]))
+
+
+@pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
+def test_distal_gamma_box_is_the_scatter(dimension, radius, rng):
+    box = LatticeBox(dimension, radius, 1)
+    vals = rng.standard_normal(box.n_sites) + 1j * rng.standard_normal(box.n_sites)
+    gamma, worst = _scatter_distal(box, vals, 1.3)
+    assert distal_gamma_box(DiagonalOperator(box, vals), tau=1.3) == (gamma, worst)
+    # coincident values: the violation names the scatter's first offset
+    i, j = rng.choice(box.n_sites, size=2, replace=False)
+    vals[j] = vals[i]
+    gamma, worst = _scatter_distal(box, vals, 1.3)
+    assert gamma is None
+    message = f"^distal violation at offset {re.escape(str(worst))}$"
+    with pytest.raises(DistalViolationError, match=message):
+        distal_gamma_box(DiagonalOperator(box, vals), tau=1.3)

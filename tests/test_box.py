@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import DIFFERENTIAL_BOXES, pair_dist, scatter_offsets
 from nmloc import LatticeBox, box as box_module
 
 # without a physical-memory bound these boxes would build a 12 GB site table
@@ -64,12 +65,14 @@ def test_box_refuses_a_size_it_cannot_build(args, name):
 
 
 def test_box_memory_bound_is_exact_in_integers(monkeypatch):
-    # 16 n^2 bytes may equal the physical memory, not exceed it
-    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", 16 * 25**2)
+    # a run's RUN_BUFFERS operators of 16 n^2 bytes may equal the physical
+    # memory, not exceed it
+    run_bytes = 16 * box_module.RUN_BUFFERS
+    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", run_bytes * 25**2)
     assert LatticeBox(1, 12, 1).n_sites == 25
     with pytest.raises(ValueError, match="^radius .*physical memory"):
         LatticeBox(1, 13, 1)
-    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", 16 * 9**2 - 1)
+    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", run_bytes * 9**2 - 1)
     with pytest.raises(ValueError, match="^dimension .*physical memory"):
         LatticeBox(2, 1, 1)
     assert LatticeBox(1, 1, 1).n_sites == 3
@@ -92,13 +95,16 @@ def test_physical_memory_is_none_where_sysconf_cannot_tell(monkeypatch):
 
 def test_offset_tables_consistent():
     box = LatticeBox(2, 2, 1)
-    flat = box.pair_offset_flat
+    dist = box.sup_distance()
     for p in (0, 7, 13):
         for q in (2, 11, 24):
             k = box.sites[p] - box.sites[q]
-            assert flat[p, q] == box.offset_flat_id(k)
-            assert box.offset_vector(int(flat[p, q])) == tuple(k)
-            assert box.pair_dist[p, q] == np.max(np.abs(k))
+            pair = np.zeros((box.n_sites,) * 2)
+            pair[p, q] = 1.0
+            (slot,) = np.flatnonzero(box.offset_reduce(pair, np.maximum, 0.0))
+            assert slot == box.offset_flat_id(k)
+            assert box.offset_vector(int(slot)) == tuple(k)
+            assert dist[p, q] == np.max(np.abs(k))
     lens = box.offset_len
     assert lens[box.offset_flat_id((0, 0))] == 0
     assert lens[box.offset_flat_id((-4, 2))] == 4
@@ -110,3 +116,27 @@ def test_smooth_mask_inclusive_boundary():
     i = box.site_index(0)
     assert mask[i, box.site_index(2)]       # |i-j| = theta kept
     assert not mask[i, box.site_index(3)]   # beyond theta dropped
+
+
+@pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
+def test_offset_reduce_is_the_scatter(dimension, radius, rng):
+    # max and min are exact, so the fold equals the scatter bit for bit,
+    # NaN and infinite entries included
+    box = LatticeBox(dimension, radius, 1)
+    a = np.abs(rng.standard_normal((box.n_sites,) * 2))
+    for value in (np.nan, np.inf, 0.0):
+        a[rng.random(a.shape) < 0.05] = value
+    for ufunc, fill in ((np.maximum, 0.0), (np.minimum, np.inf)):
+        with np.errstate(invalid="ignore"):
+            got = box.offset_reduce(a, ufunc, fill)
+        assert np.array_equal(got.view(np.uint64),
+                              scatter_offsets(box, a, ufunc, fill).view(np.uint64))
+
+
+@pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
+def test_distances_and_masks_are_the_tables(dimension, radius):
+    box = LatticeBox(dimension, radius, 1)
+    table = pair_dist(box)
+    assert np.array_equal(box.sup_distance(), table.astype(float))
+    for theta in (0, 1, 2.5, 2 * radius, 10 * radius):
+        assert np.array_equal(box.smooth_mask(theta), table <= theta)

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from nmloc import (
     distal_gamma_box,
     run,
 )
+import nmloc.box as box_module
 from nmloc.box import PHYSICAL_MEMORY
 from nmloc.errors import ConfigError, TheoryConditionError
 
@@ -116,6 +118,22 @@ def test_out_of_range_params_are_config_errors(tmp_path, capsys, override):
     assert override.split()[-1].partition("=")[0] in capsys.readouterr().err
 
 
+def test_a_box_is_admitted_by_what_its_run_needs(tmp_path, capsys, monkeypatch):
+    # n = 22001: one operator, 7.7 GB, fits in 8.4 GB, but a run's
+    # RUN_BUFFERS of them do not; bounded by one operator, this box passed and
+    # the run died in numpy with "Unable to allocate 3.61 GiB"
+    monkeypatch.setattr(box_module, "PHYSICAL_MEMORY", 8_400_000_000)
+    argv = ["run", "--config", write_config(tmp_path, base_config()),
+            "--out-dir", str(tmp_path / "out"), "--override", "box.radius=11000"]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 2
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert "box.radius" in capsys.readouterr().err
+
+
 def test_config_schema_checks_structure_only():
     # each value's range is stated once, by the spec that owns it
     def keywords(node):
@@ -165,9 +183,10 @@ _DRAWS = {
         "params.alpha1", "params.stop_tol", "params.max_steps")},
 }
 # a rule over two keys names one of them, and a derived default the key it
-# derives from
+# derives from; a box too large to run at its radius names box.radius
 _ALSO_NAMED = {
-    "box.dimension": {"potential.omega", "params.alpha0", "hopping.s_exponent"},
+    "box.dimension": {"potential.omega", "params.alpha0", "hopping.s_exponent",
+                      "box.radius"},
     "box.radius": {"box.interior_radius"},
     "params.delta": {"hopping.s_exponent"},  # alpha = s - d/2 - 5 delta
     "params.tau": {"hopping.s_exponent"},  # default s_grid entry alpha1 - tau

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_banded
+from conftest import pair_dist, random_banded
 from nmloc import (
     GOLDEN_MEAN,
     DiagonalOperator,
@@ -73,7 +73,7 @@ def test_generator_residual_oracle_maryland(rng):
         d = D.values
         comm = (d[:, None] - d[None, :]) * W.entries
         sg = G.smooth(theta).entries
-        band = box.pair_dist <= theta
+        band = pair_dist(box) <= theta
         resid = np.abs(comm + sg) * band
         np.fill_diagonal(resid, 0.0)
         assert np.max(resid) <= 1e-12 * (1 + np.max(np.abs(G.entries)))

@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import pair_dist
 from nmloc import (
     GOLDEN_MEAN,
     DiagonalOperator,
@@ -67,6 +69,66 @@ def test_eigen_identity_bound_per_center(res16):
         col = np.linalg.norm(R[:, idx])
         ek = np.linalg.norm(Q.entries[:, idx])
         assert r.eigen_residual <= qnorm * col / ek + resolution
+
+
+def _out_of_place_reports(res):
+    """The eigenfunction numbers by whole-matrix expressions on the pair
+    distance table: the reference for the blocked ones."""
+    H, target = res.conjugation_pair
+    Q, exponent = res.qplus.entries, decay_exponent(res)
+    residual_mat = H.entries @ Q - Q * target.values[None, :]
+    residuals = np.linalg.norm(residual_mat, axis=0) / np.linalg.norm(Q, axis=0)
+    weights = np.maximum(pair_dist(res.box), 1).astype(float)
+    cols = np.abs(Q)
+    margins = np.min(2.0 * weights ** (-exponent) - cols, axis=0)
+    constants = np.max(cols * weights**exponent, axis=0)
+    return residuals, margins, constants
+
+
+@pytest.mark.parametrize("which", ["radius 4", "res16", "sarnak_result"])
+def test_eigenfunctions_are_the_out_of_place_reference(which, request):
+    # column blocks and one envelope scratch change no bit of a report; at
+    # radius 4 (n = 9) the blocks are two and three columns wide
+    res = maryland_run(radius=4) if which == "radius 4" else request.getfixturevalue(which)
+    reports = eigenfunctions(res)
+    got = [[r.eigen_residual for r in reports], [r.decay_envelope_margin for r in reports],
+           [r.envelope_constant for r in reports]]
+    for values, reference in zip(got, _out_of_place_reports(res)):
+        assert np.array_equal(np.array(values).view(np.uint64), reference.view(np.uint64))
+
+
+def test_eigenfunctions_memory_budget():
+    # at most 2.1 complex n x n buffers above the entry (measured: 1.52 at
+    # n = 129); the whole-matrix QΛ and column norms peaked at 3.0
+    res = maryland_run(radius=64)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        eigenfunctions(res)
+        peak = (tracemalloc.get_traced_memory()[1] - entry) / (16 * res.box.n_sites**2)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1, peak
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_a_certified_run_leaves_no_n_squared_array_on_the_box(dimension):
+    # the box folds and forms its pair geometry per call; it caches only
+    # the per-offset lengths, (4N + 1)^d of them
+    box = LatticeBox(dimension, 16 if dimension == 1 else 4, 3)
+    omega = (GOLDEN_MEAN, 2**0.5 - 1)[:dimension]
+    D = build_potential(PotentialSpec("maryland", omega=omega), box)
+    T = build_hopping(HoppingSpec(s_exponent=5.0, epsilon=0.01), box)
+    res = run(T, D, SchemeParams(tau=float(dimension), delta=0.01, alpha0=1.2,
+                                 theta0=2.0, Theta=2.0, s_hopping=5.0))
+    eigenfunctions(res)
+    completeness_check(res)
+    spectrum_compare(res)
+    assert res.converged and box.offset_len is not None
+    held = {name: value.size for name, value in vars(box).items()
+            if isinstance(value, np.ndarray)}
+    assert {"sites", "offset_len"} <= set(held)
+    assert max(held.values()) < box.n_sites**2, held
 
 
 def test_interior_flagging(res16):

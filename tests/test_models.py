@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pair_dist, pair_offset_ids
 from nmloc import (
     GOLDEN_MEAN,
     HoppingSpec,
@@ -73,7 +74,7 @@ def test_infinite_hopping_exponent_is_nearest_neighbour():
     # s = +inf is allowed: a finite-range hopping has every decay exponent
     box = LatticeBox(1, 4, 2)
     T = build_hopping(HoppingSpec(s_exponent=math.inf, epsilon=0.1), box)
-    assert np.array_equal(T.entries, 0.1 * (box.pair_dist == 1))
+    assert np.array_equal(T.entries, 0.1 * (pair_dist(box) == 1))
 
 
 def test_limit_periodic_binary_range_and_period():
@@ -141,7 +142,7 @@ def test_hopping_is_toeplitz():
     box = LatticeBox(2, 3, 2)
     T = build_hopping(HoppingSpec(s_exponent=3.0, epsilon=0.7), box)
     for k in ((1, 0), (2, -1), (0, 3)):
-        vals = T.entries[box.pair_offset_flat == box.offset_flat_id(k)]
+        vals = T.entries[pair_offset_ids(box) == box.offset_flat_id(k)]
         assert np.ptp(vals.real) == 0.0 and np.ptp(vals.imag) == 0.0
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_banded
+from conftest import DIFFERENTIAL_BOXES, pair_offset_ids, random_banded, scatter_offsets
 from nmloc import (
     DiagonalOperator,
     LatticeBox,
@@ -51,7 +51,7 @@ def test_identity_norm_is_one(box1d, box2d):
 def test_single_diagonal_norm(box1d):
     c = 2.5 - 1.0j
     entries = np.zeros((box1d.n_sites, box1d.n_sites), complex)
-    entries[box1d.pair_offset_flat == box1d.offset_flat_id((3,))] = c
+    entries[pair_offset_ids(box1d) == box1d.offset_flat_id((3,))] = c
     op = LatticeOperator(box1d, entries)
     for s in (0.0, 1.0, 2.5):
         assert op.sobolev_norm(s) == pytest.approx(abs(c) * 3.0**s, rel=1e-14)
@@ -98,7 +98,7 @@ def test_multiply_against_brute_force(rng):
 def test_shift_composition(box1d):
     def shift(k):
         e = np.zeros((box1d.n_sites, box1d.n_sites), complex)
-        e[box1d.pair_offset_flat == box1d.offset_flat_id((k,))] = 1.0
+        e[pair_offset_ids(box1d) == box1d.offset_flat_id((k,))] = 1.0
         return LatticeOperator(box1d, e)
 
     two = shift(1) @ shift(1)
@@ -143,11 +143,11 @@ def test_smoothing_definition(box1d, rng):
     # offsets {0, 1, 3}, theta = 2 keeps {0, 1}
     e = np.zeros((box1d.n_sites,) * 2, complex)
     for k in (0, 1, 3):
-        e[box1d.pair_offset_flat == box1d.offset_flat_id((k,))] = 1.0
+        e[pair_offset_ids(box1d) == box1d.offset_flat_id((k,))] = 1.0
     sm = LatticeOperator(box1d, e).smooth(2.0)
     kept = {
         box1d.offset_vector(int(f))
-        for f in np.unique(box1d.pair_offset_flat[np.abs(sm.entries) > 0])
+        for f in np.unique(pair_offset_ids(box1d)[np.abs(sm.entries) > 0])
     }
     assert kept == {(0,), (1,)}
 
@@ -179,7 +179,7 @@ def test_smoothing_equality_witnesses(box1d):
     for theta, s, sp in ((3.0, 2.0, 1.0), (2.0, 3.5, 0.0), (5.0, 1.5, 1.5)):
         k = int(theta)
         e = np.zeros((box1d.n_sites,) * 2, complex)
-        e[box1d.pair_offset_flat == box1d.offset_flat_id((k,))] = 1.7
+        e[pair_offset_ids(box1d) == box1d.offset_flat_id((k,))] = 1.7
         op = LatticeOperator(box1d, e)
         lhs = op.smooth(theta).sobolev_norm(s)
         rhs = theta ** (s - sp) * op.sobolev_norm(sp)
@@ -441,3 +441,18 @@ def test_non_finite_operator_has_nan_norm(rng, box1d):
         op = LatticeOperator(box1d, entries)
         assert math.isnan(op.operator_norm())
         assert np.all(np.isnan(op.singular_values()))
+
+
+@pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
+def test_diag_sups_are_the_scatter(dimension, radius, rng):
+    # the per-offset sups equal a scatter of |entries| from 0 bit for bit,
+    # with NaN and infinite real and imaginary parts among the entries
+    box = LatticeBox(dimension, radius, 1)
+    shape = (box.n_sites,) * 2
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for value in (np.nan, complex(np.inf, 1.0), complex(-1.0, -np.inf),
+                  complex(np.nan, np.inf), complex(-np.inf, np.nan)):
+        z[rng.random(shape) < 0.03] = value
+    sups = LatticeOperator(box, z).diag_sups()
+    reference = scatter_offsets(box, np.abs(z), np.maximum, 0.0)
+    assert np.array_equal(sups.view(np.uint64), reference.view(np.uint64))

@@ -44,7 +44,10 @@ def test_tracer_notes_every_neumann_inversion_of_a_run():
     for terms, fallback in notes:
         assert isinstance(terms, int) and isinstance(fallback, bool)
         assert fallback or terms > 0
-    assert {"homological.solve_generator", "homological.solve_diagonal_correction",
+    # the box builds its per-offset table lazily, inside the run; without
+    # this span box.build_s would time the site table only
+    assert {"box.pair_tables", "homological.solve_generator",
+            "homological.solve_diagonal_correction",
             "iteration.run"} <= {span[0] for span in tracer.spans}
 
 
