@@ -139,10 +139,6 @@ class LatticeBox:
         k = np.unravel_index(flat_id, (4 * self.radius + 1,) * self.dimension)
         return tuple(int(c) - 2 * self.radius for c in k)
 
-    def offset_flat_id(self, k) -> int:
-        k = np.asarray(k, dtype=np.int64).reshape(self.dimension) + 2 * self.radius
-        return int(np.ravel_multi_index(tuple(k), (4 * self.radius + 1,) * self.dimension))
-
     def all_offsets(self, max_offset: int | None = None):
         """All nonzero offsets with |k|_inf <= max_offset (default 2N)."""
         m = 2 * self.radius if max_offset is None else int(max_offset)

@@ -234,7 +234,7 @@ def _parse_value(text: str, key: str):
         return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError:
         return text
-    except ConfigError as exc:
+    except ValueError as exc:  # a refused constant, or an integer past the digit limit
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -242,7 +242,7 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_constant=_refuse_constant)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a refused number
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     validate_config(cfg)
     return cfg

@@ -20,7 +20,10 @@ derivation step doubles as a runtime test.
 
 There is one step function: the first conjugation is the same step
 started from ``Q = I``, ``R = 0`` and ``H = D``, and only its bounds differ
-(``step_bounds`` at ``k = 0``).
+(``step_bounds`` at ``k = 0``).  ``iterate_step`` is the step's data flow,
+four module-level sub-steps that a test can replace one at a time; an
+operand that a later sub-step frees is handed on in a one-element list
+that the sub-step empties, so no caller keeps it alive.
 
 Every run evaluates the sufficient parameter inequalities once, at the
 separation constant ``gamma`` it uses, and keeps them in
@@ -37,6 +40,7 @@ ratios for small loss budgets; the rows make that visible).  Two regimes:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
@@ -63,11 +67,12 @@ class SchemeParams:
     ``gamma=None`` asks the run to measure the separation constant on the
     box, and the run's params carry it; ``alpha``/``alpha1``/``s_grid``
     left as ``None`` are derived from ``s_hopping`` the way the
-    localization corollaries pick them.  Every float field must be finite,
-    except that ``s_hopping`` may be +inf: a finite-range hopping has every
-    decay exponent.  A value out of the scheme's domain is a ``ValueError``
-    whose message starts with the field's name; the rules that need the
-    dimension are checked by ``resolved``.
+    localization corollaries pick them.  Every numeric field must be finite
+    (an integer no float can hold is not), except that ``s_hopping`` may be
+    +inf, as a finite-range hopping has every decay exponent, and
+    ``max_steps`` is any positive integer.  A value out of the scheme's
+    domain is a ``ValueError`` whose message starts with the field's name;
+    the rules that need the dimension are checked by ``resolved``.
     """
 
     tau: float
@@ -91,11 +96,12 @@ class SchemeParams:
             raise ValueError(f"mode must be '{INVERSE}' or '{DIRECT}'")
         for f in fields(self):  # NaN passes every comparison below
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value) and not (
-                    f.name == "s_hopping" and value > 0):
+            if (isinstance(value, (int, float)) and f.name != "max_steps"
+                    and not abs(value) <= sys.float_info.max
+                    and not (f.name == "s_hopping" and value == math.inf)):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.s_grid is not None and not (
-                len(self.s_grid) and all(0 <= s < math.inf for s in self.s_grid)):
+                len(self.s_grid) and all(0 <= s <= sys.float_info.max for s in self.s_grid)):
             raise ValueError("s_grid must hold one or more finite nonnegative "
                              f"norm indices, got {self.s_grid}")
         if self.tau <= 0:
@@ -110,7 +116,7 @@ class SchemeParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.stop_tol < 0:
             raise ValueError(f"stop_tol must be nonnegative, got {self.stop_tol}")
-        if not (float(self.max_steps).is_integer() and self.max_steps >= 1):
+        if not (self.max_steps >= 1 and self.max_steps % 1 == 0):
             raise ValueError(f"max_steps must be a positive integer, got {self.max_steps}")
 
     def resolved(self, dimension: int) -> "SchemeParams":
@@ -343,55 +349,65 @@ def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
 def iterate_step(state: IterationState) -> IterationState:
     """Advance the scheme one step, appending a fully bounded ledger row.
 
-    The dense products build ``Q^-1 T_k Q``, ``Q^-1 D_k Q``, the transform
-    pair, the defect ``R`` and the remainder check, plus ``Q Q^-1``.  At the
-    first step ``Q = Q^-1 = I`` and ``R = 0``, so the products with them are
-    exact no-ops and are skipped, and the inverse-mode diagonal correction
-    needs no solve.  The row puts each ledger norm next to its bound from
-    ``step_bounds``.
-
-    Memory: each n x n intermediate has its ledger norms taken when it is
-    formed and is dropped after its last reader.  The state's ``H``, ``Q``
-    and ``Q^-1`` are replaced as soon as their successors exist, and its
-    ``R`` is dropped once ``G`` holds it, so a step that raises leaves the
-    state part-way.  Sums whose operands die accumulate in place, in an
-    array the step owns, with the same floating-point operations in the same
-    order as out-of-place sums.  Through the inversion of ``V = I + W`` the
-    step holds only ``G`` and ``W`` besides the state; ``R'`` is formed from
-    ``G`` after ``G W``.  A later step peaks at about four and a half complex
-    n x n buffers above what it holds at entry, while ``V^-1 - I``, its
-    remainder operand, ``G W``, ``R'`` and their product are live; the first
-    step peaks one buffer higher, since at its entry ``Q`` and ``Q^-1`` share
-    one identity.
+    The step is its data flow: ``_source`` forms the generator's source
+    ``G``, ``_transform_update`` the new ``Q`` and ``Q^-1``,
+    ``_remainder_operand`` the closed form ``R' + R_quad`` and ``_defect``
+    the exact defect ``R``, each with the ledger norms of what it forms.
+    The row puts each norm next to its bound from ``step_bounds``, and adds
+    ``R - (R' + R_quad)`` and ``Q Q^-1 - I``.  Memory peaks in
+    ``_remainder_operand``; a step that raises leaves the state part-way.
     """
-    p = state.params
-    box = state.box
-    k = state.k
-    first = k == 0
-    inverse = p.mode == INVERSE
+    p, k = state.params, state.k
     # the diagonal target Lambda_k whose differences divide the generator:
     # D in inverse mode, D plus the corrections so far in direct mode
-    target = state.D.values if inverse else state.D.values + state.corrections
-    theta_next = p.theta(k + 1)  # smoothing radius for the new generator
-    eye = DiagonalOperator.identity(box)
-    norms: dict[str, list] = {}  # (s, norm) families, taken as each operand forms
+    target = state.D.values if p.mode == INVERSE else state.D.values + state.corrections
+    G, Dk, corrections, h_residual, source_norms = _source(state)
+    W, VmI, update_norms = _transform_update(state, G[0], Dk, target)
+    decomposition = _remainder_operand(G, W, VmI, target, p.theta(k + 1))
+    state.R, defect_norms = _defect(state, corrections)
+    norms = {**source_norms, **update_norms, **defect_norms}
 
-    def family(op):
-        return [(s, op.sobolev_norm(s)) for s in p.s_grid]
+    bounds = step_bounds(p, state.tc, k)
+    row = LedgerRow(k=k + 1, theta_k=p.theta(k + 1))
+    for label in ("W", "VinvmI", "R", "QTQ", "QDQ", "Qstep", "QmI", "D"):
+        bound = bounds.get(label)
+        for s, norm in norms.get(label, ()):
+            row.put(f"{label}@{s:g}", norm, None if bound is None else bound(s))
+    row.put("conj_residual", h_residual)
+    row.put("decomp_residual", (state.R - decomposition).sobolev_norm(0.0))
+    eye = DiagonalOperator.identity(state.box)
+    row.put("qqinv_defect", (state.Q @ state.Qinv - eye).sobolev_norm(0.0))
+    if p.theory_checks:
+        row.assert_margins()
+    state.k = k + 1
+    state.corrections = corrections
+    state.ledger.append(row)
+    return state
 
+
+def _family(op, p: SchemeParams) -> list:
+    return [(s, op.sobolev_norm(s)) for s in p.s_grid]
+
+
+def _source(state: IterationState):
+    """``([G], D_k, corrections, H residual, norms)``: the generator's source
+    ``G = B + R``, ``B`` the conjugated slice ``QTQ = Q^-1 T_k Q`` plus, in
+    inverse mode, ``QDQ = Q^-1 D_k Q``.  Replaces the state's ``H`` by
+    ``H + T_k`` (+ ``D_k`` in inverse mode), checked against its closed
+    form, and drops its ``R``.  At the first step ``Q = Q^-1 = I`` and
+    ``R = 0``: no product, no solve for ``D_k``, no ``QTQ``/``QDQ`` norms.
+    """
+    p, box, k = state.params, state.box, state.k
+    first, inverse = k == 0, p.mode == INVERSE
     Tk = hopping_slice(state.T, k, p)
     QTQ = Tk if first else state.Qinv @ Tk @ state.Q
-
-    if not inverse:
-        # diag of the smoothed G = Q^-1 T_k Q + R; smoothing keeps the main diagonal
-        Dk = DiagonalOperator(box, np.diagonal(QTQ.entries) + np.diagonal(state.R.entries))
-    elif first:
-        # Q = Q^-1 = I makes the affine map the identity: X = -c exactly
-        Dk = DiagonalOperator(
-            box, -(np.diagonal(QTQ.entries) + np.diagonal(state.R.entries)))
-    else:
+    if inverse and not first:
         Dk = solve_diagonal_correction(state.Q, state.Qinv, QTQ, state.R)
+    else:  # diag(QTQ + R): direct mode's diag of the smoothed G; X = -c at k = 0
+        c = np.diagonal(QTQ.entries) + np.diagonal(state.R.entries)
+        Dk = DiagonalOperator(box, -c if inverse else c)
     corrections = state.corrections + Dk.values
+    norms = {"D": [(0.0, Dk.sobolev_norm(0.0))]}
 
     # H_k = H + T_k (+ D_k in inverse mode), checked against its closed form
     # S_{theta_k} T + D (+ D+ in inverse mode), theta_k the radius of the
@@ -399,10 +415,10 @@ def iterate_step(state: IterationState) -> IterationState:
     h = state.H.entries + Tk.entries
     if inverse:
         shift_diagonal(h, Dk.values)
-    state.H = H_next = LatticeOperator(box, h)
+    state.H = LatticeOperator(box, h)
     del h, Tk
     h = np.where(box.smooth_mask(p.theta(k)), state.T.entries, 0)  # S_{theta_k} T
-    np.subtract(H_next.entries, h, out=h)
+    np.subtract(state.H.entries, h, out=h)
     shift_diagonal(h, (state.D.values + corrections) if inverse else state.D.values,
                    np.subtract)
     h_residual = LatticeOperator(box, h).sobolev_norm(0.0)
@@ -410,41 +426,51 @@ def iterate_step(state: IterationState) -> IterationState:
 
     # inverse mode conjugates the correction into the step; direct mode takes
     # it out of the generator's source and into the diagonal target
-    if first:
-        QDQ = Dk
-    else:
-        norms["QTQ"] = family(QTQ)
+    if not first:
+        norms["QTQ"] = _family(QTQ, p)
         QDQ = LatticeOperator(box, state.Qinv.entries * Dk.values[None, :]) @ state.Q
-        norms["QDQ"] = family(QDQ)
+        norms["QDQ"] = _family(QDQ, p)
     if inverse:
-        if first:
-            g = shift_diagonal(QTQ.entries.copy(), Dk.values)  # B = QTQ + D_k
-        else:
-            g = QTQ.entries + QDQ.entries  # B
+        g = (shift_diagonal(QTQ.entries.copy(), Dk.values) if first
+             else QTQ.entries + QDQ.entries)  # B
         g += state.R.entries
     else:
         g = QTQ.entries + state.R.entries  # B = QTQ
     state.R = None  # G holds it now
-    G = LatticeOperator(box, g)
-    del QTQ, QDQ, g
-    W = solve_generator(DiagonalOperator(box, target), G if inverse else G - Dk,
-                        theta=theta_next)
-    norms["W"] = family(W)
+    return [LatticeOperator(box, g)], Dk, corrections, h_residual, norms
 
+
+def _transform_update(state: IterationState, G: LatticeOperator, Dk: DiagonalOperator,
+                      target: np.ndarray):
+    """``([W], [V^-1 - I], norms)``: the generator ``W`` of ``G`` and the
+    inverse of ``V = I + W``; replaces the state's ``Q`` by ``Q V`` and
+    ``Q^-1`` by ``V^-1 Q^-1``, and frees ``V^-1`` once both are formed."""
+    p, box, first = state.params, state.box, state.k == 0
+    eye = DiagonalOperator.identity(box)
+    W = solve_generator(DiagonalOperator(box, target), G if p.mode == INVERSE else G - Dk,
+                        theta=p.theta(state.k + 1))
+    norms = {"W": _family(W, p)}
     Vinv = neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
     Q_next = eye + W if first else state.Q @ (eye + W)
-    norms["Qstep"] = family(Q_next - state.Q)
-    norms["QmI"] = family(Q_next - eye)
+    norms["Qstep"] = _family(Q_next - state.Q, p)
+    norms["QmI"] = _family(Q_next - eye, p)
     state.Q = Q_next
-    Qinv_next = Vinv if first else Vinv @ state.Qinv
-    state.Qinv = Qinv_next
+    state.Qinv = Vinv if first else Vinv @ state.Qinv
     VmI = Vinv - eye
     del Vinv
-    norms["VinvmI"] = family(VmI)
+    norms["VinvmI"] = _family(VmI, p)
+    return [W], [VmI], norms
 
-    # independent remainder decomposition: substitution error plus the
-    # quadratic remainder, rebuilt from the step ingredients;
-    # R_quad = VmI @ (commut + GW + G) + GW
+
+def _remainder_operand(G: list, W: list, VmI: list, target: np.ndarray,
+                       theta: float) -> LatticeOperator:
+    """``R' + R_quad``, the defect's closed form rebuilt from the step's
+    ingredients, with ``R_quad = (V^-1 - I)(commut + G W + G) + G W``.
+    Empties the lists ``G``, ``W`` and ``V^-1 - I`` and frees each operand
+    after its last reader; the step peaks here, while ``V^-1 - I``, its
+    bracket, ``G W``, ``R'`` and their product are live."""
+    G, W = G.pop(), W.pop()
+    box = G.box
     inner = target[:, None] - target[None, :]
     inner *= W.entries  # commut
     GW = G @ W
@@ -454,42 +480,22 @@ def iterate_step(state: IterationState) -> IterationState:
     # R' = G_for_W - S_{theta_{k+1}} G_for_W is G past the band: in direct
     # mode G_for_W = G - D_k differs from G only on the main diagonal, which
     # the truncation keeps
-    r_prime = G.entries * box.smooth_mask(theta_next)
-    np.subtract(G.entries, r_prime, out=r_prime)
+    r = G.entries * box.smooth_mask(theta)
+    np.subtract(G.entries, r, out=r)
     del G
-    quad = VmI @ LatticeOperator(box, inner)
-    del VmI, inner
-    r = quad.entries + GW.entries  # R_quad
-    del quad, GW
-    r += r_prime  # R_prime + R_quad
-    del r_prime
+    quad = VmI.pop() @ LatticeOperator(box, inner)
+    del inner
+    r += quad.entries + GW.entries  # R' + R_quad
+    return LatticeOperator(box, r)
 
-    R_next = Qinv_next @ H_next @ Q_next - state.D
-    if not inverse:
-        R_next = R_next - DiagonalOperator(box, corrections)
-    state.R = R_next
-    norms["R"] = family(R_next)
-    np.subtract(R_next.entries, r, out=r)
-    decomp_residual = LatticeOperator(box, r).sobolev_norm(0.0)
-    del r
-    norms["D"] = [(0.0, Dk.sobolev_norm(0.0))]
 
-    bounds = step_bounds(p, state.tc, k)
-    row = LedgerRow(k=k + 1, theta_k=theta_next)
-    for label in ("W", "VinvmI", "R", "QTQ", "QDQ", "Qstep", "QmI", "D"):
-        bound = bounds.get(label)
-        for s, norm in norms.get(label, ()):
-            row.put(f"{label}@{s:g}", norm, None if bound is None else bound(s))
-    row.put("conj_residual", h_residual)
-    row.put("decomp_residual", decomp_residual)
-    row.put("qqinv_defect", (Q_next @ Qinv_next - eye).sobolev_norm(0.0))
-    if p.theory_checks:
-        row.assert_margins()
-
-    state.k = k + 1
-    state.corrections = corrections
-    state.ledger.append(row)
-    return state
+def _defect(state: IterationState, corrections: np.ndarray):
+    """``(R, norms)``: the exact defect ``R = Q^-1 H Q - Lambda`` of the
+    replaced state, ``Lambda = D`` (plus ``corrections`` in direct mode)."""
+    R = state.Qinv @ state.H @ state.Q - state.D
+    if state.params.mode != INVERSE:
+        R = R - DiagonalOperator(state.box, corrections)
+    return R, {"R": _family(R, state.params)}
 
 
 def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> SchemeResult:

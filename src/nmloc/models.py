@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence as Seq
 
@@ -52,12 +53,12 @@ class PotentialSpec:
             raise ValueError(f"omega is required by potential kind {self.kind!r}")
         if self.kind == "custom" and self.custom_values is None:
             raise ValueError("custom_values is required by potential kind 'custom'")
-        if self.omega is not None:
-            object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
-            if not all(map(math.isfinite, self.omega)):
+        if self.omega is not None:  # checked before float() overflows on a huge integer
+            if not all(abs(w) <= sys.float_info.max for w in self.omega):
                 raise ValueError(f"omega entries must be finite, got {self.omega}")
-        if self.custom_values is not None and not np.all(
-                np.isfinite(np.asarray(self.custom_values, dtype=complex))):
+            object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
+        if self.custom_values is not None and not all(
+                abs(v) <= sys.float_info.max for v in np.ravel(self.custom_values)):
             raise ValueError("custom_values entries must be finite")
 
     def check_box(self, box: LatticeBox):
@@ -77,9 +78,10 @@ class HoppingSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not self.s_exponent > 0:  # NaN too; +inf is a finite-range hopping
-            raise ValueError(f"s_exponent must be positive, got {self.s_exponent}")
-        if not 0 <= self.epsilon < math.inf:
+        # +inf is a finite-range hopping; NaN and an integer no float can hold fail
+        if not (0 < self.s_exponent <= sys.float_info.max or self.s_exponent == math.inf):
+            raise ValueError(f"s_exponent must be a positive float or +inf, got {self.s_exponent}")
+        if not 0 <= self.epsilon <= sys.float_info.max:
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
 
 

@@ -29,6 +29,13 @@ def pair_offset_ids(box):
     return flat
 
 
+def offset_flat_id(box, k):
+    """The flat offset id of ``k``, the C-order index of k + 2N in [0, 4N]^d,
+    which ``box.offset_vector`` decodes."""
+    k = np.asarray(k, dtype=np.int64).reshape(box.dimension) + 2 * box.radius
+    return int(np.ravel_multi_index(tuple(k), (4 * box.radius + 1,) * box.dimension))
+
+
 def pair_dist(box):
     """|i - j|_inf for every pair (i, j), int32, shape (n, n): the other n x n
     table the box once cached, built the way it built it."""
@@ -55,7 +62,7 @@ def random_banded(box, rng, n_offsets=6, scale=1.0, max_offset=None):
     mask = np.zeros((box.n_sites, box.n_sites), dtype=bool)
     for _ in range(n_offsets):
         k = rng.integers(-m, m + 1, size=box.dimension)
-        mask |= ids == box.offset_flat_id(k)
+        mask |= ids == offset_flat_id(box, k)
     vals = rng.standard_normal((box.n_sites, box.n_sites)) + 1j * rng.standard_normal(
         (box.n_sites, box.n_sites)
     )

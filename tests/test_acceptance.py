@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import pair_offset_ids, random_banded
+from conftest import offset_flat_id, pair_offset_ids, random_banded
 from nmloc import (
     GOLDEN_MEAN,
     HoppingSpec,
@@ -132,7 +132,7 @@ def test_criterion_02_smoothing_suite():
     eq_dev = 0.0
     for k in (1, 2, 3, 8):
         e = np.zeros((box.n_sites,) * 2, complex)
-        e[pair_offset_ids(box) == box.offset_flat_id((k,))] = 1.3
+        e[pair_offset_ids(box) == offset_flat_id(box, (k,))] = 1.3
         op = LatticeOperator(box, e)
         for s, sp in ((2.0, 0.5), (3.0, 3.0), (1.0, 0.0)):
             lhs = op.smooth(float(k)).sobolev_norm(s)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import DIFFERENTIAL_BOXES, pair_dist, scatter_offsets
+from conftest import DIFFERENTIAL_BOXES, offset_flat_id, pair_dist, scatter_offsets
 from nmloc import LatticeBox, box as box_module
 
 # without a physical-memory bound these boxes would build a 12 GB site table
@@ -102,12 +102,12 @@ def test_offset_tables_consistent():
             pair = np.zeros((box.n_sites,) * 2)
             pair[p, q] = 1.0
             (slot,) = np.flatnonzero(box.offset_reduce(pair, np.maximum, 0.0))
-            assert slot == box.offset_flat_id(k)
+            assert slot == offset_flat_id(box, k)
             assert box.offset_vector(int(slot)) == tuple(k)
             assert dist[p, q] == np.max(np.abs(k))
     lens = box.offset_len
-    assert lens[box.offset_flat_id((0, 0))] == 0
-    assert lens[box.offset_flat_id((-4, 2))] == 4
+    assert lens[offset_flat_id(box, (0, 0))] == 0
+    assert lens[offset_flat_id(box, (-4, 2))] == 4
 
 
 def test_smooth_mask_inclusive_boundary():

@@ -150,8 +150,9 @@ def test_config_schema_checks_structure_only():
     assert not range_keywords & set(keywords(cli.CONFIG_SCHEMA))
 
 
-# non-finite values, zeros, negatives and the boundaries 1/2 (d/2 at d=1) and 1
-_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 2.0)
+# non-finite values, integers that no float can hold, zeros, negatives and
+# the boundaries 1/2 (d/2 at d=1) and 1
+_EDGES = (math.nan, math.inf, -math.inf, 10**400, -10**400, 0.0, -0.0, -1.0, 0.5, 1.0, 2.0)
 
 
 @st.composite
@@ -209,6 +210,31 @@ def test_a_numeric_value_is_refused_by_its_key_or_its_specs_construct(data):
         assert named and named.group() in {key} | _ALSO_NAMED.get(key, set()), str(exc)
 
 
+@pytest.mark.parametrize("key", [
+    "params.max_steps", "params.tau", "params.delta", "params.alpha0", "params.gamma",
+    "params.alpha", "params.alpha1", "hopping.s_exponent", "hopping.epsilon",
+    "potential.omega",
+])
+def test_an_integer_no_float_can_hold_exits_2_naming_its_key(tmp_path, capsys, key):
+    # json reads 1 followed by 400 zeros as an exact int; each of these keys
+    # exited 1 with "invariant failed: int too large to convert to float".
+    # max_steps takes any positive integer, as a box radius does.  Past 4300
+    # digits json refuses the integer itself, and that exited 1 too
+    big = str(10**400)
+    cfg = write_config(tmp_path, base_config())
+
+    def check_theory(digits):
+        text = f"[{digits}]" if key == "potential.omega" else digits
+        return cli.main(["check-theory", "--config", cfg, "--override", f"{key}={text}"])
+
+    if key == "params.max_steps":
+        assert check_theory(big) == 0
+        big = "-" + big
+    for digits in (big, "1" + "0" * 5000):
+        assert check_theory(digits) == 2
+        assert key in capsys.readouterr().err
+
+
 def test_tan_pole_is_a_run_failure(tmp_path, capsys):
     # omega = 1/2 puts every odd site on a pole: a valid config that cannot run
     assert cli.main(["run", "--config", write_config(tmp_path, base_config()),
@@ -220,6 +246,8 @@ def test_tan_pole_is_a_run_failure(tmp_path, capsys):
 def test_config_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    bad.write_text('{"box": 1' + "0" * 5000 + "}")  # past json's integer digit limit
     assert cli.main(["run", "--config", str(bad)]) == 2
     cfg = base_config()
     cfg["box"]["radius"] = -3

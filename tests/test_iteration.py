@@ -329,8 +329,9 @@ def test_later_hopping_slices_hold_one_buffer(monkeypatch):
 
 
 def _out_of_place_norms(state):
-    """Ledger norms of one later step by out-of-place expressions: the
-    reference for the step's in-place sums and early releases."""
+    """Ledger norms of one step by out-of-place expressions, the first step
+    without its QTQ/QDQ rows: the reference for the step's in-place sums and
+    early releases."""
     p, box, k = state.params, state.box, state.k
     eye = DiagonalOperator.identity(box)
     Tk = hopping_slice(state.T, k, p)
@@ -376,24 +377,32 @@ def _out_of_place_norms(state):
         H_next - state.T.smooth(p.theta(k)) - H_diagonal).sobolev_norm(0.0)
     norms["decomp_residual"] = (R_next - (R_prime + R_quad)).sobolev_norm(0.0)
     norms["qqinv_defect"] = (Q_next @ Qinv_next - eye).sobolev_norm(0.0)
+    if k == 0:
+        norms = {key: v for key, v in norms.items() if not key.startswith(("QTQ@", "QDQ@"))}
     return norms
 
 
 @pytest.mark.parametrize("mode", ["inverse", "direct"])
-def test_in_place_step_sums_equal_the_out_of_place_formulas(mode):
-    # replay step k = 2 from the pre-step Q, Q^-1, R, H and corrections; the
-    # step's in-place sums keep every operation and its order, so each norm
-    # of the row is equal, not close
+def test_in_place_step_sums_equal_the_out_of_place_formulas(monkeypatch, mode):
+    # replay every step of a run, the first included, from its pre-step Q,
+    # Q^-1, R, H and corrections; the step's in-place sums keep every
+    # operation and its order, so each norm of each row is equal, not close
+    step = iteration.iterate_step
     box, D, T, params = maryland_setup(mode=mode)
-    p = params.resolved(1)
-    state = iteration.iterate_step(initial_step(T, D, p, TameConstants(1, p.alpha0)))
-    assert state.k == 2
-    pre = replace(state, ledger=[])  # the step replaces the state's operators
-    expected = _out_of_place_norms(pre)
-    row = iteration.iterate_step(state).ledger[-1]
-    assert list(row.norms) == list(expected)
-    for key, value in expected.items():
-        assert row.norms[key] == value, key
+    replayed = []
+
+    def replayed_step(state):
+        expected = _out_of_place_norms(state)
+        row = step(state).ledger[-1]
+        assert list(row.norms) == list(expected), row.k
+        for key, value in expected.items():
+            assert row.norms[key] == value, (row.k, key)
+        replayed.append(row.k)
+        return state
+
+    monkeypatch.setattr(iteration, "iterate_step", replayed_step)
+    res = run(T, D, params)
+    assert res.converged and replayed == list(range(1, res.steps + 1))
 
 
 def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
@@ -418,39 +427,78 @@ def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
     np.testing.assert_array_equal(first.corrections, by_solve.values)
 
 
-def test_a_corrupted_diagonal_correction_is_refused_inside_the_run(monkeypatch):
-    # the step's generator solve is the in-run check of X: a wrong X leaves
-    # a main diagonal on the source G built from it
-    solve = iteration.solve_diagonal_correction
+FAULT_STEP = 2  # faults enter the step from k = 2, whose ledger row is k = 3
 
+
+def _entry_off(op):
+    """``op`` with one entry off by 1e-6."""
+    entries = op.entries.copy()
+    entries[0, 1] += 1e-6
+    return LatticeOperator(op.box, entries)
+
+
+def _ring_dropped(sliced):
+    def lossy(T, k, params):
+        ring = sliced(T, k, params)
+        return LatticeOperator.zeros(T.box) if k == FAULT_STEP else ring
+    return lossy
+
+
+def _ring_norm(T, params):
+    ring_norm = hopping_slice(T, FAULT_STEP, params).sobolev_norm(0.0)
+    assert ring_norm > 0.0
+    return ring_norm
+
+
+def _correction_off(solve):
     def corrupted(*args):
         values = solve(*args).values.copy()
         values[0] += 1e-6
         return DiagonalOperator(args[0].box, values)
-
-    monkeypatch.setattr(iteration, "solve_diagonal_correction", corrupted)
-    box, D, T, params = maryland_setup()
-    with pytest.raises(ValueError, match="unreduced diagonal"):
-        run(T, D, params)
+    return corrupted
 
 
-def test_dropped_hopping_ring_shows_in_conj_residual(monkeypatch):
+def _qinv_entry_off(update):
+    def corrupted(state, *args):
+        out = update(state, *args)
+        if state.k == FAULT_STEP:
+            state.Qinv = _entry_off(state.Qinv)
+        return out
+    return corrupted
+
+
+def _defect_entry_off(defect):
+    def corrupted(state, *args):
+        R, norms = defect(state, *args)
+        return (_entry_off(R) if state.k == FAULT_STEP else R), norms
+    return corrupted
+
+
+# each row: the function of nmloc.iteration a fault enters through, the
+# fault, the ledger cell that must show it at row FAULT_STEP (None: the run
+# must refuse it), and the floor the cell must reach there
+@pytest.mark.parametrize("patched, fault, cell, floor", [
     # H is built slice by slice; conj_residual compares it with its closed
-    # form, so a ring that never enters H must show in that step's row
-    dropped = 2
-    sliced = iteration.hopping_slice
-
-    def lossy(T, k, params):
-        ring = sliced(T, k, params)
-        return LatticeOperator.zeros(T.box) if k == dropped else ring
-
-    monkeypatch.setattr(iteration, "hopping_slice", lossy)
+    # form, so a ring that never enters H shows with at least its own norm
+    ("hopping_slice", _ring_dropped, "conj_residual", _ring_norm),
+    # the step's generator solve is the in-run check of X: a wrong X leaves
+    # a main diagonal on the source G built from it
+    ("solve_diagonal_correction", _correction_off, None, None),
+    ("_transform_update", _qinv_entry_off, "qqinv_defect", 1e-7),
+    ("_defect", _defect_entry_off, "decomp_residual", 1e-7),
+], ids=["dropped_ring", "corrupted_X", "Qinv_entry", "R_entry"])
+def test_a_fault_shows_in_its_ledger_cell(monkeypatch, patched, fault, cell, floor):
+    monkeypatch.setattr(iteration, patched, fault(getattr(iteration, patched)))
     box, D, T, params = maryland_setup(max_steps=4)
+    if cell is None:
+        with pytest.raises(ValueError, match="unreduced diagonal"):
+            run(T, D, params)
+        return
     res = run(T, D, params)
-    ring_norm = sliced(T, dropped, res.params).sobolev_norm(0.0)
-    assert ring_norm > 0.0
-    assert res.ledger[dropped].norms["conj_residual"] >= ring_norm
-    assert res.ledger[dropped - 1].norms["conj_residual"] <= 1e-12
+    if callable(floor):
+        floor = floor(T, res.params)
+    assert res.ledger[FAULT_STEP].norms[cell] >= floor
+    assert res.ledger[FAULT_STEP - 1].norms[cell] <= 1e-12
 
 
 def test_completeness_reuses_the_unitarize_gram(monkeypatch):

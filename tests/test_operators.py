@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIFFERENTIAL_BOXES, pair_offset_ids, random_banded, scatter_offsets
+from conftest import (DIFFERENTIAL_BOXES, offset_flat_id, pair_offset_ids, random_banded,
+                      scatter_offsets)
 from nmloc import (
     DiagonalOperator,
     LatticeBox,
@@ -51,7 +52,7 @@ def test_identity_norm_is_one(box1d, box2d):
 def test_single_diagonal_norm(box1d):
     c = 2.5 - 1.0j
     entries = np.zeros((box1d.n_sites, box1d.n_sites), complex)
-    entries[pair_offset_ids(box1d) == box1d.offset_flat_id((3,))] = c
+    entries[pair_offset_ids(box1d) == offset_flat_id(box1d, (3,))] = c
     op = LatticeOperator(box1d, entries)
     for s in (0.0, 1.0, 2.5):
         assert op.sobolev_norm(s) == pytest.approx(abs(c) * 3.0**s, rel=1e-14)
@@ -98,7 +99,7 @@ def test_multiply_against_brute_force(rng):
 def test_shift_composition(box1d):
     def shift(k):
         e = np.zeros((box1d.n_sites, box1d.n_sites), complex)
-        e[pair_offset_ids(box1d) == box1d.offset_flat_id((k,))] = 1.0
+        e[pair_offset_ids(box1d) == offset_flat_id(box1d, (k,))] = 1.0
         return LatticeOperator(box1d, e)
 
     two = shift(1) @ shift(1)
@@ -143,7 +144,7 @@ def test_smoothing_definition(box1d, rng):
     # offsets {0, 1, 3}, theta = 2 keeps {0, 1}
     e = np.zeros((box1d.n_sites,) * 2, complex)
     for k in (0, 1, 3):
-        e[pair_offset_ids(box1d) == box1d.offset_flat_id((k,))] = 1.0
+        e[pair_offset_ids(box1d) == offset_flat_id(box1d, (k,))] = 1.0
     sm = LatticeOperator(box1d, e).smooth(2.0)
     kept = {
         box1d.offset_vector(int(f))
@@ -179,7 +180,7 @@ def test_smoothing_equality_witnesses(box1d):
     for theta, s, sp in ((3.0, 2.0, 1.0), (2.0, 3.5, 0.0), (5.0, 1.5, 1.5)):
         k = int(theta)
         e = np.zeros((box1d.n_sites,) * 2, complex)
-        e[pair_offset_ids(box1d) == box1d.offset_flat_id((k,))] = 1.7
+        e[pair_offset_ids(box1d) == offset_flat_id(box1d, (k,))] = 1.7
         op = LatticeOperator(box1d, e)
         lhs = op.smooth(theta).sobolev_norm(s)
         rhs = theta ** (s - sp) * op.sobolev_norm(sp)

@@ -1,8 +1,11 @@
-"""Every public name of the package, and every field of a public dataclass,
-has a reader outside the tests."""
+"""Every public name of the package, every field of a public dataclass and
+every public method and property of a public class has a reader outside the
+tests."""
 
 import ast
 import dataclasses
+import functools
+import inspect
 import types
 from pathlib import Path
 
@@ -51,6 +54,19 @@ def test_every_public_dataclass_field_has_a_reader_outside_the_tests():
         f"{name}.{f.name}" for name in nmloc.__all__
         if dataclasses.is_dataclass(getattr(nmloc, name))
         for f in dataclasses.fields(getattr(nmloc, name)) if f.name not in read
+    ]
+    assert unread == []
+
+
+def test_every_public_method_and_property_has_a_reader_outside_the_tests():
+    read = {node.attr for node in nodes_outside_the_tests()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    members = (property, functools.cached_property, classmethod, staticmethod)
+    unread = [
+        f"{name}.{attr}" for name in nmloc.__all__ if inspect.isclass(getattr(nmloc, name))
+        for attr, member in vars(getattr(nmloc, name)).items()
+        if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, members))
+        and attr not in read
     ]
     assert unread == []
 
