@@ -11,9 +11,9 @@ numerical certificate.
 
 from .algebra import (
     DistalReport,
+    WindowScan,
     distal_gamma_box,
-    distal_gamma_window,
-    distal_margin,
+    window_scan,
 )
 from .box import LatticeBox
 from .homological import (

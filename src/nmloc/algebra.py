@@ -5,7 +5,8 @@ truncation to a box of a d-dimensional complex sequence in a
 translation-invariant Banach algebra: the sup norm, or for ``craig_mod1``
 the sampled BV norm of its ``bv_profile``.  Only the window scan reads
 that profile; ``run`` measures the separation constant in sup over in-box
-pairs.
+pairs (``distal_gamma_box``).  ``window_scan`` measures each offset once,
+and its ``WindowScan`` gives both the frontier gamma and a given pair's margin.
 
 The separation scans never build a shifted sequence: they evaluate the
 differences ``p_i - p_{i-k}`` directly, from the formula when the diagonal
@@ -55,9 +56,7 @@ def _inverted_difference_values(p: DiagonalOperator, k, window_mask):
     hit = np.flatnonzero(diffs == 0)
     if hit.size:
         where = tuple(int(c) for c in sites[hit[0]])
-        raise DistalViolationError(
-            f"distal violation at (i={where}, k={tuple(int(c) for c in k)})"
-        )
+        raise DistalViolationError(f"distal violation at (i={where}, k={k})")
     return 1.0 / diffs
 
 
@@ -73,9 +72,33 @@ def _inverted_profile(fn, shift, k):
     return inv
 
 
-def _distal_scan(p: DiagonalOperator, max_offset: int):
-    """Yield ``(k, |k|, ||(p - sigma_k p)^-1||)`` for every 0 < |k| <= max_offset
-    with a measurable pair.
+def _first_min(pairs):
+    """The ``(value, k)`` of ``pairs`` with the smallest value, the first on a tie."""
+    value, k = min(pairs, key=lambda pair: pair[0])
+    return float(value), k
+
+
+@dataclass(frozen=True)
+class WindowScan:
+    """``(k, |k|, ||(p - sigma_k p)^-1||)`` for each measurable offset, in scan
+    order.  The norms depend on neither tau nor gamma, so one scan answers
+    every ``(tau, gamma)``."""
+
+    rows: tuple[tuple[tuple[int, ...], int, float], ...]
+
+    def gamma(self, tau: float):
+        """``(gamma_best, worst_offset)``: min over k of |k|^tau / norm_k, the
+        largest gamma passing the window (the worst margin is exactly zero)."""
+        return _first_min((klen**tau / norm, k) for k, klen, norm in self.rows)
+
+    def margin(self, tau: float, gamma: float) -> DistalReport:
+        """The smallest gamma^-1 |k|^tau - norm_k and its offset."""
+        least, worst = _first_min(((klen**tau) / gamma - norm, k) for k, klen, norm in self.rows)
+        return DistalReport(tau, gamma, worst, least)
+
+
+def window_scan(p: DiagonalOperator, max_offset: int) -> WindowScan:
+    """Measure ``||(p - sigma_k p)^-1||`` once for each 0 < |k| <= max_offset.
 
     Norms are measured over the interior window.  An offset whose window
     sites all lack an in-box partner bounds nothing and is skipped; a scan
@@ -91,55 +114,20 @@ def _distal_scan(p: DiagonalOperator, max_offset: int):
         raise ValueError("max_offset exceeds twice the box radius")
     window = box.interior_mask
     prof = p.bv_profile
-    measured = False
+    rows = []
     for k in box.all_offsets(max_offset):
         inverted = _inverted_difference_values(p, k, window)
         if inverted.size == 0:
             continue
-        measured = True
         norm = float(np.max(np.abs(inverted)))
         if prof is not None:
             shift = float(np.asarray(k, dtype=float) @ np.asarray(prof.omega))
             sup, tv = sup_and_variation(_inverted_profile(prof.fn, shift, k))
             norm = max(norm, sup + tv)
-        yield k, max(abs(int(c)) for c in k), norm
-    if not measured:
-        raise DegenerateSequenceError(
-            f"no measurable pairs for any offset up to {max_offset}"
-        )
-
-
-def distal_margin(p: DiagonalOperator, tau: float, gamma: float,
-                  max_offset: int) -> DistalReport:
-    """Scan gamma^-1 |k|^tau - ||(p - sigma_k p)^-1|| over all 0 < |k| <= max_offset.
-
-    The norms come from the shared scan (see :func:`_distal_scan`); the
-    report keeps the smallest margin and its offset.
-    """
-    worst = None
-    min_margin = np.inf
-    for k, klen, norm in _distal_scan(p, max_offset):
-        margin = (klen**tau) / gamma - norm
-        if margin < min_margin:
-            min_margin = margin
-            worst = k
-    return DistalReport(tau, gamma, tuple(worst), float(min_margin))
-
-
-def distal_gamma_window(p: DiagonalOperator, tau: float, max_offset: int):
-    """Largest gamma passing the window scan: min over k of |k|^tau / norm_k.
-
-    Reduces the same scan as :func:`distal_margin`; the returned constant
-    makes the worst offset's margin exactly zero.
-    """
-    best = np.inf
-    worst = None
-    for k, klen, norm in _distal_scan(p, max_offset):
-        gamma_k = klen**tau / norm
-        if gamma_k < best:
-            best = gamma_k
-            worst = k
-    return float(best), tuple(worst)
+        rows.append((k, max(map(abs, k)), norm))
+    if not rows:
+        raise DegenerateSequenceError(f"no measurable pairs for any offset up to {max_offset}")
+    return WindowScan(tuple(rows))
 
 
 def distal_gamma_box(p: DiagonalOperator, tau: float):

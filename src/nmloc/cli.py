@@ -12,7 +12,8 @@ enums) and the parser refuses ``NaN`` and ``Infinity``; each value's range
 is checked by the spec that owns it, and the error names the dotted key.
 ``run`` writes ``ledger.csv`` (the per-step ledger) and ``report.json``
 into ``--out-dir`` (default: the working directory).  The report's format
-is ``REPORT_SCHEMA``; non-finite values are written as null.  ``sweep``
+is ``tests/report_schema.py``; an eigenreport or theory-condition row is
+its record's fields, and non-finite values are written as null.  ``sweep``
 treats comma-separated override values as cartesian sweep axes (a
 bracketed list is one value) and emits one report per cell plus an
 aggregate CSV; a cell whose build or run raises is named on stderr and
@@ -57,7 +58,7 @@ from .models import (
     build_potential,
     check_diophantine,
 )
-from .algebra import distal_gamma_window, distal_margin
+from .algebra import window_scan
 from .operators import DiagonalOperator, TameConstants
 
 _NUM = {"type": "number"}
@@ -121,103 +122,7 @@ CONFIG_SCHEMA = {
     },
 }
 
-_EIGENREPORT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "center",
-        "eigenvalue",
-        "decay_envelope_margin",
-        "eigen_residual",
-        "interior",
-        "envelope_constant",
-    ],
-    "properties": {
-        "center": {"type": "array", "items": {"type": "integer"}},
-        "eigenvalue": {
-            "type": "object",
-            "properties": {"re": _NUM, "im": _NUM},
-            "required": ["re", "im"],
-            "additionalProperties": False,
-        },
-        "decay_envelope_margin": _NUM,
-        "eigen_residual": _NUM,
-        "interior": {"type": "boolean"},
-        "envelope_constant": _NUM_OR_NULL,
-    },
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "config_echo",
-        "converged",
-        "steps",
-        "final_residual_norms",
-        "qplus_norms",
-        "dplus_norm",
-        "localization",
-        "theory_conditions",
-    ],
-    "properties": {
-        "config_echo": {"type": "object"},
-        "converged": {"type": "boolean"},
-        "steps": {"type": "integer"},
-        # norms of the final state: null when a run ends with non-finite entries
-        "final_residual_norms": {"type": "object", "additionalProperties": _NUM_OR_NULL},
-        "qplus_norms": {"type": "object", "additionalProperties": _NUM_OR_NULL},
-        "dplus_norm": _NUM_OR_NULL,
-        "gamma_used": _NUM,
-        "master_residual": _NUM_OR_NULL,
-        "bound_formulas": {"type": "object", "additionalProperties": {"type": "string"}},
-        "localization": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["eigenreports", "completeness", "spectrum"],
-            "properties": {
-                "eigenreports": {"type": "array", "items": _EIGENREPORT_SCHEMA},
-                "completeness": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["min_singular_value", "gram_offdiag"],
-                    "properties": {
-                        "min_singular_value": _NUM_OR_NULL,
-                        "gram_offdiag": _NUM_OR_NULL,
-                        "unitarity_defect": _NUM_OR_NULL,
-                    },
-                },
-                "spectrum": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "hausdorff_interior": _NUM_OR_NULL,
-                        "skipped": {"type": ["string", "null"]},
-                    },
-                },
-            },
-        },
-        "theory_conditions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name", "holds", "margin", "scale", "effective"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "holds": {"type": "boolean"},
-                    "margin": _NUM_OR_NULL,
-                    "scale": {"type": "string"},
-                    "effective": {"type": "boolean"},
-                    "detail": {"type": "string"},
-                },
-            },
-        },
-    },
-}
-
-
-# the schemas are constants; tier-1 checks them against their metaschema
+# the schema is a constant; tier-1 checks it against its metaschema
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
@@ -338,17 +243,10 @@ def _report_dict(cfg, result):
 
     loc = {"eigenreports": [], "completeness": {}, "spectrum": {}}
     if result.converged:
-        reports = localization.eigenfunctions(result)
+        # each row is its record's fields in order; a new field needs no edit here
         loc["eigenreports"] = [
-            {
-                "center": list(r.center),
-                "eigenvalue": {"re": r.eigenvalue.real, "im": r.eigenvalue.imag},
-                "decay_envelope_margin": r.decay_envelope_margin,
-                "eigen_residual": r.eigen_residual,
-                "interior": r.interior,
-                "envelope_constant": r.envelope_constant,
-            }
-            for r in reports
+            {**vars(r), "eigenvalue": {"re": r.eigenvalue.real, "im": r.eigenvalue.imag}}
+            for r in localization.eigenfunctions(result)
         ]
         min_sv, gram_off = localization.completeness_check(result)
         loc["completeness"] = {
@@ -383,15 +281,7 @@ def _report_dict(cfg, result):
         "bound_formulas": dict(BOUND_FORMULAS),
         "localization": loc,
         "theory_conditions": [
-            {
-                "name": c.name,
-                "holds": c.holds,
-                "margin": c.margin,
-                "scale": c.scale,
-                "effective": c.effective,
-                "detail": c.detail,
-            }
-            for c in result.theory_conditions
+            {f: v for f, v in vars(c).items() if f != "data"} for c in result.theory_conditions
         ],
     }
     return report
@@ -440,10 +330,11 @@ def cmd_run(cfg: dict, out_dir=".") -> tuple[int, dict]:
 def cmd_verify_distal(cfg: dict) -> int:
     """The window scan's frontier; a given gamma is checked by both scans.
 
-    ``theory_conditions`` owns the run's verdict on gamma (its ``gamma``
-    row, measured on the box); the window scan reads the potential's BV
-    profile, where it has one, and can disagree.  Either failing fails the
-    command.
+    One :func:`window_scan` gives the frontier at every tau and the margin
+    of a given ``(tau, gamma)``.  ``theory_conditions`` owns the run's
+    verdict on gamma (its ``gamma`` row, measured on the box); the window
+    scan reads the potential's BV profile, where it has one, and can
+    disagree.  Either failing fails the command.
     """
     box, spec, D, T, p = _assemble(cfg)
     max_offset = min(2 * box.radius, 64)
@@ -452,15 +343,16 @@ def cmd_verify_distal(cfg: dict) -> int:
     table = csv.writer(sys.stdout, lineterminator="\n")
     table.writerow(["tau", "gamma_best", "worst_offset"])
     failed = []
+    scan = window_scan(D, max_offset)
     for tau in taus:
-        gamma_best, worst = distal_gamma_window(D, tau, max_offset)
+        gamma_best, worst = scan.gamma(tau)
         table.writerow([_f17(tau), _f17(gamma_best), worst])
     if spec.omega is not None:
         gamma_dio, worst = check_diophantine(spec.omega, p.tau, max_offset)
         print(f"torus frequency constant at tau={p.tau:g}: "
               f"gamma={_f17(gamma_dio)} worst_k={worst}")
     if p.gamma is not None:
-        report = distal_margin(D, p.tau, p.gamma, max_offset)
+        report = scan.margin(p.tau, p.gamma)
         status = "pass" if report.passed else "FAIL"
         print(f"requested (tau={p.tau:g}, gamma={p.gamma:g}): {status} "
               f"margin={_f17(report.empirical_margin)} at {report.worst_offset}")

@@ -72,9 +72,8 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
     if diag_dev > 1e-9 * (1.0 + sup_g):
         raise ValueError(f"unreduced diagonal: max |diag(G)| = {diag_dev:.3e}")
 
-    sg = G.smooth(theta)
     divisors = d[None, :] - d[:, None]  # (i, j) -> d_j - d_i
-    need = _in_band_offdiagonal(box, theta)
+    need = _in_band_offdiagonal(box, theta)  # inside the band, so S_theta G = G there
     small = need & (np.abs(divisors) < EPS_FLOOR)
     if np.any(small):
         i, j = np.argwhere(small)[0]
@@ -83,16 +82,17 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
             f" divisor {abs(divisors[i, j]):.3e} below floor {EPS_FLOOR:.1e}"
         )
 
-    w = np.zeros_like(sg.entries)
-    np.divide(sg.entries, divisors, out=w, where=need)
+    w = np.zeros_like(G.entries)
+    np.divide(G.entries, divisors, out=w, where=need)
     return LatticeOperator(box, w)
 
 
 def generator_residual(D: DiagonalOperator, G: LatticeOperator, W: LatticeOperator,
                        theta: float) -> float:
-    """``max |[D, W] + S_theta G|`` over the entries the solve sets."""
+    """``max |[D, W] + S_theta G|`` over the entries the solve sets, where
+    ``S_theta G`` is ``G``."""
     d = D.values
-    resid = np.abs((d[:, None] - d[None, :]) * W.entries + G.smooth(theta).entries)
+    resid = np.abs((d[:, None] - d[None, :]) * W.entries + G.entries)
     resid[~_in_band_offdiagonal(G.box, theta)] = 0.0
     return float(np.max(resid))
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from nmloc import (
     GOLDEN_MEAN,
+    DistalReport,
     HoppingSpec,
     LatticeBox,
     LatticeOperator,
@@ -12,6 +15,8 @@ from nmloc import (
     build_potential,
     run,
 )
+from nmloc import algebra
+from nmloc.operators import sup_and_variation
 
 
 # the boxes on which the box's pair geometry is checked against the tables
@@ -67,6 +72,43 @@ def random_banded(box, rng, n_offsets=6, scale=1.0, max_offset=None):
         (box.n_sites, box.n_sites)
     )
     return LatticeOperator(box, np.where(mask, scale * vals, 0.0))
+
+
+def reference_window_scan(p, max_offset):
+    """``(k, |k|, norm)`` per measurable offset, a generator that each
+    reference reduction below runs afresh, as the window scan once did."""
+    window = p.box.interior_mask
+    prof = p.bv_profile
+    for k in p.box.all_offsets(max_offset):
+        inverted = algebra._inverted_difference_values(p, k, window)
+        if inverted.size == 0:
+            continue
+        norm = float(np.max(np.abs(inverted)))
+        if prof is not None:
+            shift = float(np.asarray(k, dtype=float) @ np.asarray(prof.omega))
+            sup, tv = sup_and_variation(algebra._inverted_profile(prof.fn, shift, k))
+            norm = max(norm, sup + tv)
+        yield k, max(abs(int(c)) for c in k), norm
+
+
+def reference_window_gamma(p, tau, max_offset):
+    """min over k of |k|^tau / norm_k and its offset, by a strict-``<`` loop."""
+    best, worst = math.inf, None
+    for k, klen, norm in reference_window_scan(p, max_offset):
+        gamma_k = klen**tau / norm
+        if gamma_k < best:
+            best, worst = gamma_k, k
+    return float(best), tuple(worst)
+
+
+def reference_window_margin(p, tau, gamma, max_offset):
+    """min over k of gamma^-1 |k|^tau - norm_k, by a strict-``<`` loop."""
+    least, worst = math.inf, None
+    for k, klen, norm in reference_window_scan(p, max_offset):
+        margin = (klen**tau) / gamma - norm
+        if margin < least:
+            least, worst = margin, k
+    return DistalReport(tau, gamma, tuple(worst), float(least))
 
 
 @pytest.fixture

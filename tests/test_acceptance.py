@@ -28,7 +28,6 @@ from nmloc import (
     check_theory_conditions,
     completeness_check,
     distal_gamma_box,
-    distal_margin,
     eigenfunctions,
     neumann_invert,
     run,
@@ -36,6 +35,7 @@ from nmloc import (
     solve_generator,
     spectrum_compare,
     tame_bound_check,
+    window_scan,
 )
 from nmloc.homological import (
     fixed_point_check,
@@ -323,7 +323,7 @@ def test_criterion_10_limit_periodic_potentials():
         ("limit_periodic_ternary", math.log2(3.0), 1.0 / 3.0, 0.02),
     ):
         D = build_potential(PotentialSpec(kind), box)
-        rep = distal_margin(D, tau, gamma, max_offset=2 * box.radius)
+        rep = window_scan(D, max_offset=2 * box.radius).margin(tau, gamma)
         T = build_hopping(HoppingSpec(s_exponent=S0, epsilon=eps), box)
         res = run(T, D, scheme_params(tau=tau, epsilon=eps))
         ok &= rep.passed and res.converged

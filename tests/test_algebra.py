@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIFFERENTIAL_BOXES, scatter_offsets
+from conftest import (
+    DIFFERENTIAL_BOXES,
+    reference_window_gamma,
+    reference_window_margin,
+    scatter_offsets,
+)
 from nmloc import (
     GOLDEN_MEAN,
     DiagonalOperator,
@@ -14,8 +19,7 @@ from nmloc import (
     TorusProfile,
     build_potential,
     distal_gamma_box,
-    distal_gamma_window,
-    distal_margin,
+    window_scan,
 )
 from nmloc.errors import DegenerateSequenceError, DistalViolationError
 from nmloc.models import POTENTIAL_KINDS, PotentialSpec
@@ -82,7 +86,7 @@ def test_arithmetic_progression_distal_margin():
     box = LatticeBox(1, 8, 8)
     formula = lambda s: 2.0 * np.asarray(s, float).ravel()
     p = DiagonalOperator(box, formula(box.sites), formula=formula)
-    report = distal_margin(p, tau=1.0, gamma=2.0, max_offset=8)
+    report = window_scan(p, max_offset=8).margin(tau=1.0, gamma=2.0)
     assert report.passed
     assert report.empirical_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -90,20 +94,20 @@ def test_arithmetic_progression_distal_margin():
 def test_constant_sequence_distal_violation(box1d):
     p = DiagonalOperator(box1d, np.full(box1d.n_sites, 5.0))
     with pytest.raises(DistalViolationError, match="distal violation"):
-        distal_margin(p, tau=1.0, gamma=1.0, max_offset=2)
+        window_scan(p, max_offset=2)
 
 
 def test_scan_with_no_measurable_offset_raises(box1d):
     p = DiagonalOperator(box1d, np.arange(box1d.n_sites, dtype=float))
     with pytest.raises(DegenerateSequenceError, match="no measurable pairs"):
-        distal_gamma_window(p, tau=1.0, max_offset=0)
+        window_scan(p, max_offset=0)
 
 
 def test_maryland_distal_gamma_window_baseline():
     # oracle: brute-force min over the window of |k|^tau / sup_i 1/|p_i - p_{i-k}|
     box = LatticeBox(1, 64, 64)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
-    gamma_best, worst = distal_gamma_window(D, tau=1.0, max_offset=64)
+    gamma_best, worst = window_scan(D, max_offset=64).gamma(tau=1.0)
 
     def oracle():
         best = math.inf
@@ -129,25 +133,44 @@ def test_maryland_distal_gamma_window_baseline():
 
 def test_profile_grid_collision_raises_in_both_scans():
     # distinct lattice values, but a step profile whose grid differences
-    # vanish: both reductions of the shared scan must reject it
+    # vanish: the one scan both reductions read must reject it
     box = LatticeBox(1, 8, 6)
     profile = TorusProfile(lambda x: np.floor(2.0 * np.mod(x, 1.0)) / 2.0,
                            (GOLDEN_MEAN,))
     p = DiagonalOperator(box, np.mod(box.sites[:, 0] * GOLDEN_MEAN, 1.0),
                          bv_profile=profile)
     with pytest.raises(DistalViolationError, match="profile grid"):
-        distal_margin(p, 1.0, 0.1, max_offset=4)
-    with pytest.raises(DistalViolationError, match="profile grid"):
-        distal_gamma_window(p, 1.0, max_offset=4)
+        window_scan(p, max_offset=4)
+
+
+@pytest.mark.parametrize("dimension, radius, interior", [(1, 16, 12), (2, 4, 3)])
+@pytest.mark.parametrize("kind", POTENTIAL_KINDS)
+def test_window_scan_reductions_match_the_reference_loops_bit_for_bit(
+        kind, dimension, radius, interior, rng):
+    box = LatticeBox(dimension, radius, interior)
+    omega = (GOLDEN_MEAN, math.sqrt(2.0) - 1.0)[:dimension]
+    D = build_potential(PotentialSpec(
+        kind, omega=omega if kind in ("maryland", "sarnak", "craig_mod1") else None,
+        custom_values=rng.standard_normal(box.n_sites) if kind == "custom" else None), box)
+    assert (D.bv_profile is not None) == (kind == "craig_mod1")
+    max_offset = 2 * radius
+    scan = window_scan(D, max_offset)
+    for tau in (0.5, 1.0, math.log2(3.0), 2.0):
+        gamma, worst = scan.gamma(tau)
+        ref_gamma, ref_worst = reference_window_gamma(D, tau, max_offset)
+        assert (gamma.hex(), worst) == (ref_gamma.hex(), ref_worst)
+        for g in (1e-3, 0.1, 1.0, gamma):  # the last at the frontier itself
+            report = scan.margin(tau, g)
+            ref = reference_window_margin(D, tau, g, max_offset)
+            assert report == ref
+            assert report.empirical_margin.hex() == ref.empirical_margin.hex()
 
 
 def test_distal_margin_monotone_in_gamma():
     box = LatticeBox(1, 16, 12)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
-    margins = [
-        distal_margin(D, 1.0, g, max_offset=16).empirical_margin
-        for g in (0.5, 1.0, 2.0, 4.0)
-    ]
+    scan = window_scan(D, max_offset=16)
+    margins = [scan.margin(1.0, g).empirical_margin for g in (0.5, 1.0, 2.0, 4.0)]
     assert all(b <= a + 1e-15 for a, b in zip(margins, margins[1:]))
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nmloc.algebra as algebra
 import nmloc.iteration as iteration
 from nmloc import (
     HoppingSpec,
@@ -30,6 +31,7 @@ from nmloc import (
 import nmloc.box as box_module
 from nmloc.box import PHYSICAL_MEMORY
 from nmloc.errors import ConfigError, TheoryConditionError
+from report_schema import REPORT_SCHEMA
 
 
 def base_config():
@@ -70,7 +72,7 @@ def test_unknown_keys_rejected():
 
 
 def test_schemas_are_valid_under_their_metaschema():
-    for schema in (cli.CONFIG_SCHEMA, cli.REPORT_SCHEMA):
+    for schema in (cli.CONFIG_SCHEMA, REPORT_SCHEMA):
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
@@ -286,7 +288,7 @@ def test_run_writes_valid_report_and_ledger(tmp_path):
     code = cli.main(["run", "--config", cfg_path, "--out-dir", str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    jsonschema.validate(report, REPORT_SCHEMA)
     assert report["converged"] is True
     assert report["config_echo"] == base_config()
     ledger = (out / "ledger.csv").read_text().strip().split("\n")
@@ -328,6 +330,25 @@ def test_verify_distal_exit_codes(tmp_path, capsys):
     assert cli.main(
         ["verify-distal", "--config", write_config(tmp_path, cfg, "b.json")]
     ) == 1
+
+
+@pytest.mark.parametrize("dimension, radius, interior", [(1, 12, 9), (2, 4, 3)])
+def test_verify_distal_measures_each_offset_once(tmp_path, capsys, monkeypatch,
+                                                 dimension, radius, interior):
+    # the four-tau frontier and the requested margin all read one scan
+    calls = []
+    measure = algebra._inverted_difference_values
+    monkeypatch.setattr(algebra, "_inverted_difference_values",
+                        lambda p, k, window: calls.append(k) or measure(p, k, window))
+    cfg = base_config()
+    cfg["box"] = {"dimension": dimension, "radius": radius, "interior_radius": interior}
+    cfg["potential"]["omega"] = [0.6180339887498949, 0.41421356237309503][:dimension]
+    cfg["params"].update(gamma=1e-3, alpha0=0.6 * dimension)
+    assert cli.main(["verify-distal", "--config", write_config(tmp_path, cfg)]) == 0
+    assert "requested" in capsys.readouterr().out
+    max_offset = min(2 * radius, 64)
+    assert sorted(calls) == sorted(LatticeBox(dimension, radius, interior).all_offsets(max_offset))
+    assert len(calls) == (2 * max_offset + 1) ** dimension - 1
 
 
 def test_verify_distal_on_a_custom_potential_skips_offsets_without_pairs(
@@ -523,7 +544,7 @@ def test_unconverged_report_is_strict_json(tmp_path):
                      "--out-dir", str(out)]) == 1
     report = json.loads((out / "report.json").read_text(),
                         parse_constant=_reject_constant)
-    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    jsonschema.validate(report, REPORT_SCHEMA)
     assert report["converged"] is False
     assert report["master_residual"] is None
     assert report["localization"]["completeness"]["min_singular_value"] is None
@@ -568,7 +589,7 @@ def test_non_finite_transform_writes_a_strict_report(tmp_path, monkeypatch):
                      "--out-dir", str(out)]) == 1
     report = json.loads((out / "report.json").read_text(),
                         parse_constant=_reject_constant)
-    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    jsonschema.validate(report, REPORT_SCHEMA)
     assert report["converged"] is False
     assert report["qplus_norms"]["operator_norm"] is None
 
@@ -602,7 +623,7 @@ def test_written_report_is_strict_json_in_the_report_format(tmp_path, monkeypatc
                      "--out-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text(),
                         parse_constant=_reject_constant)
-    jsonschema.validate(report, cli.REPORT_SCHEMA)
+    jsonschema.validate(report, REPORT_SCHEMA)
     assert report["converged"] is True and report["localization"]["eigenreports"]
     skipped = report["localization"]["spectrum"]["skipped"]
     assert (skipped is not None) == (case == "sarnak")

@@ -13,7 +13,7 @@ from nmloc import (
     build_hopping,
     build_potential,
     check_diophantine,
-    distal_margin,
+    window_scan,
 )
 
 
@@ -108,10 +108,10 @@ def test_limit_periodic_distal_constants():
     # ternary (d log2 3, 3^-d); at d = 1 both certified on the box window
     box = LatticeBox(1, 64, 64)
     Db = build_potential(PotentialSpec("limit_periodic_binary",), box)
-    rb = distal_margin(Db, tau=1.0, gamma=1.0 / 16.0, max_offset=64)
+    rb = window_scan(Db, max_offset=64).margin(tau=1.0, gamma=1.0 / 16.0)
     assert rb.passed
     Dt = build_potential(PotentialSpec("limit_periodic_ternary",), box)
-    rt = distal_margin(Dt, tau=math.log2(3.0), gamma=1.0 / 3.0, max_offset=64)
+    rt = window_scan(Dt, max_offset=64).margin(tau=math.log2(3.0), gamma=1.0 / 3.0)
     assert rt.passed
 
 
@@ -163,29 +163,27 @@ def test_hopping_norm_sweep_grows_toward_regularity_edge():
 
 
 def test_craig_distal_with_measured_gamma():
-    from nmloc import distal_gamma_window
-
     box = LatticeBox(1, 64, 48)
     D = build_potential(PotentialSpec("craig_mod1", omega=(GOLDEN_MEAN,)), box)
-    gamma, _ = distal_gamma_window(D, tau=1.0, max_offset=64)
+    scan = window_scan(D, max_offset=64)
+    gamma, _ = scan.gamma(tau=1.0)
     assert gamma > 0.0
-    report = distal_margin(D, tau=1.0, gamma=gamma, max_offset=64)
+    report = scan.margin(tau=1.0, gamma=gamma)
     assert report.passed
     # the sampled-variation norm dwarfs the plain sup of the same data, so
     # its certified constant is smaller
-    sup_gamma, _ = distal_gamma_window(
-        DiagonalOperator(box, D.values, formula=D.formula), tau=1.0, max_offset=64
-    )
+    sup_gamma, _ = window_scan(
+        DiagonalOperator(box, D.values, formula=D.formula), max_offset=64
+    ).gamma(tau=1.0)
     assert gamma <= sup_gamma
 
 
 def test_maryland_distal_large_box():
     box = LatticeBox(1, 256, 200)
     D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN,)), box)
-    from nmloc import distal_gamma_window
-
-    gamma, _ = distal_gamma_window(D, tau=1.0, max_offset=128)
-    report = distal_margin(D, tau=1.0, gamma=gamma, max_offset=128)
+    scan = window_scan(D, max_offset=128)
+    gamma, _ = scan.gamma(tau=1.0)
+    report = scan.margin(tau=1.0, gamma=gamma)
     assert report.passed
     assert gamma > 0.3
 
