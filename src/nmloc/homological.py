@@ -16,7 +16,8 @@
 * ``neumann_invert``: inversion of ``I + W`` by a Neumann series under the
   smallness condition ``4 c0^2 ||W||_a0 <= 1/2``, with a direct-solve
   fallback for out-of-regime inputs that reports the exact 1-norm
-  condition number of ``I + W``.
+  condition number of ``I + W``.  Either way the inverse's underflowing
+  tail is flushed (``operators.flush_underflow``) before it is returned.
 
 Each solve returns what the conjugation step reads: ``W``, ``X`` and the
 inverse ``V^-1`` with its series term count or condition number.  The
@@ -40,7 +41,7 @@ from .errors import (
     FixedPointStalledError,
     NeumannSmallnessError,
 )
-from .operators import DiagonalOperator, LatticeOperator, TameConstants
+from .operators import DiagonalOperator, LatticeOperator, TameConstants, flush_underflow
 
 EPS_FLOOR = 1e-14  # smallest divisor |d_j - d_i| the generator solve accepts
 FIXED_POINT_MAX_ITER = 200  # contraction-check iterations before it stalls
@@ -215,6 +216,13 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
     LAPACK's ``gesv`` against the identity, bit for bit the direct solve of
     ``(I + W) X = I``; inside that call numpy.linalg holds a copy of
     ``I + W`` and of the identity, which ``tracemalloc`` does not see.
+
+    ``V^-1`` decays exponentially off the diagonal, so on a large box its
+    tail runs into the subnormal range.  One ``flush_underflow`` on the
+    returned inverse, for both paths, zeros every part below
+    ``UNDERFLOW_FLOOR`` before any product reads it, so the step and every
+    check read the flushed inverse.  The fallback's condition number is
+    read off the inverse as LAPACK returns it; the flush moves no 1-norm.
     """
     box = W.box
     w_a0 = W.sobolev_norm(tc.alpha0)
@@ -249,4 +257,4 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
         vinv = np.linalg.inv(v)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 
-    return NeumannResult(LatticeOperator(box, vinv), terms, cond)
+    return NeumannResult(flush_underflow(LatticeOperator(box, vinv)), terms, cond)

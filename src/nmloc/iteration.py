@@ -23,7 +23,12 @@ started from ``Q = I``, ``R = 0`` and ``H = D``, and only its bounds differ
 (``step_bounds`` at ``k = 0``).  ``iterate_step`` is the step's data flow,
 four module-level sub-steps that a test can replace one at a time; an
 operand that a later sub-step frees is handed on in a one-element list
-that the sub-step empties, so no caller keeps it alive.
+that the sub-step empties, so no caller keeps it alive.  ``V^-1`` and the
+new ``Q^-1`` shed their underflowing tails in place as they are formed
+(``operators.flush_underflow``), so no product of a step reads a subnormal
+part; ``Q``, a product of banded factors, grows no such tail.  The checks
+measure the flushed operators, and the dropped parts lie far below the
+rounding of the identity both are near, so no ledger value moves.
 
 Every run evaluates the sufficient parameter inequalities once, at the
 separation constant ``gamma`` it uses, and keeps them in
@@ -51,7 +56,8 @@ from .algebra import distal_gamma_box
 from .box import LatticeBox
 from .errors import SymmetryDefectError, TheoryConditionError
 from .homological import neumann_invert, solve_diagonal_correction, solve_generator
-from .operators import DiagonalOperator, LatticeOperator, TameConstants, shift_diagonal
+from .operators import (DiagonalOperator, LatticeOperator, TameConstants, flush_underflow,
+                        shift_diagonal)
 
 INVERSE = "inverse"
 DIRECT = "direct"
@@ -444,7 +450,10 @@ def _transform_update(state: IterationState, G: LatticeOperator, Dk: DiagonalOpe
                       target: np.ndarray):
     """``([W], [V^-1 - I], norms)``: the generator ``W`` of ``G`` and the
     inverse of ``V = I + W``; replaces the state's ``Q`` by ``Q V`` and
-    ``Q^-1`` by ``V^-1 Q^-1``, and frees ``V^-1`` once both are formed."""
+    ``Q^-1`` by ``V^-1 Q^-1``, and frees ``V^-1`` once both are formed.
+    The new ``Q^-1`` is flushed below ``UNDERFLOW_FLOOR`` before anything
+    reads it: ``V^-1`` arrives flushed, but its product with ``Q^-1``
+    grows the tail again."""
     p, box, first = state.params, state.box, state.k == 0
     eye = DiagonalOperator.identity(box)
     W = solve_generator(DiagonalOperator(box, target), G if p.mode == INVERSE else G - Dk,
@@ -455,7 +464,7 @@ def _transform_update(state: IterationState, G: LatticeOperator, Dk: DiagonalOpe
     norms["Qstep"] = _family(Q_next - state.Q, p)
     norms["QmI"] = _family(Q_next - eye, p)
     state.Q = Q_next
-    state.Qinv = Vinv if first else Vinv @ state.Qinv
+    state.Qinv = Vinv if first else flush_underflow(Vinv @ state.Qinv)
     VmI = Vinv - eye
     del Vinv
     norms["VinvmI"] = _family(VmI, p)

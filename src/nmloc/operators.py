@@ -25,7 +25,14 @@ dense array in place (``shift_diagonal``).
 
 Operators are immutable; per-offset sups, Sobolev norms and singular
 values are cached on the instance, so each operator takes at most one Gram
-eigensolve.
+eigensolve.  The one exception is ``flush_underflow``, the only place that
+reopens a frozen array: the inverse of a banded near-identity matrix decays
+exponentially off the diagonal, into double precision's subnormal range on
+a large box, and a BLAS product with subnormal operands runs several to
+tens of times slower.  It zeros, in place and before anything reads the
+operator, every real and imaginary part below ``UNDERFLOW_FLOOR = 2^-511``,
+the square root of the smallest normal double, so that the product of two
+kept parts of modulus at most 1 is a normal number.
 """
 
 from __future__ import annotations
@@ -193,6 +200,44 @@ class LatticeOperator:
 
     def __repr__(self):
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
+
+
+UNDERFLOW_FLOOR = 2.0**-511  # sqrt of the smallest normal double
+_FLUSH_SCRATCH_BYTES = 1 << 18  # 256 KiB
+
+
+def flush_underflow(op: LatticeOperator) -> LatticeOperator:
+    """Zero in place every real and imaginary part of ``op``'s entries whose
+    modulus is below ``UNDERFLOW_FLOOR``; returns ``op``.
+
+    Each part is multiplied by ``|part| >= UNDERFLOW_FLOOR`` as 1.0 or 0.0,
+    with no branch per part: a kept part stays bit for bit, a flushed one
+    becomes a zero of its own sign (+-0 stays +-0), NaN fails the comparison
+    and stays NaN, and +-inf stays.  Rows go in blocks of an eighth of them,
+    fewer while the scratch (the multipliers and their mask, 9 bytes per
+    part) would pass 256 KiB, so it is at most a seventh of the size of
+    ``op``'s entries.  Only for an operator that nothing has read yet: its
+    entries are reopened for the pass and frozen again, and its caches are
+    dropped.
+    """
+    entries = op.entries
+    n = entries.shape[0]
+    rows = max(1, min(n // 8, _FLUSH_SCRATCH_BYTES // (9 * 2 * n)))
+    keep = np.empty((rows, 2 * n))
+    kept = np.empty((rows, 2 * n), dtype=bool)
+    entries.flags.writeable = True
+    try:
+        parts = entries.view(np.float64)  # (n, 2n): re, im, re, im, ...
+        for r in range(0, n, rows):
+            block = parts[r:r + rows]
+            k, m = keep[:len(block)], kept[:len(block)]
+            np.greater_equal(np.abs(block, out=k), UNDERFLOW_FLOOR, out=m)
+            np.copyto(k, m)
+            block *= k
+    finally:
+        entries.flags.writeable = False
+    op._diag_sups, op._norms, op._svals = None, {}, None
+    return op
 
 
 def shift_diagonal(a: np.ndarray, values, ufunc=np.add) -> np.ndarray:

@@ -126,22 +126,22 @@ def box2d():
     return LatticeBox(2, 3, 2)
 
 
-def _acceptance_box_run(kind, epsilon):
+def acceptance_box_run(kind, epsilon, mode="inverse"):
     """A run on the acceptance box (d=1, N=128), with the acceptance params."""
     box = LatticeBox(1, 128, 100)
     D = build_potential(PotentialSpec(kind, omega=(GOLDEN_MEAN,)), box)
     T = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=epsilon), box)
     return run(T, D, SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
-                                  Theta=2.0, s_hopping=4.0, epsilon=epsilon))
+                                  Theta=2.0, s_hopping=4.0, epsilon=epsilon, mode=mode))
 
 
 @pytest.fixture(scope="session")
 def flagship_result():
     """The acceptance flagship: real symmetric Maryland, eps = 0.1."""
-    return _acceptance_box_run("maryland", 0.1)
+    return acceptance_box_run("maryland", 0.1)
 
 
 @pytest.fixture(scope="session")
 def sarnak_result():
     """The acceptance Sarnak run: complex, non-normal, eps = 0.05."""
-    return _acceptance_box_run("sarnak", 0.05)
+    return acceptance_box_run("sarnak", 0.05)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import nmloc.iteration as iteration
-from conftest import pair_offset_ids
+import nmloc.operators as operators
+from conftest import acceptance_box_run, pair_offset_ids
 from nmloc import (
     GOLDEN_MEAN,
     DiagonalOperator,
@@ -512,6 +513,83 @@ def test_completeness_reuses_the_unitarize_gram(monkeypatch):
     monkeypatch.setattr(LatticeOperator, "__matmul__", refuse)
     min_sv, gram_off = completeness_check(res)
     assert gram_off == res.gram.off_diagonal_max()
+
+
+def _parts_below(entries, bound):
+    """How many real or imaginary parts of ``entries`` are nonzero and below
+    ``bound`` in modulus."""
+    parts = np.abs(entries.view(np.float64))
+    return int(np.count_nonzero((parts > 0.0) & (parts < bound)))
+
+
+def test_products_read_no_subnormal_operand(monkeypatch):
+    # the tails of V^-1 and Q^-1 decay into the underflow range, where each
+    # subnormal part sends a BLAS product down a slow path; flushed below
+    # UNDERFLOW_FLOOR, no product of this run reads one (unflushed, its
+    # operands hold hundreds to thousands per call site).  No time is
+    # asserted: the count is the deterministic witness
+    tiny = np.finfo(float).tiny
+    matmul, invert, step = (LatticeOperator.__matmul__, iteration.neumann_invert,
+                            iteration.iterate_step)
+    subnormal, vinv_tails, qinv_tails = [], [], []
+
+    def checked_matmul(a, b):
+        subnormal.append(_parts_below(a.entries, tiny) + _parts_below(b.entries, tiny))
+        return matmul(a, b)
+
+    def checked_invert(*args, **kwargs):
+        out = invert(*args, **kwargs)
+        vinv_tails.append(_parts_below(out.Vinv.entries, operators.UNDERFLOW_FLOOR))
+        return out
+
+    def checked_step(state):
+        out = step(state)
+        qinv_tails.append(_parts_below(out.Qinv.entries, operators.UNDERFLOW_FLOOR))
+        return out
+
+    monkeypatch.setattr(LatticeOperator, "__matmul__", checked_matmul)
+    monkeypatch.setattr(iteration, "neumann_invert", checked_invert)
+    monkeypatch.setattr(iteration, "iterate_step", checked_step)
+    res = acceptance_box_run("sarnak", 0.05, mode="direct")
+    eigenfunctions(res)
+    assert res.converged and len(subnormal) >= 10 * (res.steps - 1) + 5
+    assert subnormal == [0] * len(subnormal)
+    assert vinv_tails == [0] * res.steps
+    assert qinv_tails == [0] * res.steps
+
+
+@pytest.mark.parametrize("kind, epsilon, mode", [
+    ("sarnak", 0.05, "direct"),
+    ("maryland", 0.1, "inverse"),  # the flagship
+], ids=["sarnak_direct", "flagship"])
+def test_the_flush_moves_no_bit_of_the_certificate(monkeypatch, kind, epsilon, mode):
+    # the flushed parts lie far below the unit roundoff of the identity
+    # that Q, Q^-1 and V^-1 are near, so every ledger cell, the master
+    # identity, the unitarity defect and every eigen report are the
+    # unflushed run's, bit for bit
+    step, floor = iteration.iterate_step, operators.UNDERFLOW_FLOOR
+    tails = {}
+
+    def counted_step(state):
+        out = step(state)
+        tails[operators.UNDERFLOW_FLOOR].append(_parts_below(out.Qinv.entries, floor))
+        return out
+
+    monkeypatch.setattr(iteration, "iterate_step", counted_step)
+    tails[floor] = []
+    flushed = acceptance_box_run(kind, epsilon, mode)
+    monkeypatch.setattr(operators, "UNDERFLOW_FLOOR", 0.0)
+    tails[0.0] = []
+    kept = acceptance_box_run(kind, epsilon, mode)
+    # the floor acts on this box: unflushed, Q^-1 holds parts below it
+    # after the early steps, until later slices fill its tails
+    assert max(tails[0.0]) > 0 and max(tails[floor]) == 0
+    assert flushed.converged and flushed.steps == kept.steps
+    assert ledger_to_csv(flushed.ledger) == ledger_to_csv(kept.ledger)
+    assert repr(flushed.master_residual) == repr(kept.master_residual)
+    assert repr(flushed.unitarity_defect) == repr(kept.unitarity_defect)
+    assert (flushed.unitarity_defect is None) == (mode == "direct")
+    assert repr(eigenfunctions(flushed)) == repr(eigenfunctions(kept))
 
 
 def test_ledger_columns_match_the_benchmark_reference():

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from nmloc import (
     tame_bound_check,
 )
 from nmloc.errors import TameRangeError
-from nmloc.operators import _riemann_zeta, shift_diagonal
+from nmloc.operators import UNDERFLOW_FLOOR, _riemann_zeta, flush_underflow, shift_diagonal
 
 
 def sobolev_oracle(op, s):
@@ -355,6 +356,65 @@ def test_shift_diagonal_matches_the_dense_diagonal_bit_for_bit(rng):
         shift_diagonal(LatticeOperator(box, a).entries, np.ones(n))
 
 
+# parts the flush must zero: just under the floor, the smallest normal double
+# and subnormals, each with both signs
+FLUSHED_PARTS = [np.nextafter(UNDERFLOW_FLOOR, 0.0), -np.nextafter(UNDERFLOW_FLOOR, 0.0),
+                 2.0**-700, np.finfo(float).tiny, -np.finfo(float).tiny,
+                 2.0**-1050, -(2.0**-1074)]
+# parts it must keep bit for bit: the floor itself, signed zeros, ordinary
+# values and the non-finite ones that the finiteness checks read
+KEPT_PARTS = [UNDERFLOW_FLOOR, -UNDERFLOW_FLOOR, 0.0, -0.0, 1.0, -3.25, 1e-150,
+              -1e150, np.nan, np.inf, -np.inf]
+
+
+def test_flush_underflow_zeros_the_parts_below_the_floor(box1d, rng):
+    n = box1d.n_sites
+    parts = np.array(FLUSHED_PARTS + KEPT_PARTS)
+    # every value lands in the real and in the imaginary part, each time
+    # next to a different partner
+    picks = rng.integers(len(parts), size=(2, n, n))
+    picks[0].flat[:len(parts)] = np.arange(len(parts))
+    picks[1].flat[n:n + len(parts)] = np.arange(len(parts))
+    entries = np.empty((n, n), dtype=complex)
+    entries.real, entries.imag = parts[picks[0]], parts[picks[1]]
+    op = LatticeOperator(box1d, entries.copy())
+    assert flush_underflow(op) is op
+    assert not op.entries.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        op.entries[0, 0] = 0.0
+    out = op.entries.view(np.float64).reshape(n, n, 2)
+    was = entries.view(np.float64).reshape(n, n, 2)
+    flushed = np.stack(picks, axis=-1) < len(FLUSHED_PARTS)
+    assert np.all(out[flushed] == 0.0)  # a zero of either sign
+    assert np.array_equal(out[~flushed].view(np.uint64), was[~flushed].view(np.uint64))
+    # the caches go: a per-offset sup read before the flush is read afresh
+    tail = LatticeOperator(box1d, np.eye(n) * 2.0**-600)
+    assert tail.diag_sups().max() == 2.0**-600
+    assert flush_underflow(tail).diag_sups().max() == 0.0
+
+
+def test_flush_underflow_scratch_is_under_a_sixteenth_of_a_buffer(rng):
+    # at n = 513 the blocks of 28 rows hold 225 KiB of multipliers and
+    # mask, and the last block is 9 rows
+    box = LatticeBox(1, 256, 200)
+    n = box.n_sites
+    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    entries *= np.ldexp(1.0, rng.integers(-1100, 4, size=(n, n)))
+    expected = np.where(np.abs(entries.real) < UNDERFLOW_FLOOR, 0.0, entries.real) + 0j
+    expected.imag = np.where(np.abs(entries.imag) < UNDERFLOW_FLOOR, 0.0, entries.imag)
+    op = LatticeOperator(box, entries)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        flush_underflow(op)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n / 16, peak
+    np.testing.assert_array_equal(op.entries, expected)
+    assert np.count_nonzero(op.entries.view(np.float64)) < 2 * n * n  # something flushed
+
+
 # a dtype naming a complex number type, in any spelling numpy takes
 COMPLEX_DTYPE = re.compile(r"(?:dtype\s*=\s*|astype\(\s*)(?:np\.)?[\"']?complex"
                            r"|complex(?:64|128)\b|\bc(?:single|double)\b")
@@ -372,6 +432,24 @@ def test_only_operators_py_names_a_complex_dtype():
             path.name == "models.py" and "np.asarray(self.custom_values, dtype=complex)" in line)
     ]
     assert found == []
+
+
+# reopening a frozen array: the writeable flag set to true, in either spelling
+REOPEN = re.compile(r"writeable\s*=\s*True|setflags\([^)]*write\s*=\s*(?:True|1)")
+
+
+def test_only_operators_py_reopens_a_frozen_array():
+    # operators are immutable, and operators.py owns that: its in-place
+    # flush is the one place that writes into a frozen array
+    src = Path(__file__).resolve().parents[1] / "src" / "nmloc"
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py")) if path.name != "operators.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if REOPEN.search(line)
+    ]
+    assert found == []
+    assert REOPEN.search((src / "operators.py").read_text())
 
 
 # -- singular values: the Gram eigensolve against the reference SVD ----------------
