@@ -223,17 +223,17 @@ def flush_underflow(op: LatticeOperator) -> LatticeOperator:
     entries = op.entries
     n = entries.shape[0]
     rows = max(1, min(n // 8, _FLUSH_SCRATCH_BYTES // (9 * 2 * n)))
-    keep = np.empty((rows, 2 * n))
-    kept = np.empty((rows, 2 * n), dtype=bool)
+    factors = np.empty((rows, 2 * n))
+    mask = np.empty((rows, 2 * n), dtype=bool)
     entries.flags.writeable = True
     try:
         parts = entries.view(np.float64)  # (n, 2n): re, im, re, im, ...
         for r in range(0, n, rows):
             block = parts[r:r + rows]
-            k, m = keep[:len(block)], kept[:len(block)]
-            np.greater_equal(np.abs(block, out=k), UNDERFLOW_FLOOR, out=m)
-            np.copyto(k, m)
-            block *= k
+            f, m = factors[:len(block)], mask[:len(block)]
+            np.greater_equal(np.abs(block, out=f), UNDERFLOW_FLOOR, out=m)
+            np.copyto(f, m)  # 1.0 where kept, 0.0 where flushed
+            block *= f
     finally:
         entries.flags.writeable = False
     op._diag_sups, op._norms, op._svals = None, {}, None
