@@ -28,7 +28,11 @@ new ``Q^-1`` shed their underflowing tails in place as they are formed
 (``operators.flush_underflow``), so no product of a step reads a subnormal
 part; ``Q``, a product of banded factors, grows no such tail.  The checks
 measure the flushed operators, and the dropped parts lie far below the
-rounding of the identity both are near, so no ledger value moves.
+rounding of the identity both are near, so no ledger value moves.  On real
+data (``real_symmetric_data``) the products that only a check reads,
+``G W``, ``(V^-1 - I)(...)``, ``Q Q^-1`` and the Gram, take real arithmetic
+(``operators.real_operands``); every product the iteration reads back stays
+complex, so only ``decomp_residual`` and ``qqinv_defect`` round differently.
 
 Every run evaluates the sufficient parameter inequalities once, at the
 separation constant ``gamma`` it uses, and keeps them in
@@ -57,7 +61,7 @@ from .box import LatticeBox
 from .errors import SymmetryDefectError, TheoryConditionError
 from .homological import neumann_invert, solve_diagonal_correction, solve_generator
 from .operators import (DiagonalOperator, LatticeOperator, TameConstants, flush_underflow,
-                        shift_diagonal)
+                        real_operands, shift_diagonal)
 
 INVERSE = "inverse"
 DIRECT = "direct"
@@ -242,6 +246,7 @@ class IterationState:
     R: LatticeOperator
     H: LatticeOperator
     corrections: np.ndarray  # running sum of diagonal corrections
+    real_symmetric: bool  # the data rule: the check products may take real arithmetic
     ledger: list[LedgerRow] = field(default_factory=list)
 
 
@@ -276,9 +281,9 @@ class SchemeResult:
 
     @cached_property
     def real_symmetric(self) -> bool:
-        """Whether ``T`` is exactly real symmetric and ``D`` exactly real; such
-        a run is unitarized and has a real spectrum."""
-        return self.T.is_real_symmetric() and not self.D.values.imag.any()
+        """The run's data rule (``real_symmetric_data``); such a run is
+        unitarized and has a real spectrum."""
+        return real_symmetric_data(self.T, self.D)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -290,8 +295,10 @@ class SchemeResult:
 
     @cached_property
     def gram(self) -> LatticeOperator:
-        """``Q+^t Q+``, formed once; unitarize and the completeness check read it."""
-        return self.qplus.transpose() @ self.qplus
+        """``Q+^t Q+``, formed once; unitarize and the completeness check read it,
+        and nothing else, so real data form it in real arithmetic."""
+        Q, = real_operands(self.real_symmetric, self.qplus)
+        return Q.transpose() @ Q
 
     def defect_resolution(self) -> float:
         """Double-precision resolution of the conjugation-defect measurement.
@@ -316,6 +323,13 @@ class SchemeResult:
             * self.qplus.operator_norm()
             * self.qplus_inv.operator_norm()
         )
+
+
+def real_symmetric_data(T: LatticeOperator, D: DiagonalOperator) -> bool:
+    """The data rule of a run, decided once: ``T`` exactly real symmetric and
+    ``D`` exactly real.  Under it the products that nothing reads back take
+    real arithmetic (``operators.real_operands``)."""
+    return T.is_real_symmetric() and not D.values.imag.any()
 
 
 def hopping_slice(T: LatticeOperator, k: int, params: SchemeParams) -> LatticeOperator:
@@ -346,7 +360,7 @@ def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
     state = IterationState(
         box=box, params=params, tc=tc, T=T, D=D, k=0,
         Q=eye, Qinv=eye, R=LatticeOperator.zeros(box), H=D.as_operator(),
-        corrections=np.zeros_like(D.values),
+        corrections=np.zeros_like(D.values), real_symmetric=real_symmetric_data(T, D),
     )
     del eye  # the step frees Q = Q^-1 = I once both successors exist
     return iterate_step(state)
@@ -360,8 +374,12 @@ def iterate_step(state: IterationState) -> IterationState:
     ``_remainder_operand`` the closed form ``R' + R_quad`` and ``_defect``
     the exact defect ``R``, each with the ledger norms of what it forms.
     The row puts each norm next to its bound from ``step_bounds``, and adds
-    ``R - (R' + R_quad)`` and ``Q Q^-1 - I``.  Memory peaks in
-    ``_remainder_operand``; a step that raises leaves the state part-way.
+    ``R - (R' + R_quad)`` and ``Q Q^-1 - I``.  Those two checks are the only
+    readers of ``R' + R_quad`` and of ``Q Q^-1``, so on real data both take
+    real arithmetic (``operators.real_operands``); every product that the
+    step reads back stays complex.  Memory peaks in ``_remainder_operand``
+    or in the inversion of ``I + W``; a step that raises leaves the state
+    part-way.
     """
     p, k = state.params, state.k
     # the diagonal target Lambda_k whose differences divide the generator:
@@ -369,7 +387,8 @@ def iterate_step(state: IterationState) -> IterationState:
     target = state.D.values if p.mode == INVERSE else state.D.values + state.corrections
     G, Dk, corrections, h_residual, source_norms = _source(state)
     W, VmI, update_norms = _transform_update(state, G[0], Dk, target)
-    decomposition = _remainder_operand(G, W, VmI, target, p.theta(k + 1))
+    decomposition = _remainder_operand(G, W, VmI, target, p.theta(k + 1),
+                                       state.real_symmetric)
     state.R, defect_norms = _defect(state, corrections)
     norms = {**source_norms, **update_norms, **defect_norms}
 
@@ -382,7 +401,8 @@ def iterate_step(state: IterationState) -> IterationState:
     row.put("conj_residual", h_residual)
     row.put("decomp_residual", (state.R - decomposition).sobolev_norm(0.0))
     eye = DiagonalOperator.identity(state.box)
-    row.put("qqinv_defect", (state.Q @ state.Qinv - eye).sobolev_norm(0.0))
+    Q, Qinv = real_operands(state.real_symmetric, state.Q, state.Qinv)
+    row.put("qqinv_defect", (Q @ Qinv - eye).sobolev_norm(0.0))
     if p.theory_checks:
         row.assert_margins()
     state.k = k + 1
@@ -472,14 +492,20 @@ def _transform_update(state: IterationState, G: LatticeOperator, Dk: DiagonalOpe
 
 
 def _remainder_operand(G: list, W: list, VmI: list, target: np.ndarray,
-                       theta: float) -> LatticeOperator:
+                       theta: float, real: bool) -> LatticeOperator:
     """``R' + R_quad``, the defect's closed form rebuilt from the step's
     ingredients, with ``R_quad = (V^-1 - I)(commut + G W + G) + G W``.
     Empties the lists ``G``, ``W`` and ``V^-1 - I`` and frees each operand
-    after its last reader; the step peaks here, while ``V^-1 - I``, its
-    bracket, ``G W``, ``R'`` and their product are live."""
-    G, W = G.pop(), W.pop()
+    after its last reader.  Only ``decomp_residual`` reads the result, so
+    under the data rule ``real`` the two products, the bracket and the sum
+    take real arithmetic (``operators.real_operands``), in float64 buffers
+    of half the size; the step peaks here or in the inversion of ``I + W``,
+    while ``V^-1 - I``, its bracket, ``G W``, ``R'`` and their product are
+    live."""
+    G, W = real_operands(real and not target.imag.any(), G.pop(), W.pop())
     box = G.box
+    if np.isrealobj(G.entries):
+        target = target.real
     inner = target[:, None] - target[None, :]
     inner *= W.entries  # commut
     GW = G @ W
@@ -492,10 +518,15 @@ def _remainder_operand(G: list, W: list, VmI: list, target: np.ndarray,
     r = G.entries * box.smooth_mask(theta)
     np.subtract(G.entries, r, out=r)
     del G
-    quad = VmI.pop() @ LatticeOperator(box, inner)
+    VmI, bracket = real_operands(np.isrealobj(inner), VmI.pop(),
+                                 LatticeOperator.wrap(box, inner))
     del inner
-    r += quad.entries + GW.entries  # R' + R_quad
-    return LatticeOperator(box, r)
+    quad = VmI @ bracket
+    del VmI, bracket
+    # R' + R_quad, in the number type of its widest term; a + b is b + a
+    out = quad.entries + GW.entries
+    out += r
+    return LatticeOperator.wrap(box, out)
 
 
 def _defect(state: IterationState, corrections: np.ndarray):

@@ -19,10 +19,12 @@ operator and the eigenvalues are the run's ``conjugation_pair``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import matmul
 
 import numpy as np
 
 from .iteration import SchemeResult
+from .operators import real_operands
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,8 @@ def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
     eigenvalues = target.values
     interior = box.interior_mask
     Q = result.qplus.entries
-    residual_mat = H.entries @ Q
+    # H Q+, read by the residuals only: real arithmetic on real data
+    residual_mat = matmul(*real_operands(result.real_symmetric, H, result.qplus)).entries
     # QΛ and the norms by blocks of columns; a block two or more columns wide
     # sums its norms in the order the whole matrix does
     bounds = np.linspace(0, box.n_sites, min(8, box.n_sites // 2) + 1).astype(int)

@@ -20,8 +20,13 @@ never exceeds it).
 
 This module alone chooses the number type: the constructors of both
 operator classes cast their input to complex128, so the builders hand them
-arrays of any numeric type.  It alone also reaches the main diagonal of a
-dense array in place (``shift_diagonal``).
+arrays of any numeric type.  The one exception is ``real_operands``: a
+product that nothing reads back, only a check, may take float64 operands,
+the real parts of operators with no imaginary part, when the run's data are
+real (``T`` real symmetric, ``D`` real).  One dgemm then replaces a zgemm,
+at a quarter of its arithmetic, and the float64 operators it forms and
+returns are never read by a step.  It alone also reaches the main diagonal
+of a dense array in place (``shift_diagonal``).
 
 Operators are immutable; per-offset sups, Sobolev norms and singular
 values are cached on the instance, so each operator takes at most one Gram
@@ -49,12 +54,31 @@ from .errors import TameRangeError
 
 
 class LatticeOperator:
-    """Dense operator over a box, viewed through its diagonals."""
+    """Dense operator over a box, viewed through its diagonals.
+
+    Its entries are complex128, or float64 for an operand or a result of a
+    product that nothing reads back (``real_operands``).
+    """
 
     __slots__ = ("box", "entries", "_diag_sups", "_norms", "_svals")
 
     def __init__(self, box: LatticeBox, entries):
-        entries = np.ascontiguousarray(entries, dtype=complex)
+        self._hold(box, np.ascontiguousarray(entries, dtype=complex))
+
+    @classmethod
+    def wrap(cls, box: LatticeBox, entries) -> "LatticeOperator":
+        """An operator on float64 or complex128 ``entries`` in their own number
+        type, with no cast: a product, sum or transpose keeps its operands'
+        type.  A float64 operator belongs to the real product path alone: an
+        operand from ``real_operands``, or what a check builds from one."""
+        entries = np.ascontiguousarray(entries)
+        if entries.dtype != np.float64 and entries.dtype != np.complex128:
+            raise TypeError(f"entries must be float64 or complex128, got {entries.dtype}")
+        op = cls.__new__(cls)
+        op._hold(box, entries)
+        return op
+
+    def _hold(self, box: LatticeBox, entries: np.ndarray):
         if entries.shape != (box.n_sites, box.n_sites):
             raise ValueError(
                 f"entries must have shape {(box.n_sites, box.n_sites)}, "
@@ -145,10 +169,10 @@ class LatticeOperator:
     def smooth(self, theta: float) -> "LatticeOperator":
         """Keep the band |i - j|_inf <= theta, zero the rest."""
         mask = self.box.smooth_mask(theta)
-        return LatticeOperator(self.box, self.entries * mask)
+        return LatticeOperator.wrap(self.box, self.entries * mask)
 
     def transpose(self) -> "LatticeOperator":
-        return LatticeOperator(self.box, self.entries.T)
+        return LatticeOperator.wrap(self.box, self.entries.T)
 
     def is_real_symmetric(self) -> bool:
         """Exactly real and symmetric; a NaN entry makes it False."""
@@ -165,17 +189,23 @@ class LatticeOperator:
         return other
 
     def _shift_diagonal(self, ufunc, other: "DiagonalOperator"):
-        """``self (+ or -) other``: one copy, then only the main diagonal moves."""
+        """``self (+ or -) other``: one copy, then only the main diagonal moves;
+        a float64 operator stays float64 when ``other`` has no imaginary part."""
         if other.box != self.box:
             raise ValueError("box mismatch")
-        entries = shift_diagonal(self.entries.copy(), other.values, ufunc)
-        return LatticeOperator(self.box, entries)
+        values = other.values
+        if self.entries.dtype == np.float64 and not values.imag.any():
+            values = values.real
+        entries = self.entries.astype(np.result_type(self.entries, values))
+        return LatticeOperator.wrap(self.box, shift_diagonal(entries, values, ufunc))
 
     def __matmul__(self, other):
+        """The one dense product: a zgemm, or a dgemm when both operands are
+        float64 (``real_operands``)."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LatticeOperator(self.box, self.entries @ other.entries)
+        return LatticeOperator.wrap(self.box, self.entries @ other.entries)
 
     def __add__(self, other):
         if isinstance(other, DiagonalOperator):
@@ -183,7 +213,7 @@ class LatticeOperator:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LatticeOperator(self.box, self.entries + other.entries)
+        return LatticeOperator.wrap(self.box, self.entries + other.entries)
 
     __radd__ = __add__
 
@@ -193,13 +223,34 @@ class LatticeOperator:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LatticeOperator(self.box, self.entries - other.entries)
+        return LatticeOperator.wrap(self.box, self.entries - other.entries)
 
     def __mul__(self, scalar):
         return LatticeOperator(self.box, self.entries * complex(scalar))
 
     def __repr__(self):
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
+
+
+def real_operands(real: bool, *ops: LatticeOperator) -> tuple[LatticeOperator, ...]:
+    """``ops`` as float64 operators on their real parts when ``real`` holds
+    and no entry of any of them has an imaginary part; ``ops`` as they are
+    otherwise, unscanned when ``real`` is false.
+
+    ``real`` is the run's data rule, decided once: ``T`` exactly real
+    symmetric and ``D`` exactly real (``iteration.real_symmetric_data``).
+    Such a run's operators have zero imaginary parts, so the product of the
+    real parts, one dgemm, is their product; it costs a quarter of a
+    zgemm's arithmetic, plus one copy of each operand.  An operand that does
+    have an imaginary part, a fault, keeps every operand complex, so the
+    product is the complex one and no check drops the fault.  Only for a
+    product that nothing reads back: a dgemm rounds differently from a
+    zgemm, and a step that read its result would move the ledger's
+    noise-dominated cells.
+    """
+    if real and not any(np.iscomplexobj(op.entries) and op.entries.imag.any() for op in ops):
+        return tuple(LatticeOperator.wrap(op.box, op.entries.real) for op in ops)
+    return ops
 
 
 UNDERFLOW_FLOOR = 2.0**-511  # sqrt of the smallest normal double

@@ -1,6 +1,7 @@
 import math
 import json
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import nmloc.iteration as iteration
+import nmloc.localization as localization
 import nmloc.operators as operators
 from conftest import acceptance_box_run, pair_offset_ids
 from nmloc import (
@@ -249,6 +251,23 @@ def test_run_product_count_and_no_svd(monkeypatch):
     assert count[0] == 10 * (res.steps - 1) + 5 + series_products + 2 + 1
 
 
+def test_eigenfunctions_makes_its_one_product_through_the_operator(monkeypatch):
+    # H Q+ goes through LatticeOperator.__matmul__, so product counts and
+    # the product guards see the certificate's one dense product
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    count = [0]
+    matmul = LatticeOperator.__matmul__
+
+    def counted(a, b):
+        count[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(LatticeOperator, "__matmul__", counted)
+    eigenfunctions(res)
+    assert count[0] == 1
+
+
 def _buffers_above_entry(box, call, *args):
     """``(call(*args), peak)``: the call's ``tracemalloc`` peak in complex
     n x n buffers above what was traced at its entry.  ``tracemalloc`` does
@@ -290,26 +309,62 @@ def test_step_memory_budget(monkeypatch, mode):
     assert max(peaks) <= 6.0, peaks
 
 
+def _certified_run(T, D, params):
+    res = run(T, D, params)
+    eigenfunctions(res)
+    completeness_check(res)
+    spectrum_compare(res)
+    return res
+
+
 def test_certified_run_memory_budget():
-    # run plus the certificate peaks at no more than RUN_BUFFERS - 1 = 9
-    # complex n x n buffers above what was traced before the run, which
-    # holds T; a box is admitted by that need (measured: 8.81, with the
-    # norms' row-block scratch; 8.77 while the pair tables were built before
-    # the count; 9.25 while unitarize formed U and U^t U, and 11.7 while
-    # a step kept the old R, R' and an explicit identity alive through the
-    # inversion of I + W)
+    # run plus the certificate peaks at no more than 9 complex n x n buffers
+    # of what tracemalloc sees above what was traced before the run, which
+    # holds T (measured: 8.84; 8.81 with the norms' row-block scratch; 8.77
+    # while the pair tables were built before the count; 9.25 while
+    # unitarize formed U and U^t U, and 11.7 while a step kept the old R, R'
+    # and an explicit identity alive through the inversion of I + W)
     box, D, T, params = maryland_setup(radius=64)
+    res, peak = _traced(_buffers_above_entry, box, _certified_run, T, D, params)
+    assert res.converged and res.unitarity_defect is not None
+    assert peak <= 9.0, peak
+
+
+# the copies of its operand that each numpy.linalg call makes in buffers
+# tracemalloc does not see: inv copies A and the identity it solves
+# against, solve and eigvalsh copy A
+LINALG_COPIES = {"inv": 2, "solve": 1, "eigvalsh": 1}
+
+
+def test_run_buffers_count_numpy_linalg_copies(monkeypatch):
+    # a box is admitted by what its run needs, RUN_BUFFERS complex n x n
+    # buffers: T, plus the certified run's peak with numpy.linalg's untraced
+    # copies counted at each call, where the traced output is held too
+    # (measured: 9.15 above the entry, in the last fallback inv; the traced
+    # peak alone is 8.84, and RUN_BUFFERS = 10 admitted a box by it)
+    box, D, T, params = maryland_setup(radius=64)
+    buffer = 16 * box.n_sites**2
+    at_calls = []
+
+    def counted(name, call):
+        def with_copies(a, *args, **kwargs):
+            out = call(a, *args, **kwargs)
+            held = tracemalloc.get_traced_memory()[0] - entry[0]
+            at_calls.append((held + LINALG_COPIES[name] * np.asarray(a).nbytes) / buffer)
+            return out
+        return with_copies
+
+    for name in LINALG_COPIES:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    entry = []
 
     def certified():
-        res = run(T, D, params)
-        eigenfunctions(res)
-        completeness_check(res)
-        spectrum_compare(res)
-        return res
+        entry.append(tracemalloc.get_traced_memory()[0])
+        return _buffers_above_entry(box, _certified_run, T, D, params)
 
-    res, peak = _traced(_buffers_above_entry, box, certified)
-    assert res.converged and res.unitarity_defect is not None
-    assert peak <= RUN_BUFFERS - 1, peak
+    res, traced_peak = _traced(certified)
+    assert res.converged and len(at_calls) >= res.steps
+    assert 1 + max(traced_peak, *at_calls) <= RUN_BUFFERS, (traced_peak, max(at_calls))
 
 
 def test_later_hopping_slices_hold_one_buffer(monkeypatch):
@@ -332,9 +387,17 @@ def test_later_hopping_slices_hold_one_buffer(monkeypatch):
 def _out_of_place_norms(state):
     """Ledger norms of one step by out-of-place expressions, the first step
     without its QTQ/QDQ rows: the reference for the step's in-place sums and
-    early releases."""
+    early releases.  On real data the products that only the checks read
+    multiply real parts, as the step does."""
     p, box, k = state.params, state.box, state.k
     eye = DiagonalOperator.identity(box)
+    real = state.T.is_real_symmetric() and not state.D.values.imag.any()
+
+    def unread(a, b):
+        if real:
+            return LatticeOperator.wrap(box, a.entries.real @ b.entries.real)
+        return a @ b
+
     Tk = hopping_slice(state.T, k, p)
     QTQ = state.Qinv @ Tk @ state.Q
     if p.mode == "inverse":
@@ -366,8 +429,8 @@ def _out_of_place_norms(state):
         H_diagonal = state.D
     commut = LatticeOperator(box, (dvals[:, None] - dvals[None, :]) * W.entries)
     VmI = Vinv - eye
-    GW = G @ W
-    R_quad = VmI @ (commut + GW + G) + GW
+    GW = unread(G, W)
+    R_quad = unread(VmI, commut + GW + G) + GW
     norms = {}
     for label, op in (("W", W), ("VinvmI", VmI), ("R", R_next), ("QTQ", QTQ),
                       ("QDQ", QDQ), ("Qstep", Q_next - state.Q), ("QmI", Q_next - eye)):
@@ -377,7 +440,7 @@ def _out_of_place_norms(state):
     norms["conj_residual"] = (
         H_next - state.T.smooth(p.theta(k)) - H_diagonal).sobolev_norm(0.0)
     norms["decomp_residual"] = (R_next - (R_prime + R_quad)).sobolev_norm(0.0)
-    norms["qqinv_defect"] = (Q_next @ Qinv_next - eye).sobolev_norm(0.0)
+    norms["qqinv_defect"] = (unread(Q_next, Qinv_next) - eye).sobolev_norm(0.0)
     if k == 0:
         norms = {key: v for key, v in norms.items() if not key.startswith(("QTQ@", "QDQ@"))}
     return norms
@@ -431,10 +494,10 @@ def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
 FAULT_STEP = 2  # faults enter the step from k = 2, whose ledger row is k = 3
 
 
-def _entry_off(op):
-    """``op`` with one entry off by 1e-6."""
+def _entry_off(op, by=1e-6):
+    """``op`` with one entry off by ``by``."""
     entries = op.entries.copy()
-    entries[0, 1] += 1e-6
+    entries[0, 1] += by
     return LatticeOperator(op.box, entries)
 
 
@@ -459,13 +522,19 @@ def _correction_off(solve):
     return corrupted
 
 
-def _qinv_entry_off(update):
+def _qinv_entry_off(update, by=1e-6):
     def corrupted(state, *args):
         out = update(state, *args)
         if state.k == FAULT_STEP:
-            state.Qinv = _entry_off(state.Qinv)
+            state.Qinv = _entry_off(state.Qinv, by)
         return out
     return corrupted
+
+
+def _qinv_imag_off(update):
+    # on real data Q Q^-1 takes real arithmetic only while no operand has an
+    # imaginary part, so an imaginary fault keeps the check complex
+    return _qinv_entry_off(update, 1e-6j)
 
 
 def _defect_entry_off(defect):
@@ -486,8 +555,9 @@ def _defect_entry_off(defect):
     # a main diagonal on the source G built from it
     ("solve_diagonal_correction", _correction_off, None, None),
     ("_transform_update", _qinv_entry_off, "qqinv_defect", 1e-7),
+    ("_transform_update", _qinv_imag_off, "qqinv_defect", 1e-7),
     ("_defect", _defect_entry_off, "decomp_residual", 1e-7),
-], ids=["dropped_ring", "corrupted_X", "Qinv_entry", "R_entry"])
+], ids=["dropped_ring", "corrupted_X", "Qinv_entry", "Qinv_imag", "R_entry"])
 def test_a_fault_shows_in_its_ledger_cell(monkeypatch, patched, fault, cell, floor):
     monkeypatch.setattr(iteration, patched, fault(getattr(iteration, patched)))
     box, D, T, params = maryland_setup(max_steps=4)
@@ -592,6 +662,97 @@ def test_the_flush_moves_no_bit_of_the_certificate(monkeypatch, kind, epsilon, m
     assert repr(eigenfunctions(flushed)) == repr(eigenfunctions(kept))
 
 
+def _two_dimensional_run(mode="inverse"):
+    """Maryland at d=2, N=6 (n = 169)."""
+    box = LatticeBox(2, 6, 4)
+    D = build_potential(PotentialSpec("maryland", omega=(GOLDEN_MEAN, np.sqrt(2.0) - 1.0)), box)
+    T = build_hopping(HoppingSpec(s_exponent=5.0, epsilon=0.02), box)
+    return run(T, D, SchemeParams(tau=2.0, delta=0.05, alpha0=1.2, theta0=2.0, Theta=2.0,
+                                  s_hopping=5.0, epsilon=0.02, mode=mode))
+
+
+# the ledger cells that read a product nothing else reads back
+UNREAD_CELLS = ("decomp_residual", "qqinv_defect")
+
+
+def _real_products(monkeypatch):
+    """A list that collects, per product, the caller's function name when
+    an operand is float64: a product that takes real arithmetic."""
+    matmul, found = LatticeOperator.__matmul__, []
+
+    def recorded(a, b):
+        if np.isrealobj(a.entries) or np.isrealobj(b.entries):
+            assert np.isrealobj(a.entries) and np.isrealobj(b.entries)
+            found.append(sys._getframe(1).f_code.co_name)
+        return matmul(a, b)
+
+    monkeypatch.setattr(LatticeOperator, "__matmul__", recorded)
+    return found
+
+
+@pytest.mark.parametrize("mode", ["inverse", "direct"])
+@pytest.mark.parametrize("which", ["flagship", "d2"])
+def test_real_check_products_move_only_their_own_cells(monkeypatch, which, mode):
+    # the real path against the same run with it disabled: only the two
+    # cells that read its products may move, by rounding, and every value
+    # the iteration reads back is the complex run's, bit for bit
+    def once():
+        if which == "flagship":
+            return acceptance_box_run("maryland", 0.1, mode)
+        return _two_dimensional_run(mode)
+
+    with monkeypatch.context() as m:
+        real_products = _real_products(m)
+        real = once()
+    with monkeypatch.context() as m:
+        for module in (iteration, localization):
+            m.setattr(module, "real_operands", lambda real, *ops: ops)
+        disabled_products = _real_products(m)
+        complex_ = once()
+    assert real.converged and real.unitarity_defect is not None
+    assert disabled_products == []
+    assert len(real_products) == 3 * real.steps + 1  # and the Gram
+    assert real.steps == complex_.steps
+    assert (repr(real.final_residual.sobolev_norm(0.0))
+            == repr(complex_.final_residual.sobolev_norm(0.0)))
+    assert repr(real.master_residual) == repr(complex_.master_residual)
+    tol = 1e-3 * complex_.defect_resolution()
+    for row, ref in zip(real.ledger, complex_.ledger, strict=True):
+        assert list(row.norms) == list(ref.norms) and list(row.margins) == list(ref.margins)
+        for key, value in ref.norms.items():
+            if key in UNREAD_CELLS:
+                assert abs(row.norms[key] - value) <= tol, (row.k, key)
+            else:
+                assert repr(row.norms[key]) == repr(value), (row.k, key)
+        assert repr(row.margins) == repr(ref.margins), row.k
+
+
+def test_a_complex_run_makes_no_real_product(monkeypatch):
+    real_products = _real_products(monkeypatch)
+    res = acceptance_box_run("sarnak", 0.05)
+    eigenfunctions(res)
+    completeness_check(res)
+    assert res.converged and not res.real_symmetric
+    assert real_products == []
+
+
+def test_only_the_unread_products_take_real_arithmetic(monkeypatch):
+    # a product the iteration reads back (Q^-1 T_k Q, Q^-1 D_k Q, the
+    # Neumann terms and fallback, Q V, V^-1 Q^-1, Q^-1 H Q, the master
+    # identity) stays complex until the benchmark gate knows its rounding
+    # noise; real operands come only from the five products whose results
+    # only a check reads: G W and (V^-1 - I)(...) for decomp_residual,
+    # Q Q^-1 for qqinv_defect, the Gram and H Q+
+    real_products = _real_products(monkeypatch)
+    res = acceptance_box_run("maryland", 0.1)
+    eigenfunctions(res)
+    completeness_check(res)
+    assert res.converged
+    sites = {name: real_products.count(name) for name in real_products}
+    assert sites == {"_remainder_operand": 2 * res.steps, "iterate_step": res.steps,
+                     "gram": 1, "eigenfunctions": 1}
+
+
 def test_ledger_columns_match_the_benchmark_reference():
     # the benchmark gate compares ledgers key by key against these rows
     ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "maryland-d1.json"
@@ -645,13 +806,7 @@ def test_direct_and_inverse_corrections_compose():
 
 
 def test_two_dimensional_run_end_to_end():
-    box = LatticeBox(2, 6, 4)
-    omega = (GOLDEN_MEAN, np.sqrt(2.0) - 1.0)
-    D = build_potential(PotentialSpec("maryland", omega=omega), box)
-    T = build_hopping(HoppingSpec(s_exponent=5.0, epsilon=0.02), box)
-    params = SchemeParams(tau=2.0, delta=0.05, alpha0=1.2, theta0=2.0,
-                          Theta=2.0, s_hopping=5.0, epsilon=0.02)
-    res = run(T, D, params)
+    res = _two_dimensional_run()
     assert res.converged
     assert res.master_residual <= 1e-12
     from nmloc import completeness_check, eigenfunctions
