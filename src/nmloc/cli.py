@@ -47,6 +47,7 @@ from .iteration import (
     BOUND_FORMULAS,
     SchemeParams,
     ledger_to_csv,
+    regime_violation,
     run,
     theory_conditions,
 )
@@ -381,10 +382,8 @@ def cmd_check_theory(cfg: dict) -> int:
         f"binding Theta constraint: {binding.data['binding']} "
         f"(log10 required = {_f17(binding.data['required_log10'])})"
     )
-    failed = next((c for c in rows if c.effective and not c.holds), None)
-    if p.theory_checks and failed is not None:
-        print(f"invariant failed: theory condition {failed.name} does not hold",
-              file=sys.stderr)
+    if p.theory_checks and (violation := regime_violation(rows)):
+        print(f"invariant failed: {violation}", file=sys.stderr)
         return 1
     return 0
 

@@ -22,7 +22,7 @@ class FixedPointStalledError(RuntimeError):
 
 
 class NeumannSmallnessError(ValueError):
-    """The series smallness condition for inverting I + W failed."""
+    """The Neumann series for I + W did not reach its term tolerance."""
 
 
 class SymmetryDefectError(ValueError):
@@ -30,7 +30,7 @@ class SymmetryDefectError(ValueError):
 
 
 class TheoryConditionError(ValueError):
-    """A sufficient condition failed while strict checking was requested."""
+    """Strict checking found a failing sufficient condition or claimed bound."""
 
 
 class ConfigError(ValueError):

@@ -14,20 +14,20 @@
   diagonal, and one that does not raises.
 
 * ``neumann_invert``: inversion of ``I + W`` by a Neumann series under the
-  smallness condition ``4 c0^2 ||W||_a0 <= 1/2``, with a direct-solve
-  fallback for out-of-regime inputs that reports the exact 1-norm
-  condition number of ``I + W``.  Either way the inverse's underflowing
+  smallness condition ``4 c0^2 ||W||_a0 <= 1/2``, kept in its result, and
+  by a direct solve outside it.  Either way the inverse's underflowing
   tail is flushed (``operators.flush_underflow``) before it is returned.
 
 Each solve returns what the conjugation step reads: ``W``, ``X`` and the
-inverse ``V^-1`` with its series term count or condition number.  The
-paper's proof devices are five functions of their operands, which the
-certificate tests run and a step does not: ``generator_residual`` and
-``generator_bound_margins`` (the equation's residual on the solved entries
-and the norm bounds on an s-grid), ``neumann_residual`` and
-``neumann_bound_margins`` (``||(I + W) V^-1 - I||_0``, one dense product,
-and the series bounds), and ``fixed_point_check``, the Banach fixed-point
-iteration that re-derives X inside the contraction regime.
+inverse ``V^-1`` with its smallness and its series term count or its
+condition number.  The paper's proof devices are five functions of their
+operands, which the certificate tests run and a step does not:
+``generator_residual`` and ``generator_bound_margins`` (the equation's
+residual on the solved entries and the norm bounds on an s-grid),
+``neumann_residual`` and ``neumann_bound_margins``
+(``||(I + W) V^-1 - I||_0``, one dense product, and the series bounds),
+and ``fixed_point_check``, the Banach fixed-point iteration that
+re-derives X inside the contraction regime.
 """
 
 from __future__ import annotations
@@ -171,10 +171,12 @@ def fixed_point_check(Q: LatticeOperator, Qinv: LatticeOperator, QPQ: LatticeOpe
 
 @dataclass
 class NeumannResult:
-    """``neumann_terms`` is set on the series path, ``condition_number`` (the
-    1-norm condition number of ``I + W``) on the direct-solve fallback."""
+    """``smallness`` is ``4 c0^2 ||W||_a0``, at most 1/2 exactly on the series
+    path, which sets ``neumann_terms``; the direct-solve fallback sets
+    ``condition_number``, the 1-norm condition number of ``I + W``."""
 
     Vinv: LatticeOperator
+    smallness: float
     neumann_terms: int | None = None
     condition_number: float | None = None
 
@@ -197,14 +199,13 @@ def neumann_bound_margins(W: LatticeOperator, Vinv: LatticeOperator,
     }
 
 
-def neumann_invert(W: LatticeOperator, tc: TameConstants,
-                   strict: bool = True) -> NeumannResult:
-    """Invert I + W, preferring the Neumann series when it certifiably converges.
+def neumann_invert(W: LatticeOperator, tc: TameConstants) -> NeumannResult:
+    """Invert I + W, by the Neumann series when it certifiably converges.
 
-    With ``4 c0^2 ||W||_a0 <= 1/2`` the series is summed until the newest
-    term falls below ``NEUMANN_TERM_TOL`` in the 0-norm.  Outside that
-    regime, ``strict=True`` raises while ``strict=False`` falls back to a
-    direct solve and reports the 1-norm condition number
+    With the smallness ``4 c0^2 ||W||_a0 <= 1/2``, which the result keeps,
+    the series is summed until the newest term falls below
+    ``NEUMANN_TERM_TOL`` in the 0-norm.  Outside that regime it falls back
+    to a direct solve and keeps the 1-norm condition number
     ``||I + W||_1 ||(I + W)^-1||_1`` instead of series data, read off the
     inverse it has just formed.
 
@@ -225,12 +226,9 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
     read off the inverse as LAPACK returns it; the flush moves no 1-norm.
     """
     box = W.box
-    w_a0 = W.sobolev_norm(tc.alpha0)
-    small_enough = 4.0 * tc.c0**2 * w_a0 <= 0.5
-
-    terms = None
-    cond = None
-    if small_enough:
+    smallness = 4.0 * tc.c0**2 * W.sobolev_norm(tc.alpha0)
+    terms = cond = None
+    if smallness <= 0.5:
         acc = np.eye(box.n_sites, dtype=W.entries.dtype)
         power = W
         terms = 0
@@ -247,14 +245,9 @@ def neumann_invert(W: LatticeOperator, tc: TameConstants,
             power = power @ W
         vinv = acc
     else:
-        if strict:
-            raise NeumannSmallnessError(
-                f"Neumann smallness failed: 4 c0^2 ||W||_a0 = "
-                f"{4.0 * tc.c0**2 * w_a0:.3e} > 1/2"
-            )
         v = np.eye(box.n_sites, dtype=W.entries.dtype)
         v += W.entries
         vinv = np.linalg.inv(v)
         cond = float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 
-    return NeumannResult(flush_underflow(LatticeOperator(box, vinv)), terms, cond)
+    return NeumannResult(flush_underflow(LatticeOperator(box, vinv)), smallness, terms, cond)

@@ -37,13 +37,13 @@ complex, so only ``decomp_residual`` and ``qqinv_defect`` round differently.
 Every run evaluates the sufficient parameter inequalities once, at the
 separation constant ``gamma`` it uses, and keeps them in
 ``SchemeResult.theory_conditions`` (they demand astronomically large band
-ratios for small loss budgets; the rows make that visible).  Two regimes:
-
-* ``theory_checks=True`` refuses to start a run whose conditions fail, and
-  aborts on a violated claimed bound or an out-of-regime series inversion.
-* the default empirical regime accepts practical band ratios and verifies
-  convergence a posteriori, recording every claimed bound as a signed
-  margin instead of asserting it.
+ratios for small loss budgets; the rows make that visible).  Each step's
+regime is ledger data, read by no step: every claimed bound is a signed
+margin, and so is the Neumann smallness ``1/2 - 4 c0^2 ||W||_a0``, negative
+exactly when the step inverted ``I + W`` by the direct solve.  The default
+empirical regime verifies convergence a posteriori; ``theory_checks=True``
+raises ``regime_violation`` before the first step on the conditions, and
+after the last on the conditions and the ledger.
 """
 
 from __future__ import annotations
@@ -174,12 +174,13 @@ BOUND_FORMULAS = {
     "QTQ": "theta_{k-1}^(s-alpha)",
     "QDQ": "theta_{k-1}^(alpha0-alpha+3delta) below s=alpha-tau-4delta, else theta_{k-1}^(s-alpha)",
     "Qstep": "theta_{k-1}^(s-alpha+tau+6delta)",
+    "Neumann": "1/2 - 4*c0^2*||W||_alpha0, margin only: the series inverts I + W iff >= 0",
 }
 
 
 def step_bounds(p: SchemeParams, tc: TameConstants, k: int) -> dict:
-    """The bound of each ``BOUND_FORMULAS`` label at step ``k`` (from 0), as
-    a function of s; ``p`` must be resolved.
+    """The bound of each normed ``BOUND_FORMULAS`` label at step ``k`` (from
+    0), as a function of s; ``p`` must be resolved.
 
     The first step conjugates by ``Q = I``: its ``W`` and ``V^-1 - I``
     bounds are its own, and it has no ``QTQ``/``QDQ`` rows, which would
@@ -220,15 +221,6 @@ class LedgerRow:
         self.norms[key] = float(norm)
         if bound is not None:
             self.margins[key] = float(bound) - float(norm)
-
-    def assert_margins(self):
-        """Strict-checking mode: a violated claimed bound aborts the run."""
-        for key, margin in self.margins.items():
-            if margin < 0.0:
-                raise TheoryConditionError(
-                    f"claimed bound violated at step {self.k}: {key} "
-                    f"(margin {margin:.3e})"
-                )
 
 
 @dataclass
@@ -373,20 +365,21 @@ def iterate_step(state: IterationState) -> IterationState:
     ``G``, ``_transform_update`` the new ``Q`` and ``Q^-1``,
     ``_remainder_operand`` the closed form ``R' + R_quad`` and ``_defect``
     the exact defect ``R``, each with the ledger norms of what it forms.
-    The row puts each norm next to its bound from ``step_bounds``, and adds
-    ``R - (R' + R_quad)`` and ``Q Q^-1 - I``.  Those two checks are the only
-    readers of ``R' + R_quad`` and of ``Q Q^-1``, so on real data both take
-    real arithmetic (``operators.real_operands``); every product that the
-    step reads back stays complex.  Memory peaks in ``_remainder_operand``
-    or in the inversion of ``I + W``; a step that raises leaves the state
-    part-way.
+    The row opens with the Neumann margin ``1/2 - 4 c0^2 ||W||_a0`` (which
+    inversion the step took), puts each norm next to its bound from
+    ``step_bounds``, and adds ``R - (R' + R_quad)`` and ``Q Q^-1 - I``.
+    Those two checks are the only readers of ``R' + R_quad`` and of
+    ``Q Q^-1``, so on real data both take real arithmetic
+    (``operators.real_operands``); every product that the step reads back
+    stays complex.  Memory peaks in ``_remainder_operand`` or in the
+    inversion of ``I + W``; a step that raises leaves the state part-way.
     """
     p, k = state.params, state.k
     # the diagonal target Lambda_k whose differences divide the generator:
     # D in inverse mode, D plus the corrections so far in direct mode
     target = state.D.values if p.mode == INVERSE else state.D.values + state.corrections
     G, Dk, corrections, h_residual, source_norms = _source(state)
-    W, VmI, update_norms = _transform_update(state, G[0], Dk, target)
+    W, VmI, smallness, update_norms = _transform_update(state, G[0], Dk, target)
     decomposition = _remainder_operand(G, W, VmI, target, p.theta(k + 1),
                                        state.real_symmetric)
     state.R, defect_norms = _defect(state, corrections)
@@ -394,6 +387,7 @@ def iterate_step(state: IterationState) -> IterationState:
 
     bounds = step_bounds(p, state.tc, k)
     row = LedgerRow(k=k + 1, theta_k=p.theta(k + 1))
+    row.margins[f"Neumann@{p.alpha0:g}"] = 0.5 - smallness
     for label in ("W", "VinvmI", "R", "QTQ", "QDQ", "Qstep", "QmI", "D"):
         bound = bounds.get(label)
         for s, norm in norms.get(label, ()):
@@ -403,8 +397,6 @@ def iterate_step(state: IterationState) -> IterationState:
     eye = DiagonalOperator.identity(state.box)
     Q, Qinv = real_operands(state.real_symmetric, state.Q, state.Qinv)
     row.put("qqinv_defect", (Q @ Qinv - eye).sobolev_norm(0.0))
-    if p.theory_checks:
-        row.assert_margins()
     state.k = k + 1
     state.corrections = corrections
     state.ledger.append(row)
@@ -468,18 +460,20 @@ def _source(state: IterationState):
 
 def _transform_update(state: IterationState, G: LatticeOperator, Dk: DiagonalOperator,
                       target: np.ndarray):
-    """``([W], [V^-1 - I], norms)``: the generator ``W`` of ``G`` and the
-    inverse of ``V = I + W``; replaces the state's ``Q`` by ``Q V`` and
-    ``Q^-1`` by ``V^-1 Q^-1``, and frees ``V^-1`` once both are formed.
-    The new ``Q^-1`` is flushed below ``UNDERFLOW_FLOOR`` before anything
-    reads it: ``V^-1`` arrives flushed, but its product with ``Q^-1``
-    grows the tail again."""
+    """``([W], [V^-1 - I], smallness, norms)``: the generator ``W`` of ``G``,
+    the inverse of ``V = I + W`` and its Neumann smallness; replaces the
+    state's ``Q`` by ``Q V`` and ``Q^-1`` by ``V^-1 Q^-1``, and frees
+    ``V^-1`` once both are formed.  The new ``Q^-1`` is flushed below
+    ``UNDERFLOW_FLOOR`` before anything reads it: ``V^-1`` arrives flushed,
+    but its product with ``Q^-1`` grows the tail again."""
     p, box, first = state.params, state.box, state.k == 0
     eye = DiagonalOperator.identity(box)
     W = solve_generator(DiagonalOperator(box, target), G if p.mode == INVERSE else G - Dk,
                         theta=p.theta(state.k + 1))
     norms = {"W": _family(W, p)}
-    Vinv = neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
+    inverted = neumann_invert(W, state.tc)
+    Vinv, smallness = inverted.Vinv, inverted.smallness
+    del inverted  # it would keep V^-1 alive past the del below
     Q_next = eye + W if first else state.Q @ (eye + W)
     norms["Qstep"] = _family(Q_next - state.Q, p)
     norms["QmI"] = _family(Q_next - eye, p)
@@ -488,7 +482,7 @@ def _transform_update(state: IterationState, G: LatticeOperator, Dk: DiagonalOpe
     VmI = Vinv - eye
     del Vinv
     norms["VinvmI"] = _family(VmI, p)
-    return [W], [VmI], norms
+    return [W], [VmI], smallness, norms
 
 
 def _remainder_operand(G: list, W: list, VmI: list, target: np.ndarray,
@@ -542,8 +536,9 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     """Drive the scheme to convergence (or to the step cap) and certify it.
 
     First ``theory_conditions`` fixes gamma and evaluates the sufficient
-    conditions at it; the result keeps the rows, and with ``theory_checks``
-    the first failing effective row stops the run before any step.  Stops
+    conditions at it; the result keeps the rows.  With ``theory_checks``,
+    ``regime_violation`` raises ``TheoryConditionError`` on the rows before
+    any step, and on the rows and the ledger after the last.  Stops
     once every hopping slice has been consumed (band radius past the box
     diameter) and the 0-norm of the defect is below ``stop_tol``.  The
     master conjugation identity is re-verified on the assembled operators of
@@ -556,10 +551,8 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     p = params.resolved(box.dimension)
     tc = TameConstants(box.dimension, p.alpha0)
     p, conditions = theory_conditions(T, D, p, tc)
-    failed = next((c for c in conditions if c.effective and not c.holds), None)
-    if p.theory_checks and failed is not None:
-        raise TheoryConditionError(f"theory condition {failed.name} fails with margin "
-                                   f"{failed.margin:g}: {failed.detail}")
+    if p.theory_checks and (violation := regime_violation(conditions)):
+        raise TheoryConditionError(violation)
 
     state = initial_step(T, D, p, tc)
     converged = False
@@ -571,6 +564,8 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
         if state.k >= p.max_steps:
             break
         iterate_step(state)
+    if p.theory_checks and (violation := regime_violation(conditions, state.ledger)):
+        raise TheoryConditionError(violation)
 
     result = SchemeResult(
         qplus=state.Q,
@@ -594,6 +589,19 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     if converged and result.real_symmetric:
         unitarize(result)
     return result
+
+
+def regime_violation(conditions: list[ConditionReport], ledger=()) -> Optional[str]:
+    """The strict regime's verdict on a run's stored data: the first failing
+    effective condition, else the first negative ledger margin in step
+    order, named with its step, key and value; ``None`` when all hold."""
+    failed = next((c for c in conditions if c.effective and not c.holds), None)
+    if failed is not None:
+        return (f"theory condition {failed.name} fails with margin {failed.margin:g}: "
+                f"{failed.detail}")
+    return next((f"claimed bound violated at step {row.k}: {key} (margin {margin:.3e})"
+                 for row in ledger for key, margin in row.margins.items() if margin < 0.0),
+                None)
 
 
 def unitarize(result: SchemeResult) -> float:

@@ -710,6 +710,20 @@ def test_a_run_measures_gamma_and_evaluates_the_conditions_once(
         assert "theory condition Theta1 fails" in capsys.readouterr().err
 
 
+def test_check_theory_refuses_by_the_verdict_run_refuses_by(tmp_path, capsys):
+    # check-theory under theory_checks and a strict run name the same
+    # failing condition, in the same stderr line
+    cfg = base_config()
+    cfg["params"]["theory_checks"] = True
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 1
+    refused = capsys.readouterr().err
+    assert cli.main(["check-theory", "--config", path]) == 1
+    checked = capsys.readouterr().err
+    assert "invariant failed: theory condition Theta1 fails" in checked
+    assert checked == refused
+
+
 def test_check_theory_and_the_report_show_the_same_rows(tmp_path, capsys):
     code, report = run_report(tmp_path, base_config())
     assert code == 0

@@ -17,6 +17,7 @@ from nmloc import (
     solve_diagonal_correction,
     solve_generator,
 )
+import nmloc.homological as homological
 from nmloc.errors import DistalViolationError, NeumannSmallnessError
 from nmloc.homological import (
     fixed_point_check,
@@ -214,15 +215,21 @@ def test_neumann_residual_and_bounds(rng, tc):
         assert (res.Vinv).sobolev_norm(tc.alpha0) <= 2.0
 
 
-def test_neumann_smallness_error_and_fallback(rng, tc, box1d):
+def test_neumann_smallness_error_and_fallback(rng, tc, box1d, monkeypatch):
+    # out of the series' regime the solve takes the direct path and keeps
+    # the smallness it measured, which the step's ledger reads; the one
+    # error left is the series' term cap
     W = random_banded(box1d, rng, n_offsets=4, scale=0.3)
-    assert 4 * tc.c0**2 * W.sobolev_norm(tc.alpha0) > 0.5
-    with pytest.raises(NeumannSmallnessError, match="Neumann smallness failed"):
-        neumann_invert(W, tc, strict=True)
-    res = neumann_invert(W, tc, strict=False)
+    smallness = 4 * tc.c0**2 * W.sobolev_norm(tc.alpha0)
+    assert smallness > 0.5
+    res = neumann_invert(W, tc)
+    assert res.smallness == smallness and res.neumann_terms is None
     v = (LatticeOperator.identity(box1d) + W).entries
     assert res.condition_number == pytest.approx(np.linalg.cond(v, 1), rel=1e-10)
     assert neumann_residual(W, res.Vinv) <= 1e-10 * res.condition_number
+    monkeypatch.setattr(homological, "NEUMANN_MAX_TERMS", 2)
+    with pytest.raises(NeumannSmallnessError, match="failed to reach the term tolerance"):
+        neumann_invert(W * (0.4 / smallness), tc)
 
 
 def test_neumann_fallback_is_the_direct_solve(rng, tc):
@@ -231,11 +238,11 @@ def test_neumann_fallback_is_the_direct_solve(rng, tc):
     box = LatticeBox(1, 16, 12)
     W = random_banded(box, rng, n_offsets=8, scale=0.5)
     assert 4 * tc.c0**2 * W.sobolev_norm(tc.alpha0) > 0.5
-    res = neumann_invert(W, tc, strict=False)
+    res = neumann_invert(W, tc)
     eye = np.eye(box.n_sites, dtype=complex)
     v = eye + W.entries
     vinv = np.linalg.solve(v, eye)
-    assert res.neumann_terms is None
+    assert res.neumann_terms is None and res.smallness > 0.5
     assert np.array_equal(res.Vinv.entries, vinv)
     assert res.condition_number == float(np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1))
 

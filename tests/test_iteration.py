@@ -136,9 +136,14 @@ def test_later_ledger_row_bounds_are_the_bound_formulas():
         below = s < a - tau - 4 * delta
         expected[f"QDQ@{s:g}"] = prev ** (p.alpha0 - a + 3 * delta if below else s - a)
         expected[f"Qstep@{s:g}"] = prev ** (s - a + tau + 6 * delta)
-    assert set(row.margins) == set(expected)
+    # the Neumann margin has no norm column: its norm is the smallness
+    # 4 c0^2 ||W||_a0, and alpha0 is on the s-grid
+    neumann = f"Neumann@{p.alpha0:g}"
+    assert set(row.margins) == set(expected) | {neumann}
     for key, bound in expected.items():
         assert row.norms[key] + row.margins[key] == pytest.approx(bound, rel=1e-14), key
+    assert neumann not in row.norms
+    assert row.margins[neumann] == 0.5 - 4.0 * tc.c0**2 * row.norms[f"W@{p.alpha0:g}"]
 
     def labels(r):
         return {key.split("@")[0] for key in r.margins}
@@ -386,9 +391,9 @@ def test_later_hopping_slices_hold_one_buffer(monkeypatch):
 
 def _out_of_place_norms(state):
     """Ledger norms of one step by out-of-place expressions, the first step
-    without its QTQ/QDQ rows: the reference for the step's in-place sums and
-    early releases.  On real data the products that only the checks read
-    multiply real parts, as the step does."""
+    without its QTQ/QDQ rows, and its Neumann margin: the reference for the
+    step's in-place sums and early releases.  On real data the products that
+    only the checks read multiply real parts, as the step does."""
     p, box, k = state.params, state.box, state.k
     eye = DiagonalOperator.identity(box)
     real = state.T.is_real_symmetric() and not state.D.values.imag.any()
@@ -415,7 +420,8 @@ def _out_of_place_norms(state):
                                   theta=p.theta(k + 1))
     R_prime = G_for_W - G_for_W.smooth(p.theta(k + 1))
     V = eye + W
-    Vinv = iteration.neumann_invert(W, state.tc, strict=p.theory_checks).Vinv
+    inverted = iteration.neumann_invert(W, state.tc)
+    Vinv = inverted.Vinv
     Q_next = state.Q @ V
     Qinv_next = Vinv @ state.Qinv
     if p.mode == "inverse":
@@ -443,24 +449,26 @@ def _out_of_place_norms(state):
     norms["qqinv_defect"] = (unread(Q_next, Qinv_next) - eye).sobolev_norm(0.0)
     if k == 0:
         norms = {key: v for key, v in norms.items() if not key.startswith(("QTQ@", "QDQ@"))}
-    return norms
+    return norms, 0.5 - inverted.smallness
 
 
 @pytest.mark.parametrize("mode", ["inverse", "direct"])
 def test_in_place_step_sums_equal_the_out_of_place_formulas(monkeypatch, mode):
     # replay every step of a run, the first included, from its pre-step Q,
     # Q^-1, R, H and corrections; the step's in-place sums keep every
-    # operation and its order, so each norm of each row is equal, not close
+    # operation and its order, so each norm of each row is equal, not close,
+    # and the row opens its margins with the Neumann margin
     step = iteration.iterate_step
     box, D, T, params = maryland_setup(mode=mode)
     replayed = []
 
     def replayed_step(state):
-        expected = _out_of_place_norms(state)
+        expected, neumann_margin = _out_of_place_norms(state)
         row = step(state).ledger[-1]
         assert list(row.norms) == list(expected), row.k
         for key, value in expected.items():
             assert row.norms[key] == value, (row.k, key)
+        assert list(row.margins.items())[0] == ("Neumann@0.6", neumann_margin), row.k
         replayed.append(row.k)
         return state
 
@@ -537,6 +545,20 @@ def _qinv_imag_off(update):
     return _qinv_entry_off(update, 1e-6j)
 
 
+def _w_entry_off(remainder):
+    # W reaches _remainder_operand after Q and Q^-1 are formed from it, so
+    # only the decomposition check reads the fault (8.49e-9 at 1e-5); a
+    # shift of 1e-6 reads 8.49e-10 there, under criterion 6's 1e-9
+    calls = []
+
+    def corrupted(G, W, *args):
+        if len(calls) == FAULT_STEP:
+            W[0] = _entry_off(W[0], 1e-5)
+        calls.append(None)
+        return remainder(G, W, *args)
+    return corrupted
+
+
 def _defect_entry_off(defect):
     def corrupted(state, *args):
         R, norms = defect(state, *args)
@@ -557,7 +579,8 @@ def _defect_entry_off(defect):
     ("_transform_update", _qinv_entry_off, "qqinv_defect", 1e-7),
     ("_transform_update", _qinv_imag_off, "qqinv_defect", 1e-7),
     ("_defect", _defect_entry_off, "decomp_residual", 1e-7),
-], ids=["dropped_ring", "corrupted_X", "Qinv_entry", "Qinv_imag", "R_entry"])
+    ("_remainder_operand", _w_entry_off, "decomp_residual", 1e-9),
+], ids=["dropped_ring", "corrupted_X", "Qinv_entry", "Qinv_imag", "R_entry", "W_entry"])
 def test_a_fault_shows_in_its_ledger_cell(monkeypatch, patched, fault, cell, floor):
     monkeypatch.setattr(iteration, patched, fault(getattr(iteration, patched)))
     box, D, T, params = maryland_setup(max_steps=4)
@@ -969,3 +992,65 @@ def test_strict_run_with_a_failing_condition_stops_before_any_step(monkeypatch):
                        match=re.escape("Theta1 fails") + ".*" + re.escape("8 c0^2")):
         run(T, D, params)
     assert steps == []
+
+
+def _neumann_results(monkeypatch):
+    """Every ``NeumannResult`` a run's steps take, in order."""
+    results = []
+    invert = iteration.neumann_invert
+
+    def recorded(*args):
+        results.append(invert(*args))
+        return results[-1]
+
+    monkeypatch.setattr(iteration, "neumann_invert", recorded)
+    return results
+
+
+@pytest.mark.parametrize("which", ["flagship", "d2"])
+def test_the_neumann_margin_records_the_inversion_each_step_took(monkeypatch, which):
+    # the ledger's Neumann margin is 1/2 - smallness, and it is >= 0 exactly
+    # on the steps that summed the series; the d=1 run takes both paths
+    results = _neumann_results(monkeypatch)
+    if which == "flagship":
+        box, D, T, params = maryland_setup()
+        res = run(T, D, params)
+    else:
+        res = _two_dimensional_run()
+    key = f"Neumann@{res.params.alpha0:g}"
+    assert res.converged and len(results) == len(res.ledger) == res.steps
+    for row, inverted in zip(res.ledger, results):
+        assert row.margins[key] == 0.5 - inverted.smallness, row.k
+        assert (row.margins[key] >= 0.0) == (inverted.neumann_terms is not None), row.k
+    if which == "flagship":
+        paths = [inverted.neumann_terms is not None for inverted in results]
+        assert paths == [False, False, False, True, True]
+
+
+def test_a_strict_run_names_the_first_negative_margin_after_the_loop(monkeypatch):
+    # with every condition holding, the strict run takes every step the
+    # empirical run takes, then raises on the first negative ledger margin
+    # in step order, here a step that inverted I + W by the direct solve
+    box, D, T, params = maryland_setup()
+    empirical = run(T, D, params)
+    step, key, margin = next((row.k, key, margin) for row in empirical.ledger
+                             for key, margin in row.margins.items() if margin < 0.0)
+    assert (step, key) == (1, "Neumann@0.6")
+    conditions = iteration.theory_conditions
+
+    def holding(*args):
+        p, rows = conditions(*args)
+        return p, [replace(c, holds=True) for c in rows]
+
+    iterate, steps = iteration.iterate_step, []
+
+    def counted(state):
+        steps.append(state.k)
+        return iterate(state)
+
+    monkeypatch.setattr(iteration, "theory_conditions", holding)
+    monkeypatch.setattr(iteration, "iterate_step", counted)
+    with pytest.raises(TheoryConditionError, match=re.escape(
+            f"claimed bound violated at step {step}: {key} (margin {margin:.3e})")):
+        run(T, D, replace(params, theory_checks=True))
+    assert steps == list(range(empirical.steps))

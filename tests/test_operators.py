@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import operator
@@ -432,6 +433,30 @@ def test_only_operators_py_names_a_complex_dtype():
             path.name == "models.py" and "np.asarray(self.custom_values, dtype=complex)" in line)
     ]
     assert found == []
+
+
+def test_no_step_or_solver_reads_the_strict_regime():
+    # the strict regime is a verdict on a run's stored data: theory_checks is
+    # read only where the verdict is applied, and no function takes a mode
+    # that would let a step or a solve read it
+    readers, strict = set(), []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = f"{where.split('.')[0]}.{getattr(node, 'name', '<lambda>')}"
+            args = node.args
+            if "strict" in (a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)):
+                strict.append(where)
+        elif (isinstance(node, ast.Attribute) and node.attr == "theory_checks"
+              and isinstance(node.ctx, ast.Load)):
+            readers.add(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nmloc").glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert readers == {"iteration.run", "cli.cmd_check_theory"}
+    assert strict == []
 
 
 # reopening a frozen array: the writeable flag set to true, in either spelling
