@@ -16,12 +16,12 @@ is ``tests/report_schema.py``; an eigenreport or theory-condition row is
 its record's fields, and non-finite values are written as null.  ``sweep``
 treats comma-separated override values as cartesian sweep axes (a
 bracketed list is one value) and emits one report per cell plus an
-aggregate CSV; a cell whose build or run raises is named on stderr and
-gets a non-converged row of nan, and the sweep goes on.  All
-floating-point output is written in round-trip precision.
+aggregate CSV; each failing cell is named on stderr, one that raises gets
+a non-converged row of nan, and the sweep goes on.  All floating-point
+output is written in round-trip precision.
 
-Exit codes: 0 success, 1 a numerical invariant failed (named on stderr),
-2 configuration errors.
+Exit codes: 0 success, 1 a numerical invariant failed (named on stderr,
+after a finished run's files are written), 2 configuration errors.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import sys
 import jsonschema
 
 from . import localization
-from .errors import ConfigError, SymmetryDefectError
+from .errors import ConfigError
 from .box import LatticeBox
 from .iteration import (
     DIRECT,
@@ -49,6 +49,7 @@ from .iteration import (
     ledger_to_csv,
     regime_violation,
     run,
+    symmetry_violation,
     theory_conditions,
 )
 from .models import (
@@ -238,11 +239,13 @@ def _report_dict(cfg, result):
         q_norms[f"minus_identity@s={eye_norm_s:g}"] = minus_identity
         # ||T||_(alpha+4delta) is cached from the run's theory conditions
         t_high = result.T.sobolev_norm(p.alpha + 4 * p.delta)
-        if t_high > 0:
+        if t_high > 0 and p.alpha > p.alpha0:  # a positive exponent
             q_norms["coupling_scaling_ratio"] = minus_identity / t_high ** (
                 p.delta / (p.alpha - p.alpha0))
 
-    loc = {"eigenreports": [], "completeness": {}, "spectrum": {}}
+    loc = {"eigenreports": [],  # an unconverged run's entries
+           "completeness": dict.fromkeys(["min_singular_value", "gram_offdiag", "unitarity_defect"]),
+           "spectrum": {"hausdorff_interior": None, "skipped": "run not converged"}}
     if result.converged:
         # each row is its record's fields in order; a new field needs no edit here
         loc["eigenreports"] = [
@@ -255,20 +258,11 @@ def _report_dict(cfg, result):
             "gram_offdiag": gram_off,
             "unitarity_defect": result.unitarity_defect,
         }
-        try:
-            loc["spectrum"] = {
-                "hausdorff_interior": localization.spectrum_compare(result),
-                "skipped": None,
-            }
-        except SymmetryDefectError as exc:  # non-symmetric models keep running
-            loc["spectrum"] = {"hausdorff_interior": None, "skipped": str(exc)}
-    else:
-        loc["completeness"] = {
-            "min_singular_value": None,
-            "gram_offdiag": None,
-            "unitarity_defect": None,
-        }
-        loc["spectrum"] = {"hausdorff_interior": None, "skipped": "run not converged"}
+        if result.real_symmetric:
+            loc["spectrum"] = {"hausdorff_interior": localization.spectrum_compare(result),
+                               "skipped": None}
+        else:  # non-symmetric models keep running
+            loc["spectrum"]["skipped"] = "spectrum comparison requires symmetry"
 
     report = {
         "config_echo": cfg,
@@ -307,8 +301,9 @@ def _write_json(path, payload):
     os.replace(tmp, path)
 
 
-def cmd_run(cfg: dict, out_dir=".") -> tuple[int, dict]:
-    """Run one config and write its outputs; returns the exit code and report."""
+def cmd_run(cfg: dict, out_dir=".") -> tuple[str | None, dict]:
+    """Run one config and write its outputs; returns the finished run's first
+    failed check (convergence, then ``symmetry_violation``) or None, and its report."""
     _box, _spec, D, T, params = _assemble(cfg)
     result = run(T, D, params)
     os.makedirs(out_dir, exist_ok=True)
@@ -321,11 +316,8 @@ def cmd_run(cfg: dict, out_dir=".") -> tuple[int, dict]:
         f"final ||R||_0={_f17(result.final_residual.sobolev_norm(0.0))} "
         f"gamma={_f17(result.params.gamma)}"
     )
-    if not result.converged:
-        print("invariant failed: convergence (stop tolerance not reached)",
-              file=sys.stderr)
-        return 1, report
-    return 0, report
+    failed = None if result.converged else "convergence (stop tolerance not reached)"
+    return failed or symmetry_violation(result), report
 
 
 def cmd_verify_distal(cfg: dict) -> int:
@@ -439,25 +431,21 @@ def cmd_sweep(cfg: dict, overrides, out_dir="sweep_out") -> int:
     status = 0
     for cell_name, cell in cells:
         try:
-            code, rep = cmd_run(cell, out_dir=os.path.join(out_dir, cell_name))
+            failed, rep = cmd_run(cell, out_dir=os.path.join(out_dir, cell_name))
         except Exception as exc:  # a failed cell still gets its row
-            print(f"{cell_name}: invariant failed: {exc}", file=sys.stderr)
-            status = max(status, 1)
-            rows.append({"cell": cell_name, "converged": False})  # the rest read nan
-            continue
-        status = max(status, code)
-        rows.append(
-            {
-                "cell": cell_name,
-                "converged": rep["converged"],
-                "steps": rep["steps"],
-                "final_residual_0": rep["final_residual_norms"].get("s=0"),
-                "dplus_norm": rep["dplus_norm"],
-                "min_singular_value": rep["localization"]["completeness"][
-                    "min_singular_value"
-                ],
-            }
-        )
+            failed, rep = exc, None
+        if failed is not None:
+            print(f"{cell_name}: invariant failed: {failed}", file=sys.stderr)
+            status = 1
+        row = {"cell": cell_name, "converged": False}  # a cell that raised reads nan
+        if rep is not None:
+            row.update(converged=rep["converged"], steps=rep["steps"],
+                       final_residual_0=rep["final_residual_norms"].get("s=0"),
+                       dplus_norm=rep["dplus_norm"],
+                       min_singular_value=rep["localization"]["completeness"][
+                           "min_singular_value"])
+        rows.append(row)
+    os.makedirs(out_dir, exist_ok=True)  # no cell made it when every cell raised
     agg = os.path.join(out_dir, "sweep.csv")
     with open(agg, "w", newline="") as fh:
         cols = ["cell", "converged", "steps", "final_residual_0", "dplus_norm",
@@ -501,7 +489,10 @@ def main(argv=None) -> int:
             apply_override(cfg, key, raw)
         validate_config(cfg)
         if args.command == "run":
-            return cmd_run(cfg, out_dir=args.out_dir)[0]
+            failed = cmd_run(cfg, out_dir=args.out_dir)[0]
+            if failed:
+                print(f"invariant failed: {failed}", file=sys.stderr)
+            return 1 if failed else 0
         if args.command == "verify-distal":
             return cmd_verify_distal(cfg)
         return cmd_check_theory(cfg)

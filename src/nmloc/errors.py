@@ -26,7 +26,7 @@ class NeumannSmallnessError(ValueError):
 
 
 class SymmetryDefectError(ValueError):
-    """A step that requires real-symmetric data found it violated."""
+    """A check defined only for real symmetric data was asked of other data."""
 
 
 class TheoryConditionError(ValueError):

@@ -43,7 +43,9 @@ margin, and so is the Neumann smallness ``1/2 - 4 c0^2 ||W||_a0``, negative
 exactly when the step inverted ``I + W`` by the direct solve.  The default
 empirical regime verifies convergence a posteriori; ``theory_checks=True``
 raises ``regime_violation`` before the first step on the conditions, and
-after the last on the conditions and the ledger.
+after the last on the conditions and the ledger.  A converged real symmetric
+transform must unitarize; ``unitarize`` stores its defect, and
+``symmetry_violation`` is the verdict on it.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ from .operators import (DiagonalOperator, LatticeOperator, TameConstants, flush_
 INVERSE = "inverse"
 DIRECT = "direct"
 
-GRAM_OFFDIAG_TOL = 1e-8  # largest off-diagonal entry of Q+^t Q+ unitarize accepts
-UNITARITY_TOL = 1e-9  # largest ||U^t U - I||_0 unitarize accepts
+GRAM_OFFDIAG_TOL = 1e-8  # largest off-diagonal entry of Q+^t Q+ symmetry_violation passes
+UNITARITY_TOL = 1e-9  # largest ||U^t U - I||_0 symmetry_violation passes
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,7 @@ class SchemeResult:
     T: LatticeOperator
     D: DiagonalOperator
     theory_conditions: list[ConditionReport]  # evaluated at params.gamma
+    real_symmetric: bool  # the data rule (real_symmetric_data); unitarized, with a spectrum
     master_residual: Optional[float] = None
     unitarity_defect: Optional[float] = None
 
@@ -270,12 +273,6 @@ class SchemeResult:
         if self.params.mode == INVERSE:
             return assembled + self.dplus, self.D
         return assembled, DiagonalOperator(self.box, self.D.values + self.dplus.values)
-
-    @cached_property
-    def real_symmetric(self) -> bool:
-        """The run's data rule (``real_symmetric_data``); such a run is
-        unitarized and has a real spectrum."""
-        return real_symmetric_data(self.T, self.D)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -543,7 +540,9 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     diameter) and the 0-norm of the defect is below ``stop_tol``.  The
     master conjugation identity is re-verified on the assembled operators of
     a converged run (``master_residual`` stays ``None`` otherwise), and for
-    real symmetric data the transform is unitarized.
+    real symmetric data ``unitarize`` measures the transform.  A finished
+    run is returned, not refused: ``converged`` and ``symmetry_violation``
+    are its verdicts.
     """
     box = T.box
     if D.box != box:
@@ -580,6 +579,7 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
         T=T,
         D=D,
         theory_conditions=conditions,
+        real_symmetric=state.real_symmetric,
     )
     state.H = None  # no reader after the last step
     if converged:
@@ -605,37 +605,46 @@ def regime_violation(conditions: list[ConditionReport], ledger=()) -> Optional[s
 
 
 def unitarize(result: SchemeResult) -> float:
-    """Check that the transform of a real symmetric converged run polar-normalizes.
+    """Measure how far the transform of a real symmetric converged run is
+    from polar-normalizing.
 
     The Gram matrix ``G = Q+^t Q+`` of such a run is diagonal up to the
     residual; dividing each column of ``Q+`` by the square root of its Gram
-    entry yields the unitary ``U = Q+ S``, ``S = diag(G)^-1/2``, checked by
-    ``||U^t U - I||_0 <= UNITARITY_TOL``.  Since ``U^t U = S G S``, the check
+    entry yields ``U = Q+ S``, ``S = diag(G)^-1/2``, whose distance from a
+    unitary is ``||U^t U - I||_0``.  Since ``U^t U = S G S``, the measurement
     scales one copy of the Gram the run already holds and forms no ``U``.
     Its conjugation identity needs no replay:
     ``U^-1 A U - Lambda = S^-1 R S`` is the run's certified defect, rescaled.
-    The defect is stored in ``result.unitarity_defect`` and returned.
+    The defect, infinite when a Gram diagonal entry is not positive, is
+    stored in ``result.unitarity_defect`` and returned; ``symmetry_violation``
+    judges it.
     """
-    gram = result.gram
-    off = gram.off_diagonal_max()
-    if off > GRAM_OFFDIAG_TOL:
-        raise SymmetryDefectError(
-            f"symmetry defect: Gram off-diagonal {off:.3e} exceeds {GRAM_OFFDIAG_TOL:.1e}"
-        )
-    g = np.diagonal(gram.entries)
-    if np.any(g.real <= 0):
-        raise SymmetryDefectError("symmetry defect: non-positive Gram diagonal")
-    scale = 1.0 / np.sqrt(g)
-    sgs = gram.entries * scale[:, None]  # U^t U = S G S, in one buffer
-    sgs *= scale[None, :]
-    shift_diagonal(sgs, 1.0, np.subtract)
-    defect = LatticeOperator(result.box, sgs).sobolev_norm(0.0)
-    if defect > UNITARITY_TOL:
-        raise SymmetryDefectError(
-            f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
-        )
+    g = np.diagonal(result.gram.entries)
+    defect = math.inf
+    if np.all(g.real > 0):
+        scale = 1.0 / np.sqrt(g)
+        sgs = result.gram.entries * scale[:, None]  # U^t U = S G S, in one buffer
+        sgs *= scale[None, :]
+        shift_diagonal(sgs, 1.0, np.subtract)
+        defect = LatticeOperator(result.box, sgs).sobolev_norm(0.0)
     result.unitarity_defect = float(defect)
     return result.unitarity_defect
+
+
+def symmetry_violation(result: SchemeResult) -> Optional[str]:
+    """The verdict on a unitarized run's stored data: the first failing check
+    of the Gram off-diagonal, the Gram diagonal and ``||U^t U - I||_0``;
+    ``None`` when all hold or the run was not unitarized."""
+    defect = result.unitarity_defect
+    if defect is None:
+        return None
+    if (off := result.gram.off_diagonal_max()) > GRAM_OFFDIAG_TOL:
+        return f"symmetry defect: Gram off-diagonal {off:.3e} exceeds {GRAM_OFFDIAG_TOL:.1e}"
+    if defect == math.inf:
+        return "symmetry defect: non-positive Gram diagonal"
+    if defect > UNITARITY_TOL:
+        return f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
+    return None
 
 
 # -- parameter-condition checker ------------------------------------------------

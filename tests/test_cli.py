@@ -748,3 +748,75 @@ def test_coupling_scaling_ratio_divides_the_transform_by_the_hopping_norm(tmp_pa
     t_high = T.sobolev_norm(p.alpha + 4 * p.delta)
     assert q_norms["coupling_scaling_ratio"] == minus_identity / t_high ** (
         p.delta / (p.alpha - p.alpha0))
+
+
+def test_a_converged_run_with_alpha_equal_to_alpha0_writes_its_report(tmp_path):
+    # the ratio's exponent delta/(alpha - alpha0) is positive only for
+    # alpha > alpha0; at alpha = alpha0 it has no value, and the report
+    # leaves the key out instead of dividing by zero
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 24, "interior_radius": 16}
+    cfg["params"].update(alpha0=2.0, alpha=2.0)
+    code, report = run_report(tmp_path, cfg)
+    assert code == 0 and report["converged"] is True and report["steps"] == 6
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert "coupling_scaling_ratio" not in report["qplus_norms"]
+    ledger = (tmp_path / "out" / "ledger.csv").read_text().strip().split("\n")
+    assert len(ledger) == report["steps"] + 1
+
+
+# -- verdicts on a finished run ------------------------------------------------
+
+
+def test_a_run_failing_the_symmetry_verdict_writes_both_files(tmp_path, monkeypatch, capsys):
+    # at tolerance 0 this run's unitarity defect (2.3e-11) fails the
+    # verdict; the finished run writes its ledger and report, as a run that
+    # does not converge does, and exits 1 naming the check
+    monkeypatch.setattr(iteration, "UNITARITY_TOL", 0.0)
+    code, report = run_report(tmp_path, base_config())
+    assert code == 1
+    assert re.fullmatch(r"invariant failed: symmetry defect: \|\|U\^t U - I\|\|_0 = "
+                        r"\d\.\d{3}e-\d\d exceeds 0\.0e\+00\n", capsys.readouterr().err)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["converged"] is True
+    assert 0.0 < report["localization"]["completeness"]["unitarity_defect"] <= 1e-9
+    ledger = (tmp_path / "out" / "ledger.csv").read_text().strip().split("\n")
+    assert len(ledger) == report["steps"] + 1
+
+
+def test_a_sweep_names_every_failing_cell(tmp_path, monkeypatch, capsys):
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 8, "interior_radius": 6}
+    argv = ["sweep", "--config", write_config(tmp_path, cfg), "--override"]
+    out = tmp_path / "steps"
+    assert cli.main(argv + ["params.max_steps=1,40", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "max_steps=1: invariant failed: convergence (stop tolerance not reached)\n")
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [row[:2] for row in csv.reader(fh)][1:] == [["max_steps=1", "False"],
+                                                           ["max_steps=40", "True"]]
+    # a cell that fails the symmetry verdict is named the same way; it did
+    # converge, and its row says so
+    monkeypatch.setattr(iteration, "UNITARITY_TOL", 0.0)
+    out = tmp_path / "symmetry"
+    assert cli.main(argv + ["hopping.epsilon=0.1,0.05", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ", 1)[0] for line in err] == ["epsilon=0.1", "epsilon=0.05"]
+    assert all(": invariant failed: symmetry defect: ||U^t U - I||_0 = " in line
+               for line in err)
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [row[1] for row in csv.reader(fh)][1:] == ["True", "True"]
+    for cell in ("epsilon=0.1", "epsilon=0.05"):
+        assert sorted(p.name for p in (out / cell).iterdir()) == ["ledger.csv", "report.json"]
+
+    def silent(T, D, params):  # a cell that raises with no message still fails, by name
+        raise RuntimeError()
+
+    monkeypatch.setattr(cli, "run", silent)
+    out = tmp_path / "raised"
+    assert cli.main(argv + ["hopping.epsilon=0.1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "epsilon=0.1: invariant failed: \n"
+    # no cell wrote its directory, and the aggregate is still written
+    assert (out / "sweep.csv").read_text() == (
+        "cell,converged,steps,final_residual_0,dplus_norm,min_singular_value\n"
+        "epsilon=0.1,False,nan,nan,nan,nan\n")

@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from nmloc import (
     unitarize,
 )
 from nmloc.box import RUN_BUFFERS
-from nmloc.errors import SymmetryDefectError, TheoryConditionError
+from nmloc.errors import TheoryConditionError
 
 
 def maryland_setup(radius=16, epsilon=0.1, s0=4.0, **kw):
@@ -885,7 +886,7 @@ def synthetic_result(box, Q_entries):
         ledger=[], converged=True, steps=0, box=box,
         params=SchemeParams(tau=1.0, delta=0.05, alpha0=0.6, theta0=2.0,
                             Theta=2.0, alpha=2.0).resolved(1),
-        T=LatticeOperator.zeros(box), D=D, theory_conditions=[],
+        T=LatticeOperator.zeros(box), D=D, theory_conditions=[], real_symmetric=True,
         master_residual=0.0,
     )
 
@@ -894,31 +895,76 @@ def test_unitarize_identity_and_scaling(box1d):
     # U = I exactly, and U^t U - I = S G S - I is zero for any column scale
     res = synthetic_result(box1d, np.eye(box1d.n_sites, dtype=complex))
     assert unitarize(res) == 0.0 == res.unitarity_defect
+    assert iteration.symmetry_violation(res) is None
     res2 = synthetic_result(box1d, 2.0 * np.eye(box1d.n_sites, dtype=complex))
     assert unitarize(res2) <= 1e-15
     scaled = np.diag(np.arange(1.0, box1d.n_sites + 1)).astype(complex)
     assert unitarize(synthetic_result(box1d, scaled)) <= 1e-15
 
 
-def test_unitarize_refuses_a_defect_above_its_tolerance(box1d):
+def test_the_verdict_refuses_a_unitarity_defect_above_its_tolerance(box1d):
     # a Gram off-diagonal of 5e-9 passes the Gram check (1e-8) and puts
-    # ||U^t U - I||_0 at sqrt(2) 5e-9, above UNITARITY_TOL
+    # ||U^t U - I||_0 at sqrt(2) 5e-9, above UNITARITY_TOL; unitarize only
+    # measures it, and the verdict on the stored defect names it
     q = np.eye(box1d.n_sites, dtype=complex)
     q[0, 3] = 5e-9
     res = synthetic_result(box1d, q)
     assert res.gram.off_diagonal_max() <= iteration.GRAM_OFFDIAG_TOL
-    with pytest.raises(SymmetryDefectError, match=r"\|\|U\^t U - I\|\|_0"):
-        unitarize(res)
-    assert res.unitarity_defect is None
+    assert unitarize(res) == res.unitarity_defect > iteration.UNITARITY_TOL
+    assert re.fullmatch(r"symmetry defect: \|\|U\^t U - I\|\|_0 = 7\.071e-09 exceeds 1\.0e-09",
+                        iteration.symmetry_violation(res))
 
 
-def test_unitarize_rejects_skew_transform(box1d, rng):
+def test_the_verdict_rejects_skew_transform(box1d):
     q = np.eye(box1d.n_sites, dtype=complex)
     q[0, 3] = 0.2  # Gram matrix picks up an off-diagonal entry
     res = synthetic_result(box1d, q)
-    with pytest.raises(SymmetryDefectError, match="symmetry defect"):
-        unitarize(res)
+    assert unitarize(res) == res.unitarity_defect > iteration.UNITARITY_TOL
+    assert iteration.symmetry_violation(res) == (
+        "symmetry defect: Gram off-diagonal 2.000e-01 exceeds 1.0e-08")
 
+
+def test_a_zero_column_has_an_infinite_defect_and_fails_the_verdict(box1d):
+    # a zero column of Q+ is a zero Gram diagonal entry: no column scale
+    # exists, so the defect is infinite, with no division by zero
+    q = np.eye(box1d.n_sites, dtype=complex)
+    q[:, 2] = 0.0
+    res = replace(synthetic_result(box1d, np.eye(box1d.n_sites, dtype=complex)),
+                  qplus=LatticeOperator(box1d, q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unitarize(res) == math.inf == res.unitarity_defect
+        assert res.gram.off_diagonal_max() == 0.0
+        assert (iteration.symmetry_violation(res)
+                == "symmetry defect: non-positive Gram diagonal")
+
+
+
+def test_run_returns_a_run_that_fails_the_symmetry_verdict(monkeypatch):
+    # the verdict is data: run stores the defect and returns, and
+    # symmetry_violation names the failing check
+    monkeypatch.setattr(iteration, "UNITARITY_TOL", 0.0)
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    assert res.converged and res.real_symmetric
+    assert 0.0 < res.unitarity_defect <= 1e-9
+    assert iteration.symmetry_violation(res) == (
+        f"symmetry defect: ||U^t U - I||_0 = {res.unitarity_defect:.3e} exceeds 0.0e+00")
+
+
+def test_the_data_rule_is_decided_once_per_run(monkeypatch):
+    calls = []
+    rule = iteration.real_symmetric_data
+    monkeypatch.setattr(iteration, "real_symmetric_data",
+                        lambda T, D: calls.append((T, D)) or rule(T, D))
+    box, D, T, params = maryland_setup()
+    res = run(T, D, params)
+    eigenfunctions(res)
+    completeness_check(res)
+    spectrum_compare(res)
+    res.defect_resolution()
+    assert res.converged and res.real_symmetric and res.unitarity_defect is not None
+    assert len(calls) == 1
 
 # -- sufficient-condition checker ------------------------------------------------
 

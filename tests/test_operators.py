@@ -459,6 +459,32 @@ def test_no_step_or_solver_reads_the_strict_regime():
     assert strict == []
 
 
+def test_a_finished_run_is_measured_not_refused():
+    # unitarize measures and raises nothing; the one symmetry refusal left is
+    # the spectrum that only a real symmetric run has; the data rule is
+    # decided by the first step alone and kept on the result
+    raises, refusals, rule_callers = [], [], []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, ast.Raise):
+            raises.append(where)
+            if any(getattr(n, "id", None) == "SymmetryDefectError" for n in ast.walk(node)):
+                refusals.append(where)
+        elif (isinstance(node, ast.Call) and "real_symmetric_data"
+              in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            rule_callers.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nmloc").glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert "iteration.unitarize" not in raises
+    assert refusals == ["iteration.SchemeResult.spectrum"]
+    assert rule_callers == ["iteration.initial_step"]
+
+
 # reopening a frozen array: the writeable flag set to true, in either spelling
 REOPEN = re.compile(r"writeable\s*=\s*True|setflags\([^)]*write\s*=\s*(?:True|1)")
 
