@@ -20,8 +20,9 @@ aggregate CSV; each failing cell is named on stderr, one that raises gets
 a non-converged row of nan, and the sweep goes on.  All floating-point
 output is written in round-trip precision.
 
-Exit codes: 0 success, 1 a numerical invariant failed (named on stderr,
-after a finished run's files are written), 2 configuration errors.
+Exit codes: 0 success, 1 a numerical invariant failed, 2 configuration
+errors.  ``main`` names a failed check on stderr: a returned one (a finished
+run's ``localization.certify``, after its files are written) or a raised one.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .iteration import (
     ledger_to_csv,
     regime_violation,
     run,
-    symmetry_violation,
     theory_conditions,
 )
 from .models import (
@@ -302,8 +302,8 @@ def _write_json(path, payload):
 
 
 def cmd_run(cfg: dict, out_dir=".") -> tuple[str | None, dict]:
-    """Run one config and write its outputs; returns the finished run's first
-    failed check (convergence, then ``symmetry_violation``) or None, and its report."""
+    """Run one config and write its outputs; returns the finished run's
+    verdict (``localization.certify``) and its report."""
     _box, _spec, D, T, params = _assemble(cfg)
     result = run(T, D, params)
     os.makedirs(out_dir, exist_ok=True)
@@ -316,18 +316,17 @@ def cmd_run(cfg: dict, out_dir=".") -> tuple[str | None, dict]:
         f"final ||R||_0={_f17(result.final_residual.sobolev_norm(0.0))} "
         f"gamma={_f17(result.params.gamma)}"
     )
-    failed = None if result.converged else "convergence (stop tolerance not reached)"
-    return failed or symmetry_violation(result), report
+    return localization.certify(result), report
 
 
-def cmd_verify_distal(cfg: dict) -> int:
+def cmd_verify_distal(cfg: dict) -> str | None:
     """The window scan's frontier; a given gamma is checked by both scans.
 
     One :func:`window_scan` gives the frontier at every tau and the margin
     of a given ``(tau, gamma)``.  ``theory_conditions`` owns the run's
     verdict on gamma (its ``gamma`` row, measured on the box); the window
     scan reads the potential's BV profile, where it has one, and can
-    disagree.  Either failing fails the command.
+    disagree.  Returns the failed checks, joined, or None.
     """
     box, spec, D, T, p = _assemble(cfg)
     max_offset = min(2 * box.radius, 64)
@@ -357,12 +356,11 @@ def cmd_verify_distal(cfg: dict) -> int:
               f"margin={_f17(row.margin)}; {row.detail}")
         if not row.holds:
             failed.append(f"theory condition {row.name} does not hold")
-    if failed:
-        print(f"invariant failed: {'; '.join(failed)}", file=sys.stderr)
-    return 1 if failed else 0
+    return "; ".join(failed) or None
 
 
-def cmd_check_theory(cfg: dict) -> int:
+def cmd_check_theory(cfg: dict) -> str | None:
+    """Print the theory conditions; under ``theory_checks``, return their verdict."""
     box, _spec, D, T, p = _assemble(cfg)
     _, rows = theory_conditions(T, D, p, TameConstants(box.dimension, p.alpha0))
     table = csv.writer(sys.stdout, lineterminator="\n")
@@ -374,10 +372,7 @@ def cmd_check_theory(cfg: dict) -> int:
         f"binding Theta constraint: {binding.data['binding']} "
         f"(log10 required = {_f17(binding.data['required_log10'])})"
     )
-    if p.theory_checks and (violation := regime_violation(rows)):
-        print(f"invariant failed: {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return regime_violation(rows) if p.theory_checks else None
 
 
 def _axis_values(key: str, raw: str):
@@ -490,18 +485,19 @@ def main(argv=None) -> int:
         validate_config(cfg)
         if args.command == "run":
             failed = cmd_run(cfg, out_dir=args.out_dir)[0]
-            if failed:
-                print(f"invariant failed: {failed}", file=sys.stderr)
-            return 1 if failed else 0
-        if args.command == "verify-distal":
-            return cmd_verify_distal(cfg)
-        return cmd_check_theory(cfg)
+        elif args.command == "verify-distal":
+            failed = cmd_verify_distal(cfg)
+        else:
+            failed = cmd_check_theory(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical invariant failures
-        print(f"invariant failed: {exc}", file=sys.stderr)
+        failed = exc
+    if failed is not None:
+        print(f"invariant failed: {failed}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -42,10 +42,10 @@ regime is ledger data, read by no step: every claimed bound is a signed
 margin, and so is the Neumann smallness ``1/2 - 4 c0^2 ||W||_a0``, negative
 exactly when the step inverted ``I + W`` by the direct solve.  The default
 empirical regime verifies convergence a posteriori; ``theory_checks=True``
-raises ``regime_violation`` before the first step on the conditions, and
-after the last on the conditions and the ledger.  A converged real symmetric
-transform must unitarize; ``unitarize`` stores its defect, and
-``symmetry_violation`` is the verdict on it.
+raises ``regime_violation`` on the conditions before the first step.  A
+converged real symmetric transform must unitarize; ``unitarize`` stores its
+defect.  The verdict on a finished run, the strict regime's ledger
+included, is ``localization.certify``.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ from .operators import (DiagonalOperator, LatticeOperator, TameConstants, flush_
 
 INVERSE = "inverse"
 DIRECT = "direct"
-
-GRAM_OFFDIAG_TOL = 1e-8  # largest off-diagonal entry of Q+^t Q+ symmetry_violation passes
-UNITARITY_TOL = 1e-9  # largest ||U^t U - I||_0 symmetry_violation passes
 
 
 @dataclass(frozen=True)
@@ -535,14 +532,13 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
     First ``theory_conditions`` fixes gamma and evaluates the sufficient
     conditions at it; the result keeps the rows.  With ``theory_checks``,
     ``regime_violation`` raises ``TheoryConditionError`` on the rows before
-    any step, and on the rows and the ledger after the last.  Stops
-    once every hopping slice has been consumed (band radius past the box
-    diameter) and the 0-norm of the defect is below ``stop_tol``.  The
-    master conjugation identity is re-verified on the assembled operators of
-    a converged run (``master_residual`` stays ``None`` otherwise), and for
-    real symmetric data ``unitarize`` measures the transform.  A finished
-    run is returned, not refused: ``converged`` and ``symmetry_violation``
-    are its verdicts.
+    any step.  Stops once every hopping slice has been consumed (band radius
+    past the box diameter) and the 0-norm of the defect is below
+    ``stop_tol``.  The master conjugation identity is re-verified on the
+    assembled operators of a converged run (``master_residual`` stays
+    ``None`` otherwise), and for real symmetric data ``unitarize`` measures
+    the transform.  A finished run is returned, not refused:
+    ``localization.certify`` is its verdict.
     """
     box = T.box
     if D.box != box:
@@ -563,8 +559,6 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
         if state.k >= p.max_steps:
             break
         iterate_step(state)
-    if p.theory_checks and (violation := regime_violation(conditions, state.ledger)):
-        raise TheoryConditionError(violation)
 
     result = SchemeResult(
         qplus=state.Q,
@@ -616,7 +610,7 @@ def unitarize(result: SchemeResult) -> float:
     Its conjugation identity needs no replay:
     ``U^-1 A U - Lambda = S^-1 R S`` is the run's certified defect, rescaled.
     The defect, infinite when a Gram diagonal entry is not positive, is
-    stored in ``result.unitarity_defect`` and returned; ``symmetry_violation``
+    stored in ``result.unitarity_defect`` and returned; ``localization.certify``
     judges it.
     """
     g = np.diagonal(result.gram.entries)
@@ -629,22 +623,6 @@ def unitarize(result: SchemeResult) -> float:
         defect = LatticeOperator(result.box, sgs).sobolev_norm(0.0)
     result.unitarity_defect = float(defect)
     return result.unitarity_defect
-
-
-def symmetry_violation(result: SchemeResult) -> Optional[str]:
-    """The verdict on a unitarized run's stored data: the first failing check
-    of the Gram off-diagonal, the Gram diagonal and ``||U^t U - I||_0``;
-    ``None`` when all hold or the run was not unitarized."""
-    defect = result.unitarity_defect
-    if defect is None:
-        return None
-    if (off := result.gram.off_diagonal_max()) > GRAM_OFFDIAG_TOL:
-        return f"symmetry defect: Gram off-diagonal {off:.3e} exceeds {GRAM_OFFDIAG_TOL:.1e}"
-    if defect == math.inf:
-        return "symmetry defect: non-positive Gram diagonal"
-    if defect > UNITARITY_TOL:
-        return f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
-    return None
 
 
 # -- parameter-condition checker ------------------------------------------------

@@ -1,4 +1,5 @@
-"""Localization evidence extracted from a converged run.
+"""Localization evidence extracted from a converged run, and ``certify``,
+the one verdict on a finished run.
 
 The columns of the accumulated transform are approximate eigenfunctions of
 the assembled operator; this module certifies three things about them:
@@ -23,8 +24,11 @@ from operator import matmul
 
 import numpy as np
 
-from .iteration import SchemeResult
+from .iteration import SchemeResult, regime_violation
 from .operators import real_operands
+
+GRAM_OFFDIAG_TOL = 1e-8  # largest off-diagonal entry of Q+^t Q+ certify passes
+UNITARITY_TOL = 1e-9  # largest ||U^t U - I||_0 certify passes
 
 
 @dataclass(frozen=True)
@@ -108,3 +112,24 @@ def spectrum_compare(result: SchemeResult) -> float:
     targets = result.conjugation_pair[1].values.real[result.box.interior_mask]
     dist = np.abs(targets[:, None] - spectrum[None, :]).min(axis=1)
     return float(dist.max())
+
+
+def certify(result: SchemeResult) -> str | None:
+    """The first failed check of a finished run's stored data, else ``None``:
+    under ``theory_checks`` ``regime_violation`` on the conditions and the
+    ledger, then convergence, then for a unitarized run the Gram
+    off-diagonal, the Gram diagonal and ``||U^t U - I||_0``."""
+    if result.params.theory_checks and (
+            violation := regime_violation(result.theory_conditions, result.ledger)):
+        return violation
+    if not result.converged:
+        return "convergence (stop tolerance not reached)"
+    if (defect := result.unitarity_defect) is None:
+        return None
+    if (off := result.gram.off_diagonal_max()) > GRAM_OFFDIAG_TOL:
+        return f"symmetry defect: Gram off-diagonal {off:.3e} exceeds {GRAM_OFFDIAG_TOL:.1e}"
+    if defect == np.inf:
+        return "symmetry defect: non-positive Gram diagonal"
+    if defect > UNITARITY_TOL:
+        return f"symmetry defect: ||U^t U - I||_0 = {defect:.3e} exceeds {UNITARITY_TOL:.1e}"
+    return None

@@ -121,8 +121,9 @@ class LatticeOperator:
         cached = self._norms.get(s)
         if cached is None:
             sups = self.diag_sups()
-            w = np.maximum(self.box.offset_len, 1.0)  # <k> = max(1, |k|)
-            cached = float(np.sqrt(np.sum((sups * w**s) ** 2)))
+            weighted = sups * np.maximum(self.box.offset_len, 1.0) ** s  # <k> = max(1, |k|)
+            e = np.frexp(np.max(weighted))[1]  # squared at 2^-e, exactly: none overflows
+            cached = float(np.ldexp(np.sqrt(np.sum(np.ldexp(weighted, -e) ** 2)), e))
             self._norms[s] = cached
         return cached
 

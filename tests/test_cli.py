@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import nmloc.algebra as algebra
 import nmloc.iteration as iteration
+import nmloc.localization as localization
 from nmloc import (
     HoppingSpec,
     LatticeBox,
@@ -772,7 +773,7 @@ def test_a_run_failing_the_symmetry_verdict_writes_both_files(tmp_path, monkeypa
     # at tolerance 0 this run's unitarity defect (2.3e-11) fails the
     # verdict; the finished run writes its ledger and report, as a run that
     # does not converge does, and exits 1 naming the check
-    monkeypatch.setattr(iteration, "UNITARITY_TOL", 0.0)
+    monkeypatch.setattr(localization, "UNITARITY_TOL", 0.0)
     code, report = run_report(tmp_path, base_config())
     assert code == 1
     assert re.fullmatch(r"invariant failed: symmetry defect: \|\|U\^t U - I\|\|_0 = "
@@ -780,6 +781,34 @@ def test_a_run_failing_the_symmetry_verdict_writes_both_files(tmp_path, monkeypa
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["converged"] is True
     assert 0.0 < report["localization"]["completeness"]["unitarity_defect"] <= 1e-9
+    ledger = (tmp_path / "out" / "ledger.csv").read_text().strip().split("\n")
+    assert len(ledger) == report["steps"] + 1
+
+
+def _conditions_holding(monkeypatch):
+    """Every theory condition of a run patched to hold."""
+    conditions = iteration.theory_conditions
+
+    def holding(*args):
+        p, rows = conditions(*args)
+        return p, [replace(c, holds=True) for c in rows]
+
+    monkeypatch.setattr(iteration, "theory_conditions", holding)
+
+
+def test_a_strict_run_refused_by_its_ledger_writes_both_files(tmp_path, monkeypatch, capsys):
+    # with every condition holding, the strict run takes every step, and
+    # certify refuses it on its first negative ledger margin; the finished
+    # run writes its ledger and report before it exits 1
+    _conditions_holding(monkeypatch)
+    cfg = base_config()
+    cfg["params"]["theory_checks"] = True
+    code, report = run_report(tmp_path, cfg)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "invariant failed: claimed bound violated at step 1: Neumann@0.6 (margin -1.847e+02)\n")
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["converged"] is True
     ledger = (tmp_path / "out" / "ledger.csv").read_text().strip().split("\n")
     assert len(ledger) == report["steps"] + 1
 
@@ -795,9 +824,23 @@ def test_a_sweep_names_every_failing_cell(tmp_path, monkeypatch, capsys):
     with open(out / "sweep.csv", newline="") as fh:
         assert [row[:2] for row in csv.reader(fh)][1:] == [["max_steps=1", "False"],
                                                            ["max_steps=40", "True"]]
+    # a strict cell refused by its ledger is named, and keeps its real row,
+    # the empirical cell's, and both files
+    _conditions_holding(monkeypatch)
+    out = tmp_path / "strict"
+    assert cli.main(argv + ["params.theory_checks=false,true", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "theory_checks=True: invariant failed: "
+        "claimed bound violated at step 1: Neumann@0.6 (margin -1.797e+02)\n")
+    with open(out / "sweep.csv", newline="") as fh:
+        empirical, strict = list(csv.reader(fh))[1:]
+    assert empirical[:3] == ["theory_checks=False", "True", "5"]
+    assert strict[:2] == ["theory_checks=True", "True"] and strict[2:] == empirical[2:]
+    assert sorted(p.name for p in (out / "theory_checks=True").iterdir()) == [
+        "ledger.csv", "report.json"]
     # a cell that fails the symmetry verdict is named the same way; it did
     # converge, and its row says so
-    monkeypatch.setattr(iteration, "UNITARITY_TOL", 0.0)
+    monkeypatch.setattr(localization, "UNITARITY_TOL", 0.0)
     out = tmp_path / "symmetry"
     assert cli.main(argv + ["hopping.epsilon=0.1,0.05", "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()

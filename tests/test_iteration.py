@@ -895,7 +895,7 @@ def test_unitarize_identity_and_scaling(box1d):
     # U = I exactly, and U^t U - I = S G S - I is zero for any column scale
     res = synthetic_result(box1d, np.eye(box1d.n_sites, dtype=complex))
     assert unitarize(res) == 0.0 == res.unitarity_defect
-    assert iteration.symmetry_violation(res) is None
+    assert localization.certify(res) is None
     res2 = synthetic_result(box1d, 2.0 * np.eye(box1d.n_sites, dtype=complex))
     assert unitarize(res2) <= 1e-15
     scaled = np.diag(np.arange(1.0, box1d.n_sites + 1)).astype(complex)
@@ -909,18 +909,18 @@ def test_the_verdict_refuses_a_unitarity_defect_above_its_tolerance(box1d):
     q = np.eye(box1d.n_sites, dtype=complex)
     q[0, 3] = 5e-9
     res = synthetic_result(box1d, q)
-    assert res.gram.off_diagonal_max() <= iteration.GRAM_OFFDIAG_TOL
-    assert unitarize(res) == res.unitarity_defect > iteration.UNITARITY_TOL
+    assert res.gram.off_diagonal_max() <= localization.GRAM_OFFDIAG_TOL
+    assert unitarize(res) == res.unitarity_defect > localization.UNITARITY_TOL
     assert re.fullmatch(r"symmetry defect: \|\|U\^t U - I\|\|_0 = 7\.071e-09 exceeds 1\.0e-09",
-                        iteration.symmetry_violation(res))
+                        localization.certify(res))
 
 
 def test_the_verdict_rejects_skew_transform(box1d):
     q = np.eye(box1d.n_sites, dtype=complex)
     q[0, 3] = 0.2  # Gram matrix picks up an off-diagonal entry
     res = synthetic_result(box1d, q)
-    assert unitarize(res) == res.unitarity_defect > iteration.UNITARITY_TOL
-    assert iteration.symmetry_violation(res) == (
+    assert unitarize(res) == res.unitarity_defect > localization.UNITARITY_TOL
+    assert localization.certify(res) == (
         "symmetry defect: Gram off-diagonal 2.000e-01 exceeds 1.0e-08")
 
 
@@ -935,20 +935,20 @@ def test_a_zero_column_has_an_infinite_defect_and_fails_the_verdict(box1d):
         warnings.simplefilter("error")
         assert unitarize(res) == math.inf == res.unitarity_defect
         assert res.gram.off_diagonal_max() == 0.0
-        assert (iteration.symmetry_violation(res)
+        assert (localization.certify(res)
                 == "symmetry defect: non-positive Gram diagonal")
 
 
 
 def test_run_returns_a_run_that_fails_the_symmetry_verdict(monkeypatch):
     # the verdict is data: run stores the defect and returns, and
-    # symmetry_violation names the failing check
-    monkeypatch.setattr(iteration, "UNITARITY_TOL", 0.0)
+    # certify names the failing check
+    monkeypatch.setattr(localization, "UNITARITY_TOL", 0.0)
     box, D, T, params = maryland_setup()
     res = run(T, D, params)
     assert res.converged and res.real_symmetric
     assert 0.0 < res.unitarity_defect <= 1e-9
-    assert iteration.symmetry_violation(res) == (
+    assert localization.certify(res) == (
         f"symmetry defect: ||U^t U - I||_0 = {res.unitarity_defect:.3e} exceeds 0.0e+00")
 
 
@@ -1075,8 +1075,9 @@ def test_the_neumann_margin_records_the_inversion_each_step_took(monkeypatch, wh
 
 def test_a_strict_run_names_the_first_negative_margin_after_the_loop(monkeypatch):
     # with every condition holding, the strict run takes every step the
-    # empirical run takes, then raises on the first negative ledger margin
-    # in step order, here a step that inverted I + W by the direct solve
+    # empirical run takes and returns; its verdict is the first negative
+    # ledger margin in step order, here a step that inverted I + W by the
+    # direct solve
     box, D, T, params = maryland_setup()
     empirical = run(T, D, params)
     step, key, margin = next((row.k, key, margin) for row in empirical.ledger
@@ -1096,7 +1097,6 @@ def test_a_strict_run_names_the_first_negative_margin_after_the_loop(monkeypatch
 
     monkeypatch.setattr(iteration, "theory_conditions", holding)
     monkeypatch.setattr(iteration, "iterate_step", counted)
-    with pytest.raises(TheoryConditionError, match=re.escape(
-            f"claimed bound violated at step {step}: {key} (margin {margin:.3e})")):
-        run(T, D, replace(params, theory_checks=True))
+    assert localization.certify(run(T, D, replace(params, theory_checks=True))) == (
+        f"claimed bound violated at step {step}: {key} (margin {margin:.3e})")
     assert steps == list(range(empirical.steps))

@@ -4,6 +4,7 @@ import math
 import operator
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,27 @@ def test_norm_monotone_in_s(rng, box2d):
     op = random_banded(box2d, rng, n_offsets=4)
     norms = [op.sobolev_norm(s) for s in (0.0, 0.5, 1.0, 2.0, 3.0)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def test_a_norm_whose_square_overflows_is_finite(rng, box1d):
+    # entries near 1e160 square past the float range; the norm squares the
+    # weighted sups at 2^-e, the power of two of the largest, and scales the
+    # root back, exactly: 2^e times the norm of the 2^-e scaling
+    op = random_banded(box1d, rng, n_offsets=5)
+    e = 531  # 2^531 is about 1.4e160
+    big = LatticeOperator(box1d, op.entries * 2.0**e)
+    non_finite = []
+    for value in (np.inf, np.nan):
+        entries = op.entries.copy()
+        entries[2, 5] = value
+        non_finite.append(LatticeOperator(box1d, entries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.0, 0.8, 2.0):
+            assert big.sobolev_norm(s) == math.ldexp(op.sobolev_norm(s), e) < math.inf
+        assert LatticeOperator.zeros(box1d).sobolev_norm(1.0) == 0.0
+        assert non_finite[0].sobolev_norm(1.0) == math.inf
+        assert math.isnan(non_finite[1].sobolev_norm(1.0))
 
 
 def test_multiply_against_brute_force(rng):
@@ -455,8 +477,38 @@ def test_no_step_or_solver_reads_the_strict_regime():
 
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nmloc").glob("*.py")):
         walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    assert readers == {"iteration.run", "cli.cmd_check_theory"}
+    assert readers == {"iteration.run", "localization.certify", "cli.cmd_check_theory"}
     assert strict == []
+
+
+def test_a_finished_run_has_one_verdict():
+    # localization.certify judges a finished run: run refuses only before
+    # its first step, and only main and a sweep's cell name a failed check
+    refusals, messages = [], []
+
+    def walk(node, where, func, docstrings):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, func = f"{where.split('.')[0]}.{node.name}", node
+        elif (isinstance(node, ast.Raise) and "TheoryConditionError"
+              in {getattr(n, "id", None) for n in ast.walk(node)}):
+            loops = [n.lineno for n in ast.walk(func) if isinstance(n, ast.While)]
+            refusals.append((where, bool(loops) and node.lineno < min(loops)))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "invariant failed" in node.value and id(node) not in docstrings):
+            messages.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where, func, docstrings)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nmloc").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                      if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                      and n.body and isinstance(n.body[0], ast.Expr)
+                      and isinstance(n.body[0].value, ast.Constant)}
+        walk(tree, path.stem, None, docstrings)
+    assert refusals == [("iteration.run", True)]
+    assert sorted(messages) == ["cli.cmd_sweep", "cli.main"]
 
 
 def test_a_finished_run_is_measured_not_refused():
