@@ -41,11 +41,11 @@ def _physical_memory() -> int | None:
 # no box whose run, RUN_BUFFERS complex n x n operators, exceeds this is built
 PHYSICAL_MEMORY = _physical_memory()
 
-# the hopping T a run holds at entry, plus the ten buffers that a certified
-# run peaks at above it: what tracemalloc sees, plus the copies of their
-# operands that numpy.linalg's inv, solve and eigvalsh make outside its view
-# (tier-1 test_run_buffers_count_numpy_linalg_copies)
-RUN_BUFFERS = 11
+# the hopping T a run holds at entry, plus the nine buffers that a certified
+# run peaks at above it (8.10 at n = 129): what tracemalloc sees, plus the
+# copies of their operands that numpy.linalg's inv, solve and eigvalsh make
+# outside its view (tier-1 test_run_buffers_count_numpy_linalg_copies)
+RUN_BUFFERS = 10
 
 
 class LatticeBox:

@@ -11,11 +11,14 @@ finally measures the exact conjugation defect
 
     R_k = Q_k^{-1} H_k Q_k - (diagonal target),
 
-which is the quantity the scheme drives to zero.  The defect is *defined*
-by that product; the closed-form remainder decomposition (substitution
-error plus quadratic error) is recomputed independently and checked
-against it, and the slice-by-slice ``H_k`` is checked against its closed
-form ``S_theta T + D`` (plus the corrections in inverse mode), so every
+which is the quantity the scheme drives to zero.  ``H_k`` is held as its
+main diagonal: off it, it is the smoothed hopping ``S_{theta_k} T`` itself,
+formed once per step for the defect product.  The defect is *defined* by
+that product; the closed-form remainder decomposition (substitution error
+plus quadratic error), rebuilt from the slices the step consumed, is
+recomputed independently and checked against it, and each slice and the
+diagonal are checked against their closed forms, ``T`` on the slice's ring
+and ``diag T + D`` (plus the corrections in inverse mode), so every
 derivation step doubles as a runtime test.
 
 There is one step function: the first conjugation is the same step
@@ -63,7 +66,7 @@ from .box import LatticeBox
 from .errors import SymmetryDefectError, TheoryConditionError
 from .homological import neumann_invert, solve_diagonal_correction, solve_generator
 from .operators import (DiagonalOperator, LatticeOperator, TameConstants, flush_underflow,
-                        real_operands, shift_diagonal)
+                        offset_norm, real_operands, shift_diagonal)
 
 INVERSE = "inverse"
 DIRECT = "direct"
@@ -235,7 +238,7 @@ class IterationState:
     Q: LatticeOperator
     Qinv: LatticeOperator
     R: LatticeOperator
-    H: LatticeOperator
+    h_diag: np.ndarray  # H_k's main diagonal; off it H_k is S_{theta_k} T
     corrections: np.ndarray  # running sum of diagonal corrections
     real_symmetric: bool  # the data rule: the check products may take real arithmetic
     ledger: list[LedgerRow] = field(default_factory=list)
@@ -336,7 +339,8 @@ def hopping_slice(T: LatticeOperator, k: int, params: SchemeParams) -> LatticeOp
 
 def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
                  tc: TameConstants) -> IterationState:
-    """First conjugation: the general step from ``Q = I``, ``R = 0``, ``H = D``.
+    """First conjugation: the general step from ``Q = I``, ``R = 0``, ``H = D``
+    (``h_diag = D``).
 
     ``params`` must be resolved.  Returns the state after the step (k = 1),
     whose ledger holds the first row.
@@ -345,7 +349,7 @@ def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
     eye = LatticeOperator.identity(box)
     state = IterationState(
         box=box, params=params, tc=tc, T=T, D=D, k=0,
-        Q=eye, Qinv=eye, R=LatticeOperator.zeros(box), H=D.as_operator(),
+        Q=eye, Qinv=eye, R=LatticeOperator.zeros(box), h_diag=D.values,
         corrections=np.zeros_like(D.values), real_symmetric=real_symmetric_data(T, D),
     )
     del eye  # the step frees Q = Q^-1 = I once both successors exist
@@ -359,6 +363,8 @@ def iterate_step(state: IterationState) -> IterationState:
     ``G``, ``_transform_update`` the new ``Q`` and ``Q^-1``,
     ``_remainder_operand`` the closed form ``R' + R_quad`` and ``_defect``
     the exact defect ``R``, each with the ledger norms of what it forms.
+    The state holds ``H_k`` as its diagonal ``h_diag``, which ``_source``
+    advances; ``_defect`` forms ``H_k`` from ``T`` for its one product.
     The row opens with the Neumann margin ``1/2 - 4 c0^2 ||W||_a0`` (which
     inversion the step took), puts each norm next to its bound from
     ``step_bounds``, and adds ``R - (R' + R_quad)`` and ``Q Q^-1 - I``.
@@ -404,9 +410,10 @@ def _family(op, p: SchemeParams) -> list:
 def _source(state: IterationState):
     """``([G], D_k, corrections, H residual, norms)``: the generator's source
     ``G = B + R``, ``B`` the conjugated slice ``QTQ = Q^-1 T_k Q`` plus, in
-    inverse mode, ``QDQ = Q^-1 D_k Q``.  Replaces the state's ``H`` by
-    ``H + T_k`` (+ ``D_k`` in inverse mode), checked against its closed
-    form, and drops its ``R``.  At the first step ``Q = Q^-1 = I`` and
+    inverse mode, ``QDQ = Q^-1 D_k Q``.  Adds ``diag(T_k)`` (+ ``D_k`` in
+    inverse mode) to the state's ``h_diag``, so that ``H_k = S_{theta_k} T +
+    diag(h_diag)``, checks the slice and the diagonal (``_h_residual``), and
+    drops the state's ``R``.  At the first step ``Q = Q^-1 = I`` and
     ``R = 0``: no product, no solve for ``D_k``, no ``QTQ``/``QDQ`` norms.
     """
     p, box, k = state.params, state.box, state.k
@@ -421,20 +428,13 @@ def _source(state: IterationState):
     corrections = state.corrections + Dk.values
     norms = {"D": [(0.0, Dk.sobolev_norm(0.0))]}
 
-    # H_k = H + T_k (+ D_k in inverse mode), checked against its closed form
-    # S_{theta_k} T + D (+ D+ in inverse mode), theta_k the radius of the
-    # slice consumed now: no product, and a wrong slice or correction shows
-    h = state.H.entries + Tk.entries
+    # H_k's diagonal, summed in the order of the slice-by-slice H + T_k
+    # (+ D_k in inverse mode), so every entry of H_k keeps its bits
+    state.h_diag = state.h_diag + np.diagonal(Tk.entries)
     if inverse:
-        shift_diagonal(h, Dk.values)
-    state.H = LatticeOperator(box, h)
-    del h, Tk
-    h = np.where(box.smooth_mask(p.theta(k)), state.T.entries, 0)  # S_{theta_k} T
-    np.subtract(state.H.entries, h, out=h)
-    shift_diagonal(h, (state.D.values + corrections) if inverse else state.D.values,
-                   np.subtract)
-    h_residual = LatticeOperator(box, h).sobolev_norm(0.0)
-    del h
+        state.h_diag = state.h_diag + Dk.values
+    h_residual = _h_residual(state, Tk, corrections)
+    del Tk
 
     # inverse mode conjugates the correction into the step; direct mode takes
     # it out of the generator's source and into the diagonal target
@@ -450,6 +450,25 @@ def _source(state: IterationState):
         g = QTQ.entries + state.R.entries  # B = QTQ
     state.R = None  # G holds it now
     return [LatticeOperator(box, g)], Dk, corrections, h_residual, norms
+
+
+def _h_residual(state: IterationState, Tk: LatticeOperator, corrections: np.ndarray) -> float:
+    """``||H_k - S_{theta_k} T - diag(D [+ corrections])||_0`` (corrections
+    in inverse mode) on the offset slots, with no n x n operator formed.  An
+    off-diagonal slot holds ``|sup T_k - sup T|``, ``T``'s sup taken on the
+    ring ``theta_{k-1} < |j| <= theta_k`` (the band at k = 0) and 0 on other
+    slots; the main-diagonal slot holds ``max |(h_diag - diag T) - (D [+
+    corrections])|``.  On a correct step these are the dense difference's
+    per-slot sups."""
+    p, box, k = state.params, state.box, state.k
+    lens = box.offset_len
+    ring = lens <= p.theta(k)
+    if k:
+        ring &= lens > p.theta(k - 1)
+    slots = np.abs(Tk.diag_sups() - np.where(ring, state.T.diag_sups(), 0.0))
+    closed = state.D.values + corrections if p.mode == INVERSE else state.D.values
+    slots[lens == 0] = np.max(np.abs(state.h_diag - np.diagonal(state.T.entries) - closed))
+    return offset_norm(box, slots, 0.0)
 
 
 def _transform_update(state: IterationState, G: LatticeOperator, Dk: DiagonalOperator,
@@ -518,9 +537,17 @@ def _remainder_operand(G: list, W: list, VmI: list, target: np.ndarray,
 
 
 def _defect(state: IterationState, corrections: np.ndarray):
-    """``(R, norms)``: the exact defect ``R = Q^-1 H Q - Lambda`` of the
-    replaced state, ``Lambda = D`` (plus ``corrections`` in direct mode)."""
-    R = state.Qinv @ state.H @ state.Q - state.D
+    """``(R, norms)``: the exact defect ``R = Q^-1 H_k Q - Lambda`` of the
+    replaced state, ``Lambda = D`` (plus ``corrections`` in direct mode).
+    ``H_k = S_{theta_k} T + diag(h_diag)`` is formed here, the one n x n
+    copy a step makes of it, and freed once ``Q^-1 H_k`` exists."""
+    box = state.box
+    band = box.smooth_mask(state.params.theta(state.k))
+    np.fill_diagonal(band, False)
+    h = np.where(band, state.T.entries, 0)  # S_{theta_k} T off the diagonal
+    H = [LatticeOperator(box, shift_diagonal(h, state.h_diag))]
+    del band, h
+    R = state.Qinv @ H.pop() @ state.Q - state.D
     if state.params.mode != INVERSE:
         R = R - DiagonalOperator(state.box, corrections)
     return R, {"R": _family(R, state.params)}
@@ -575,7 +602,6 @@ def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> Scheme
         theory_conditions=conditions,
         real_symmetric=state.real_symmetric,
     )
-    state.H = None  # no reader after the last step
     if converged:
         assembled, target = result.conjugation_pair
         master = state.Qinv @ assembled @ state.Q - target - state.R

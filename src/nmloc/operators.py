@@ -120,10 +120,7 @@ class LatticeOperator:
             raise ValueError("norm index must be nonnegative")
         cached = self._norms.get(s)
         if cached is None:
-            sups = self.diag_sups()
-            weighted = sups * np.maximum(self.box.offset_len, 1.0) ** s  # <k> = max(1, |k|)
-            e = np.frexp(np.max(weighted))[1]  # squared at 2^-e, exactly: none overflows
-            cached = float(np.ldexp(np.sqrt(np.sum(np.ldexp(weighted, -e) ** 2)), e))
+            cached = offset_norm(self.box, self.diag_sups(), s)
             self._norms[s] = cached
         return cached
 
@@ -226,11 +223,19 @@ class LatticeOperator:
             return NotImplemented
         return LatticeOperator.wrap(self.box, self.entries - other.entries)
 
-    def __mul__(self, scalar):
-        return LatticeOperator(self.box, self.entries * complex(scalar))
-
     def __repr__(self):
         return f"LatticeOperator(n={self.box.n_sites}, d={self.box.dimension})"
+
+
+def offset_norm(box: LatticeBox, sups: np.ndarray, s: float) -> float:
+    """``(sum_k sups_k^2 <k>^(2s))^(1/2)`` over the box's flat offset slots,
+    ``<k> = max(1, |k|_inf)``: the one Sobolev norm formula, of an operator
+    whose per-slot sups are ``sups``.  The weighted sups are squared at the
+    power-of-two scale of the largest, exactly, so a finite norm does not
+    overflow."""
+    weighted = sups * np.maximum(box.offset_len, 1.0) ** s
+    e = np.frexp(np.max(weighted))[1]
+    return float(np.ldexp(np.sqrt(np.sum(np.ldexp(weighted, -e) ** 2)), e))
 
 
 def real_operands(real: bool, *ops: LatticeOperator) -> tuple[LatticeOperator, ...]:

@@ -184,7 +184,7 @@ def test_criterion_04_fixed_point_vs_direct_solve():
     worst_margin = math.inf
     for _ in range(100):
         w = random_banded(box, rng, n_offsets=4)
-        w = w * (0.08 / tc.c0 / w.sobolev_norm(ALPHA0))
+        w = LatticeOperator(w.box, w.entries * (0.08 / tc.c0 / w.sobolev_norm(ALPHA0)))
         Q = eye + w
         Qinv = LatticeOperator(box, np.linalg.inv(Q.entries))
         assert tc.c0 * (Qinv - eye).sobolev_norm(ALPHA0) <= 0.1
@@ -214,7 +214,7 @@ def test_criterion_05_neumann_suite():
     for _ in range(100):
         w = random_banded(box, rng, n_offsets=5)
         target = rng.uniform(0.05, 0.5)
-        w = w * (target / (4 * tc.c0**2 * w.sobolev_norm(ALPHA0)))
+        w = LatticeOperator(w.box, w.entries * (target / (4 * tc.c0**2 * w.sobolev_norm(ALPHA0))))
         res = neumann_invert(w, tc)
         assert res.neumann_terms is not None and res.smallness <= 0.5
         worst_resid = max(worst_resid, neumann_residual(w, res.Vinv))

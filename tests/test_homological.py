@@ -203,7 +203,7 @@ def test_neumann_residual_and_bounds(rng, tc):
     box = LatticeBox(1, 16, 12)
     for _ in range(5):
         W = random_banded(box, rng, n_offsets=5)
-        W = W * (0.4 / (4 * tc.c0**2 * W.sobolev_norm(tc.alpha0)))
+        W = LatticeOperator(W.box, W.entries * (0.4 / (4 * tc.c0**2 * W.sobolev_norm(tc.alpha0))))
         res = neumann_invert(W, tc)
         eye = LatticeOperator.identity(box)
         residual = neumann_residual(W, res.Vinv)
@@ -229,7 +229,7 @@ def test_neumann_smallness_error_and_fallback(rng, tc, box1d, monkeypatch):
     assert neumann_residual(W, res.Vinv) <= 1e-10 * res.condition_number
     monkeypatch.setattr(homological, "NEUMANN_MAX_TERMS", 2)
     with pytest.raises(NeumannSmallnessError, match="failed to reach the term tolerance"):
-        neumann_invert(W * (0.4 / smallness), tc)
+        neumann_invert(LatticeOperator(W.box, W.entries * (0.4 / smallness)), tc)
 
 
 def test_neumann_fallback_is_the_direct_solve(rng, tc):
@@ -252,7 +252,7 @@ def test_neumann_series_is_the_sum_of_powers_of_minus_w(rng, tc):
     # product exactly, so it equals the sum of the products of -W bit for bit
     box = LatticeBox(1, 16, 12)
     W = random_banded(box, rng, n_offsets=5)
-    W = W * (0.4 / (4 * tc.c0**2 * W.sobolev_norm(tc.alpha0)))
+    W = LatticeOperator(W.box, W.entries * (0.4 / (4 * tc.c0**2 * W.sobolev_norm(tc.alpha0))))
     res = neumann_invert(W, tc)
     minus_w = -W.entries
     acc = np.eye(box.n_sites, dtype=complex)

@@ -294,12 +294,11 @@ def _traced(call, *args):
 
 @pytest.mark.parametrize("mode", ["inverse", "direct"])
 def test_step_memory_budget(monkeypatch, mode):
-    # every step, the first included, peaks at no more than six complex
-    # n x n buffers above what it holds at entry (measured: 5.6 at the
-    # first step, whose Q and Q^-1 share one identity, and 4.6 later); it
-    # was 7.2 while the old R, R' and an explicit identity lived through the
-    # inversion of I + W, and 20 with every intermediate kept to the end
-    # of the step
+    # every step, the first included, peaks at no more than five complex
+    # n x n buffers above what it holds at entry (measured: 4.64 at the
+    # first step and 4.62 later, in both modes); it was 7.2 while the old R,
+    # R' and an explicit identity lived through the inversion of I + W, and
+    # 20 with every intermediate kept to the end of the step
     step = iteration.iterate_step
     box, D, T, params = maryland_setup(radius=64, mode=mode)
     peaks = []
@@ -312,7 +311,7 @@ def test_step_memory_budget(monkeypatch, mode):
     monkeypatch.setattr(iteration, "iterate_step", measured)
     res = _traced(run, T, D, params)
     assert res.converged and len(peaks) == res.steps
-    assert max(peaks) <= 6.0, peaks
+    assert max(peaks) <= 5.0, peaks
 
 
 def _certified_run(T, D, params):
@@ -324,16 +323,16 @@ def _certified_run(T, D, params):
 
 
 def test_certified_run_memory_budget():
-    # run plus the certificate peaks at no more than 9 complex n x n buffers
+    # run plus the certificate peaks at no more than 8 complex n x n buffers
     # of what tracemalloc sees above what was traced before the run, which
-    # holds T (measured: 8.84; 8.81 with the norms' row-block scratch; 8.77
-    # while the pair tables were built before the count; 9.25 while
-    # unitarize formed U and U^t U, and 11.7 while a step kept the old R, R'
-    # and an explicit identity alive through the inversion of I + W)
+    # holds T (measured: 7.80; 8.78 while the state held H_k as an n x n
+    # buffer; 9.25 while unitarize formed U and U^t U, and 11.7 while a step
+    # kept the old R, R' and an explicit identity alive through the
+    # inversion of I + W)
     box, D, T, params = maryland_setup(radius=64)
     res, peak = _traced(_buffers_above_entry, box, _certified_run, T, D, params)
     assert res.converged and res.unitarity_defect is not None
-    assert peak <= 9.0, peak
+    assert peak <= 8.0, peak
 
 
 # the copies of its operand that each numpy.linalg call makes in buffers
@@ -346,8 +345,9 @@ def test_run_buffers_count_numpy_linalg_copies(monkeypatch):
     # a box is admitted by what its run needs, RUN_BUFFERS complex n x n
     # buffers: T, plus the certified run's peak with numpy.linalg's untraced
     # copies counted at each call, where the traced output is held too
-    # (measured: 9.15 above the entry, in the last fallback inv; the traced
-    # peak alone is 8.84, and RUN_BUFFERS = 10 admitted a box by it)
+    # (measured: 8.10 above the entry, in the last fallback inv, and 9.10
+    # while the state held H_k as an n x n buffer; the traced peak alone is
+    # 7.77, short of the need by those copies)
     box, D, T, params = maryland_setup(radius=64)
     buffer = 16 * box.n_sites**2
     at_calls = []
@@ -390,11 +390,13 @@ def test_later_hopping_slices_hold_one_buffer(monkeypatch):
     assert max(peaks[k] for k in range(1, res.steps)) <= 1.25, peaks
 
 
-def _out_of_place_norms(state):
+def _out_of_place_norms(state, H):
     """Ledger norms of one step by out-of-place expressions, the first step
-    without its QTQ/QDQ rows, and its Neumann margin: the reference for the
-    step's in-place sums and early releases.  On real data the products that
-    only the checks read multiply real parts, as the step does."""
+    without its QTQ/QDQ rows, its Neumann margin and the next ``H``: the
+    reference for the step's in-place sums, early releases and ``H`` held
+    as its diagonal.  ``H`` is dense, summed slice by slice from ``D``, and
+    the defect and ``conj_residual`` read it.  On real data the products
+    that only the checks read multiply real parts, as the step does."""
     p, box, k = state.params, state.box, state.k
     eye = DiagonalOperator.identity(box)
     real = state.T.is_real_symmetric() and not state.D.values.imag.any()
@@ -426,11 +428,11 @@ def _out_of_place_norms(state):
     Q_next = state.Q @ V
     Qinv_next = Vinv @ state.Qinv
     if p.mode == "inverse":
-        H_next = state.H + Tk + Dk
+        H_next = H + Tk + Dk
         R_next = Qinv_next @ H_next @ Q_next - state.D
         H_diagonal = DiagonalOperator(box, state.D.values + corrections)
     else:
-        H_next = state.H + Tk
+        H_next = H + Tk
         R_next = (Qinv_next @ H_next @ Q_next - state.D
                   - DiagonalOperator(box, corrections))
         H_diagonal = state.D
@@ -450,21 +452,23 @@ def _out_of_place_norms(state):
     norms["qqinv_defect"] = (unread(Q_next, Qinv_next) - eye).sobolev_norm(0.0)
     if k == 0:
         norms = {key: v for key, v in norms.items() if not key.startswith(("QTQ@", "QDQ@"))}
-    return norms, 0.5 - inverted.smallness
+    return norms, 0.5 - inverted.smallness, H_next
 
 
 @pytest.mark.parametrize("mode", ["inverse", "direct"])
 def test_in_place_step_sums_equal_the_out_of_place_formulas(monkeypatch, mode):
     # replay every step of a run, the first included, from its pre-step Q,
-    # Q^-1, R, H and corrections; the step's in-place sums keep every
-    # operation and its order, so each norm of each row is equal, not close,
-    # and the row opens its margins with the Neumann margin
+    # Q^-1, R and corrections and the reference's own dense H; the step's
+    # in-place sums keep every operation and its order, and its H_k, formed
+    # from T and its diagonal, has the summed slices' entries, so each norm
+    # of each row is equal, not close, and the row opens its margins with
+    # the Neumann margin
     step = iteration.iterate_step
     box, D, T, params = maryland_setup(mode=mode)
-    replayed = []
+    replayed, H = [], [D.as_operator()]
 
     def replayed_step(state):
-        expected, neumann_margin = _out_of_place_norms(state)
+        expected, neumann_margin, H[0] = _out_of_place_norms(state, H[0])
         row = step(state).ledger[-1]
         assert list(row.norms) == list(expected), row.k
         for key, value in expected.items():
@@ -476,6 +480,27 @@ def test_in_place_step_sums_equal_the_out_of_place_formulas(monkeypatch, mode):
     monkeypatch.setattr(iteration, "iterate_step", replayed_step)
     res = run(T, D, params)
     assert res.converged and replayed == list(range(1, res.steps + 1))
+
+
+@pytest.mark.parametrize("mode", ["inverse", "direct"])
+def test_state_holds_no_dense_operator_but_q_qinv_r_and_t(monkeypatch, mode):
+    # H_k is held as its diagonal: after every step the only n x n arrays or
+    # operators the state holds are Q, Q^-1, R and the input T
+    step = iteration.iterate_step
+    box, D, T, params = maryland_setup(mode=mode)
+    held = []
+
+    def checked(state):
+        out = step(state)
+        n = box.n_sites
+        held.append({name for name, value in vars(out).items()
+                     if isinstance(value, LatticeOperator)
+                     or (isinstance(value, np.ndarray) and value.shape == (n, n))})
+        return out
+
+    monkeypatch.setattr(iteration, "iterate_step", checked)
+    res = run(T, D, params)
+    assert res.converged and held == [{"Q", "Qinv", "R", "T"}] * res.steps
 
 
 def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
@@ -503,10 +528,10 @@ def test_first_diagonal_correction_is_taken_without_a_solve(monkeypatch):
 FAULT_STEP = 2  # faults enter the step from k = 2, whose ledger row is k = 3
 
 
-def _entry_off(op, by=1e-6):
-    """``op`` with one entry off by ``by``."""
+def _entry_off(op, by=1e-6, at=(0, 1)):
+    """``op`` with the entry ``at`` off by ``by``."""
     entries = op.entries.copy()
-    entries[0, 1] += by
+    entries[at] += by
     return LatticeOperator(op.box, entries)
 
 
@@ -515,6 +540,15 @@ def _ring_dropped(sliced):
         ring = sliced(T, k, params)
         return LatticeOperator.zeros(T.box) if k == FAULT_STEP else ring
     return lossy
+
+
+def _slice_entry_off(sliced):
+    # offset 6 lies in the ring 4 < |k| <= 8 of slice 2; lowered by 1e-6 the
+    # entry leaves every per-offset sup of the Toeplitz slice as it was
+    def corrupted(T, k, params):
+        ring = sliced(T, k, params)
+        return _entry_off(ring, -1e-6, at=(0, 6)) if k == FAULT_STEP else ring
+    return corrupted
 
 
 def _ring_norm(T, params):
@@ -571,9 +605,14 @@ def _defect_entry_off(defect):
 # fault, the ledger cell that must show it at row FAULT_STEP (None: the run
 # must refuse it), and the floor the cell must reach there
 @pytest.mark.parametrize("patched, fault, cell, floor", [
-    # H is built slice by slice; conj_residual compares it with its closed
-    # form, so a ring that never enters H shows with at least its own norm
+    # conj_residual compares each slice's per-offset sups with T's on its
+    # ring, so a dropped ring shows there with at least its own norm.  The
+    # defect reads S_theta T itself and its closed form the slice, so
+    # decomp_residual shows a dropped ring (2.77e-4) and an entry moved
+    # within its offset's sup (9.98e-7), which conj_residual cannot see
     ("hopping_slice", _ring_dropped, "conj_residual", _ring_norm),
+    ("hopping_slice", _ring_dropped, "decomp_residual", 1e-4),
+    ("hopping_slice", _slice_entry_off, "decomp_residual", 1e-7),
     # the step's generator solve is the in-run check of X: a wrong X leaves
     # a main diagonal on the source G built from it
     ("solve_diagonal_correction", _correction_off, None, None),
@@ -581,7 +620,8 @@ def _defect_entry_off(defect):
     ("_transform_update", _qinv_imag_off, "qqinv_defect", 1e-7),
     ("_defect", _defect_entry_off, "decomp_residual", 1e-7),
     ("_remainder_operand", _w_entry_off, "decomp_residual", 1e-9),
-], ids=["dropped_ring", "corrupted_X", "Qinv_entry", "Qinv_imag", "R_entry", "W_entry"])
+], ids=["dropped_ring", "dropped_ring_defect", "slice_entry", "corrupted_X", "Qinv_entry",
+        "Qinv_imag", "R_entry", "W_entry"])
 def test_a_fault_shows_in_its_ledger_cell(monkeypatch, patched, fault, cell, floor):
     monkeypatch.setattr(iteration, patched, fault(getattr(iteration, patched)))
     box, D, T, params = maryland_setup(max_steps=4)
