@@ -9,10 +9,11 @@ operator living on the box.
 Only the box knows which offset slot a pair (i, j) belongs to, and it holds
 no n x n array: the site order puts each axis's offset ``i_v - j_v`` one
 reshape away, so ``offset_reduce`` folds an n x n array onto the slots one
-axis at a time, and sup-distances and band masks are formed per call from
-m x m pieces, m = 2N + 1.  A box is refused before its site table forms
-when its operator cannot be one numpy array, or when a run on it,
-``RUN_BUFFERS`` such operators, would exceed the physical memory.
+axis at a time, ``offset_spread`` spreads per-slot values back over the
+n x n pairs through one strided view, and sup-distances and band masks are
+formed per call from m x m pieces, m = 2N + 1.  A box is refused before its
+site table forms when its operator cannot be one numpy array, or when a run
+on it, ``RUN_BUFFERS`` such operators, would exceed the physical memory.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ def _physical_memory() -> int | None:
 # no box whose run, RUN_BUFFERS complex n x n operators, exceeds this is built
 PHYSICAL_MEMORY = _physical_memory()
 
-# the hopping T a run holds at entry, plus the nine buffers that a certified
-# run peaks at above it (8.10 at n = 129): what tracemalloc sees, plus the
-# copies of their operands that numpy.linalg's inv, solve and eigvalsh make
-# outside its view (tier-1 test_run_buffers_count_numpy_linalg_copies)
-RUN_BUFFERS = 10
+# the buffers that a certified run peaks at (8.14 at n = 129), the hopping's
+# symbol being 2N + 1 numbers: what tracemalloc sees, plus the copies of their
+# operands that numpy.linalg's inv, solve and eigvalsh make outside its view
+# (tier-1 test_run_buffers_count_numpy_linalg_copies)
+RUN_BUFFERS = 9
 
 
 class LatticeBox:
@@ -183,12 +184,26 @@ class LatticeBox:
             x = out.transpose(*range(1, out.ndim), 0)
         return x.ravel()
 
-    def _per_axis(self, ufunc, theta=None) -> np.ndarray:
-        """``ufunc`` across the axes of the m x m |i_v - j_v|, or of the band
-        |i_v - j_v| <= theta, each at its (i_v, j_v): a new n x n array."""
+    def offset_spread(self, slots: np.ndarray) -> np.ndarray:
+        """A new n x n array holding ``slots[k]`` at every pair whose offset
+        has flat id k.  Read as a (2m - 1)^d table, ``slots`` has pair (i, j)
+        at ``i_v - j_v + m - 1`` on each axis, so one strided view, each
+        i_v's stride and its negation for j_v, is the array; no index forms."""
         d, m = self.dimension, self._side
-        k = np.abs(np.arange(1 - m, m, dtype=float))  # |k| at k + m - 1
-        k = k if theta is None else k <= float(theta)
+        slots = np.ascontiguousarray(slots)
+        if slots.shape != self.offset_len.shape:
+            raise ValueError(f"slots must have shape {self.offset_len.shape}, got {slots.shape}")
+        strides = [slots.itemsize * (2 * m - 1) ** (d - 1 - v) for v in range(d)]
+        view = np.ndarray((m,) * (2 * d), slots.dtype, slots, (m - 1) * sum(strides),
+                          (*strides, *(-t for t in strides)))
+        out = np.empty((self.n_sites, self.n_sites), slots.dtype)
+        out.reshape(view.shape)[...] = view
+        return out
+
+    def _per_axis(self, ufunc, k: np.ndarray) -> np.ndarray:
+        """``ufunc`` across the axes of the m x m ``k[i_v - j_v + m - 1]``, each
+        at its (i_v, j_v), ``k`` of length 2m - 1: a new n x n array."""
+        d, m = self.dimension, self._side
         s = k.strides[0]  # a view: piece[i, j] = k[i - j + m - 1]
         piece = np.ndarray((m, m), k.dtype, k, (m - 1) * s, (s, -s))
         pieces = [piece.reshape([m if a in (v, d + v) else 1 for a in range(2 * d)])
@@ -197,10 +212,16 @@ class LatticeBox:
         return out.reshape(self.n_sites, self.n_sites)
 
     def sup_distance(self) -> np.ndarray:
-        """|i - j|_inf for every (row, column) pair, float, a new array per call."""
-        return self._per_axis(np.maximum)
+        """|i - j|_inf for every (row, column) pair, a new array per call, in
+        the smallest unsigned integer type that holds 2N (uint8 up to
+        N = 127): a sixteenth or an eighth of a complex operator."""
+        m = self._side
+        k = np.abs(np.arange(1 - m, m)).astype(np.min_scalar_type(m - 1))
+        return self._per_axis(np.maximum, k)
 
     def smooth_mask(self, theta: float) -> np.ndarray:
         """Boolean mask keeping the band |i - j|_inf <= theta (inclusive),
         a new array per call."""
-        return self._per_axis(np.logical_and, theta)
+        m = self._side
+        return self._per_axis(np.logical_and,
+                              np.abs(np.arange(1 - m, m, dtype=float)) <= float(theta))

@@ -237,7 +237,6 @@ def _report_dict(cfg, result):
         eye = DiagonalOperator.identity(result.box)
         minus_identity = (result.qplus - eye).sobolev_norm(eye_norm_s)
         q_norms[f"minus_identity@s={eye_norm_s:g}"] = minus_identity
-        # ||T||_(alpha+4delta) is cached from the run's theory conditions
         t_high = result.T.sobolev_norm(p.alpha + 4 * p.delta)
         if t_high > 0 and p.alpha > p.alpha0:  # a positive exponent
             q_norms["coupling_scaling_ratio"] = minus_identity / t_high ** (

@@ -11,9 +11,11 @@ finally measures the exact conjugation defect
 
     R_k = Q_k^{-1} H_k Q_k - (diagonal target),
 
-which is the quantity the scheme drives to zero.  ``H_k`` is held as its
-main diagonal: off it, it is the smoothed hopping ``S_{theta_k} T`` itself,
-formed once per step for the defect product.  The defect is *defined* by
+which is the quantity the scheme drives to zero.  ``T`` is held as its
+radial symbol (``operators.HoppingSymbol``), so each slice is formed from
+it, one band at a time, and ``H_k`` is held as its main diagonal: off it,
+it is the smoothed hopping ``S_{theta_k} T`` itself, formed once per step
+for the defect product.  The defect is *defined* by
 that product; the closed-form remainder decomposition (substitution error
 plus quadratic error), rebuilt from the slices the step consumed, is
 recomputed independently and checked against it, and each slice and the
@@ -65,8 +67,8 @@ from .algebra import distal_gamma_box
 from .box import LatticeBox
 from .errors import SymmetryDefectError, TheoryConditionError
 from .homological import neumann_invert, solve_diagonal_correction, solve_generator
-from .operators import (DiagonalOperator, LatticeOperator, TameConstants, flush_underflow,
-                        offset_norm, real_operands, shift_diagonal)
+from .operators import (DiagonalOperator, HoppingSymbol, LatticeOperator, TameConstants,
+                        flush_underflow, offset_norm, real_operands, shift_diagonal)
 
 INVERSE = "inverse"
 DIRECT = "direct"
@@ -232,7 +234,7 @@ class IterationState:
     box: LatticeBox
     params: SchemeParams
     tc: TameConstants
-    T: LatticeOperator
+    T: HoppingSymbol
     D: DiagonalOperator
     k: int
     Q: LatticeOperator
@@ -258,7 +260,7 @@ class SchemeResult:
     steps: int
     box: LatticeBox
     params: SchemeParams
-    T: LatticeOperator
+    T: HoppingSymbol
     D: DiagonalOperator
     theory_conditions: list[ConditionReport]  # evaluated at params.gamma
     real_symmetric: bool  # the data rule (real_symmetric_data); unitarized, with a spectrum
@@ -268,11 +270,13 @@ class SchemeResult:
     @cached_property
     def conjugation_pair(self) -> tuple[LatticeOperator, DiagonalOperator]:
         """``(A, Lambda)``, built once: ``(T + D + D+, D)`` in inverse mode,
-        ``(T + D, D + D+)`` in direct mode."""
-        assembled = self.T + self.D
+        ``(T + D, D + D+)`` in direct mode.  ``A`` is one buffer, the whole
+        band of ``T`` with ``D`` and then ``D+`` added on its diagonal."""
+        a = shift_diagonal(self.T.band_entries(-1, math.inf), self.D.values)
         if self.params.mode == INVERSE:
-            return assembled + self.dplus, self.D
-        return assembled, DiagonalOperator(self.box, self.D.values + self.dplus.values)
+            return LatticeOperator.wrap(self.box, shift_diagonal(a, self.dplus.values)), self.D
+        return (LatticeOperator.wrap(self.box, a),
+                DiagonalOperator(self.box, self.D.values + self.dplus.values))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -314,15 +318,17 @@ class SchemeResult:
         )
 
 
-def real_symmetric_data(T: LatticeOperator, D: DiagonalOperator) -> bool:
-    """The data rule of a run, decided once: ``T`` exactly real symmetric and
-    ``D`` exactly real.  Under it the products that nothing reads back take
-    real arithmetic (``operators.real_operands``)."""
-    return T.is_real_symmetric() and not D.values.imag.any()
+def real_symmetric_data(T: HoppingSymbol, D: DiagonalOperator) -> bool:
+    """The data rule of a run, decided once: ``T``'s symbol and ``D`` exactly
+    real; a radial symbol is symmetric by construction.  Under it the
+    products that nothing reads back take real arithmetic
+    (``operators.real_operands``)."""
+    return not T.values.imag.any() and not D.values.imag.any()
 
 
-def hopping_slice(T: LatticeOperator, k: int, params: SchemeParams) -> LatticeOperator:
-    """Band slice of the hopping: the full band at k=0, rings afterwards.
+def hopping_slice(T: HoppingSymbol, k: int, params: SchemeParams) -> LatticeOperator:
+    """Band slice ``theta_{k-1} < |i - j|_inf <= theta_k`` of the hopping, the
+    full band ``|i - j|_inf <= theta_0`` at k = 0, formed from the symbol.
 
     Slices telescope exactly: summing slices 0..K reproduces the band of
     radius theta_K entry by entry, and the whole operator once theta_K
@@ -330,14 +336,10 @@ def hopping_slice(T: LatticeOperator, k: int, params: SchemeParams) -> LatticeOp
     """
     if k < 0:
         raise ValueError("slice index must be nonnegative")
-    if k == 0:
-        return T.smooth(params.theta(0))
-    box = T.box
-    ring = box.smooth_mask(params.theta(k)) & ~box.smooth_mask(params.theta(k - 1))
-    return LatticeOperator(box, np.where(ring, T.entries, 0))
+    return T.band(params.theta(k - 1) if k else -1, params.theta(k))
 
 
-def initial_step(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
+def initial_step(T: HoppingSymbol, D: DiagonalOperator, params: SchemeParams,
                  tc: TameConstants) -> IterationState:
     """First conjugation: the general step from ``Q = I``, ``R = 0``, ``H = D``
     (``h_diag = D``).
@@ -459,7 +461,8 @@ def _h_residual(state: IterationState, Tk: LatticeOperator, corrections: np.ndar
     ring ``theta_{k-1} < |j| <= theta_k`` (the band at k = 0) and 0 on other
     slots; the main-diagonal slot holds ``max |(h_diag - diag T) - (D [+
     corrections])|``.  On a correct step these are the dense difference's
-    per-slot sups."""
+    per-slot sups.  ``T``'s sups and diagonal are read off its symbol; the
+    slice's are folded from the dense slice the step used."""
     p, box, k = state.params, state.box, state.k
     lens = box.offset_len
     ring = lens <= p.theta(k)
@@ -467,7 +470,7 @@ def _h_residual(state: IterationState, Tk: LatticeOperator, corrections: np.ndar
         ring &= lens > p.theta(k - 1)
     slots = np.abs(Tk.diag_sups() - np.where(ring, state.T.diag_sups(), 0.0))
     closed = state.D.values + corrections if p.mode == INVERSE else state.D.values
-    slots[lens == 0] = np.max(np.abs(state.h_diag - np.diagonal(state.T.entries) - closed))
+    slots[lens == 0] = np.max(np.abs(state.h_diag - state.T.values[0] - closed))
     return offset_norm(box, slots, 0.0)
 
 
@@ -539,21 +542,20 @@ def _remainder_operand(G: list, W: list, VmI: list, target: np.ndarray,
 def _defect(state: IterationState, corrections: np.ndarray):
     """``(R, norms)``: the exact defect ``R = Q^-1 H_k Q - Lambda`` of the
     replaced state, ``Lambda = D`` (plus ``corrections`` in direct mode).
-    ``H_k = S_{theta_k} T + diag(h_diag)`` is formed here, the one n x n
-    copy a step makes of it, and freed once ``Q^-1 H_k`` exists."""
+    ``H_k = S_{theta_k} T + diag(h_diag)`` is formed here from the band
+    ``0 < |i - j|_inf <= theta_k``, the one n x n copy a step makes of it,
+    and freed once ``Q^-1 H_k`` exists."""
     box = state.box
-    band = box.smooth_mask(state.params.theta(state.k))
-    np.fill_diagonal(band, False)
-    h = np.where(band, state.T.entries, 0)  # S_{theta_k} T off the diagonal
-    H = [LatticeOperator(box, shift_diagonal(h, state.h_diag))]
-    del band, h
+    h = state.T.band_entries(0, state.params.theta(state.k))
+    H = [LatticeOperator.wrap(box, shift_diagonal(h, state.h_diag))]
+    del h
     R = state.Qinv @ H.pop() @ state.Q - state.D
     if state.params.mode != INVERSE:
         R = R - DiagonalOperator(state.box, corrections)
     return R, {"R": _family(R, state.params)}
 
 
-def run(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams) -> SchemeResult:
+def run(T: HoppingSymbol, D: DiagonalOperator, params: SchemeParams) -> SchemeResult:
     """Drive the scheme to convergence (or to the step cap) and certify it.
 
     First ``theory_conditions`` fixes gamma and evaluates the sufficient
@@ -772,7 +774,7 @@ def check_theory_conditions(params: SchemeParams, tc: TameConstants, *,
     return out
 
 
-def theory_conditions(T: LatticeOperator, D: DiagonalOperator, params: SchemeParams,
+def theory_conditions(T: HoppingSymbol, D: DiagonalOperator, params: SchemeParams,
                       tc: TameConstants) -> tuple[SchemeParams, list[ConditionReport]]:
     """The run's gamma and the sufficient conditions evaluated at it.
 
@@ -780,7 +782,7 @@ def theory_conditions(T: LatticeOperator, D: DiagonalOperator, params: SchemePar
     separation constant of ``D`` on the box; a missing ``params.gamma`` is
     set to it, a given one is checked against it in the leading ``gamma``
     row (margin measured minus used).  The other rows are
-    ``check_theory_conditions`` with the hopping norms measured on ``T``.
+    ``check_theory_conditions`` with the hopping norms read off ``T``'s symbol.
     Returns the params with gamma set and the rows.
     """
     measured, worst = distal_gamma_box(D, params.tau)

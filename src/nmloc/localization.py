@@ -68,7 +68,7 @@ def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
         / np.linalg.norm(Q[:, c], axis=0) for c in map(slice, bounds[:-1], bounds[1:])])
     del residual_mat
     # column k of the symmetric pair distances holds <i - k> for every site i
-    weights = np.maximum(box.sup_distance(), 1.0)
+    weights = np.maximum(box.sup_distance(), 1.0, dtype=float)
     cols = np.abs(Q)
     envelope = weights ** (-exponent)  # the one scratch array
     envelope *= 2.0

@@ -28,7 +28,7 @@ from typing import Optional, Sequence as Seq
 import numpy as np
 
 from .box import LatticeBox
-from .operators import DiagonalOperator, LatticeOperator, TorusProfile
+from .operators import DiagonalOperator, HoppingSymbol, TorusProfile
 
 POTENTIAL_KINDS = (
     "maryland",
@@ -158,17 +158,18 @@ def build_potential(spec: PotentialSpec, box: LatticeBox) -> DiagonalOperator:
     return DiagonalOperator(box, formula(box.sites), formula=formula)
 
 
-def build_hopping(spec: HoppingSpec, box: LatticeBox) -> LatticeOperator:
-    """Toeplitz hopping with entries eps * phi_{i-j}.
+def build_hopping(spec: HoppingSpec, box: LatticeBox) -> HoppingSymbol:
+    """Toeplitz hopping with entries eps * phi_{i-j}, as its radial symbol.
 
     The power-law profile is phi_k = |k|_inf^(-s) off the main diagonal and
-    phi_0 = 0; it depends on |k| only, so the operator is real symmetric.
-    The coupling is baked in here once; downstream code never rescales.
+    phi_0 = 0; it depends on r = |k|_inf only, so the operator is its 2N + 1
+    values eps * phi at r = 0..2N, and it is real symmetric.  The coupling
+    is baked in here once; downstream code never rescales.
     """
-    dist = box.sup_distance()
+    r = np.arange(2 * box.radius + 1, dtype=float)
     with np.errstate(divide="ignore"):
-        phi = np.where(dist == 0.0, 0.0, dist ** (-spec.s_exponent))
-    return LatticeOperator(box, spec.epsilon * phi)
+        phi = np.where(r == 0.0, 0.0, r ** (-spec.s_exponent))
+    return HoppingSymbol(box, spec.epsilon * phi)
 
 
 def check_diophantine(omega, tau: float, max_k: int):

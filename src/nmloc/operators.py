@@ -1,4 +1,5 @@
-"""Dense lattice operators with diagonal-wise Sobolev norms.
+"""Lattice operators with diagonal-wise Sobolev norms: dense, diagonal, and
+the hopping's radial symbol.
 
 An operator on a box is stored as a dense complex128 matrix in the box's
 site enumeration.  Its k-diagonal is the sequence ``A_k(i) = A_{i, i-k}``;
@@ -18,12 +19,18 @@ norm, sup plus the total variation of the profile on ``BV_GRID_POINTS``
 uniform points (the sup also covers the lattice values, so the sup norm
 never exceeds it).
 
-This module alone chooses the number type: the constructors of both
+The hopping is stored as its radial symbol instead: a Toeplitz operator
+whose entry at (i, j) depends on ``|i - j|_inf`` alone is the 2N + 1
+values ``values[r]``, r = 0..2N.  Its per-slot sups and Sobolev norms are
+read off the symbol, each slot holding one value; a dense band
+``lo < |i - j|_inf <= hi`` forms only on request, one band at a time.
+
+This module alone chooses the number type: the constructors of the three
 operator classes cast their input to complex128, so the builders hand them
 arrays of any numeric type.  The one exception is ``real_operands``: a
 product that nothing reads back, only a check, may take float64 operands,
 the real parts of operators with no imaginary part, when the run's data are
-real (``T`` real symmetric, ``D`` real).  One dgemm then replaces a zgemm,
+real (``T``'s symbol and ``D`` real).  One dgemm then replaces a zgemm,
 at a quarter of its arithmetic, and the float64 operators it forms and
 returns are never read by a step.  It alone also reaches the main diagonal
 of a dense array in place (``shift_diagonal``).
@@ -172,11 +179,6 @@ class LatticeOperator:
     def transpose(self) -> "LatticeOperator":
         return LatticeOperator.wrap(self.box, self.entries.T)
 
-    def is_real_symmetric(self) -> bool:
-        """Exactly real and symmetric; a NaN entry makes it False."""
-        e = self.entries
-        return bool(not e.imag.any() and np.array_equal(e, e.T))
-
     # -- arithmetic -------------------------------------------------------------
 
     def _coerce(self, other):
@@ -243,8 +245,8 @@ def real_operands(real: bool, *ops: LatticeOperator) -> tuple[LatticeOperator, .
     and no entry of any of them has an imaginary part; ``ops`` as they are
     otherwise, unscanned when ``real`` is false.
 
-    ``real`` is the run's data rule, decided once: ``T`` exactly real
-    symmetric and ``D`` exactly real (``iteration.real_symmetric_data``).
+    ``real`` is the run's data rule, decided once: ``T``'s symbol and ``D``
+    exactly real (``iteration.real_symmetric_data``).
     Such a run's operators have zero imaginary parts, so the product of the
     real parts, one dgemm, is their product; it costs a quarter of a
     zgemm's arithmetic, plus one copy of each operand.  An operand that does
@@ -366,6 +368,46 @@ class DiagonalOperator:
 
     def __repr__(self):
         return f"DiagonalOperator(n={self.box.n_sites})"
+
+
+class HoppingSymbol:
+    """Toeplitz operator ``T_ij = values[|i - j|_inf]``: the hopping as its
+    radial symbol, the 2N + 1 values at r = 0..2N, copied to complex and
+    frozen.  It holds no n x n array; every entry of an offset slot is the
+    value of its radius, so the per-slot sups and the norms are exact."""
+
+    __slots__ = ("box", "values")
+
+    def __init__(self, box: LatticeBox, values):
+        values = np.asarray(values, dtype=complex).reshape(2 * box.radius + 1).copy()
+        values.flags.writeable = False
+        self.box = box
+        self.values = values
+
+    def band_entries(self, lo: float, hi: float) -> np.ndarray:
+        """The band ``lo < |i - j|_inf <= hi``, zero off it, as a new writable
+        complex n x n array."""
+        r = np.arange(len(self.values))
+        symbol = np.where((r > lo) & (r <= hi), self.values, 0)
+        return self.box.offset_spread(symbol[self.box.offset_len])
+
+    def band(self, lo: float, hi: float) -> LatticeOperator:
+        """The band ``lo < |i - j|_inf <= hi`` as a dense operator;
+        ``band(-1, inf)`` is the whole of ``T``."""
+        return LatticeOperator.wrap(self.box, self.band_entries(lo, hi))
+
+    def diag_sups(self) -> np.ndarray:
+        """Sup of |entries| per flat offset slot: the modulus of the slot's value."""
+        return np.abs(self.values)[self.box.offset_len]
+
+    def sobolev_norm(self, s: float) -> float:
+        s = float(s)
+        if s < 0:
+            raise ValueError("norm index must be nonnegative")
+        return offset_norm(self.box, self.diag_sups(), s)
+
+    def __repr__(self):
+        return f"HoppingSymbol(n={self.box.n_sites}, d={self.box.dimension})"
 
 
 # -- tame constants -------------------------------------------------------------

@@ -51,6 +51,16 @@ def pair_dist(box):
     return dist
 
 
+def reference_hopping(box, s, epsilon):
+    """The dense hopping ``eps * phi(|i - j|_inf)``, phi = r^-s off the main
+    diagonal and 0 on it, complex, by the formula it was once built from on
+    the pair distance table."""
+    dist = pair_dist(box).astype(float)
+    with np.errstate(divide="ignore"):
+        phi = np.where(dist == 0.0, 0.0, dist ** (-s))
+    return (epsilon * phi).astype(complex)
+
+
 def scatter_offsets(box, a, ufunc, fill):
     """The reference for ``box.offset_reduce``: ``ufunc.at`` from ``fill``
     at every pair's offset id, as the norms and the distal scan once did."""

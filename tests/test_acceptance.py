@@ -299,7 +299,7 @@ def test_criterion_08_sarnak_complex_run(maryland_box):
 def test_criterion_09_direct_mode(maryland_box, maryland_D):
     T = build_hopping(HoppingSpec(s_exponent=S0, epsilon=0.05), maryland_box)
     res = run(T, maryland_D, scheme_params(epsilon=0.05, mode="direct"))
-    lhs = res.qplus_inv @ (T + maryland_D.as_operator()) @ res.qplus
+    lhs = res.qplus_inv @ (T.band(-1, np.inf) + maryland_D.as_operator()) @ res.qplus
     rhs = maryland_D.as_operator() + res.dplus.as_operator()
     master = (lhs - rhs).sobolev_norm(0.0)
     reports = eigenfunctions(res)

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import DIFFERENTIAL_BOXES, offset_flat_id, pair_dist, scatter_offsets
+from conftest import (DIFFERENTIAL_BOXES, offset_flat_id, pair_dist, pair_offset_ids,
+                      scatter_offsets)
 from nmloc import LatticeBox, box as box_module
 
 # without a physical-memory bound these boxes would build a 12 GB site table
@@ -131,6 +132,28 @@ def test_offset_reduce_is_the_scatter(dimension, radius, rng):
             got = box.offset_reduce(a, ufunc, fill)
         assert np.array_equal(got.view(np.uint64),
                               scatter_offsets(box, a, ufunc, fill).view(np.uint64))
+
+
+@pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
+def test_offset_spread_is_the_gather(dimension, radius, rng):
+    # the strided view reads each pair's own slot: the spread is the gather
+    # by the pair's offset id, bit for bit, as a new writable array
+    box = LatticeBox(dimension, radius, 1)
+    slots = rng.standard_normal(len(box.offset_len)) + 1j * rng.standard_normal(
+        len(box.offset_len))
+    got = box.offset_spread(slots)
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert got.tobytes() == slots[pair_offset_ids(box)].tobytes()
+    with pytest.raises(ValueError, match="slots must have shape"):
+        box.offset_spread(slots[1:])
+
+
+@pytest.mark.parametrize("radius, dtype", [(64, np.uint8), (127, np.uint8), (128, np.uint16)])
+def test_sup_distance_takes_the_smallest_unsigned_type(radius, dtype):
+    # 2N = 128 needs no sign bit: a signed int8 would wrap it to -128
+    dist = LatticeBox(1, radius, 1).sup_distance()
+    assert dist.dtype == dtype
+    assert dist[0, -1] == dist[-1, 0] == 2 * radius
 
 
 @pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)

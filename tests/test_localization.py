@@ -77,7 +77,8 @@ def _out_of_place_reports(res):
     multiplies real parts, as ``eigenfunctions`` does."""
     H, target = res.conjugation_pair
     Q, exponent = res.qplus.entries, decay_exponent(res)
-    real = res.T.is_real_symmetric() and not res.D.values.imag.any()
+    T = res.T.band(-1, np.inf).entries
+    real = not T.imag.any() and np.array_equal(T, T.T) and not res.D.values.imag.any()
     HQ = H.entries.real @ Q.real if real else H.entries @ Q
     residual_mat = HQ - Q * target.values[None, :]
     residuals = np.linalg.norm(residual_mat, axis=0) / np.linalg.norm(Q, axis=0)

@@ -74,7 +74,7 @@ def test_infinite_hopping_exponent_is_nearest_neighbour():
     # s = +inf is allowed: a finite-range hopping has every decay exponent
     box = LatticeBox(1, 4, 2)
     T = build_hopping(HoppingSpec(s_exponent=math.inf, epsilon=0.1), box)
-    assert np.array_equal(T.entries, 0.1 * (pair_dist(box) == 1))
+    assert np.array_equal(T.band(-1, np.inf).entries, 0.1 * (pair_dist(box) == 1))
 
 
 def test_limit_periodic_binary_range_and_period():
@@ -125,22 +125,22 @@ def test_custom_potential_roundtrip(rng):
 def test_hopping_zero_coupling():
     box = LatticeBox(1, 6, 4)
     T = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=0.0), box)
-    assert np.all(T.entries == 0.0)
+    assert np.all(T.band(-1, np.inf).entries == 0.0)
 
 
 def test_hopping_profile_values():
     box = LatticeBox(1, 6, 4)
-    T = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=1.0), box)
+    T = build_hopping(HoppingSpec(s_exponent=4.0, epsilon=1.0), box).band(-1, np.inf)
     i0 = box.site_index((0,))
     assert T.entries[i0, box.site_index((1,))] == 1.0
     assert T.entries[i0, box.site_index((2,))] == pytest.approx(1.0 / 16.0)
     assert T.entries[i0, i0] == 0.0
-    assert T.is_real_symmetric()
+    assert not T.entries.imag.any() and np.array_equal(T.entries, T.entries.T)
 
 
 def test_hopping_is_toeplitz():
     box = LatticeBox(2, 3, 2)
-    T = build_hopping(HoppingSpec(s_exponent=3.0, epsilon=0.7), box)
+    T = build_hopping(HoppingSpec(s_exponent=3.0, epsilon=0.7), box).band(-1, np.inf)
     for k in ((1, 0), (2, -1), (0, 3)):
         vals = T.entries[pair_offset_ids(box) == offset_flat_id(box, k)]
         assert np.ptp(vals.real) == 0.0 and np.ptp(vals.imag) == 0.0

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DIFFERENTIAL_BOXES, offset_flat_id, pair_offset_ids, random_banded,
-                      scatter_offsets)
+from conftest import (DIFFERENTIAL_BOXES, offset_flat_id, pair_dist, pair_offset_ids,
+                      random_banded, reference_hopping, scatter_offsets)
 from nmloc import (
     DiagonalOperator,
+    HoppingSpec,
     LatticeBox,
     LatticeOperator,
     TameConstants,
+    build_hopping,
     chain_bound_margins,
     lattice_weight_sum,
     tame_bound_check,
@@ -438,6 +440,27 @@ def test_flush_underflow_scratch_is_under_a_sixteenth_of_a_buffer(rng):
     assert np.count_nonzero(op.entries.view(np.float64)) < 2 * n * n  # something flushed
 
 
+@pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
+def test_hopping_symbol_is_the_dense_hopping(dimension, radius):
+    # the symbol's bands are the dense formula's entries, masked, and its
+    # per-slot sups and norms are the dense operator's fold and norms, bit
+    # for bit: every entry of a slot is the one value of its radius
+    box = LatticeBox(dimension, radius, 1)
+    dist = pair_dist(box)
+    for s in (3.0, 4.0, 5.55, math.inf):
+        for epsilon in (0.0, 0.1):
+            T = build_hopping(HoppingSpec(s_exponent=s, epsilon=epsilon), box)
+            ref = reference_hopping(box, s, epsilon)
+            assert T.band(-1, math.inf).entries.tobytes() == ref.tobytes()
+            for lo, hi in ((-1, 0), (0, 1.5), (2.0, 4.0), (4.0, math.inf)):
+                band = np.where((dist > lo) & (dist <= hi), ref, 0)
+                assert T.band(lo, hi).entries.tobytes() == band.tobytes(), (s, lo, hi)
+            dense = LatticeOperator(box, ref)
+            assert T.diag_sups().tobytes() == dense.diag_sups().tobytes()
+            for index in (0.0, 0.6, 3.45, 5.55):
+                assert repr(T.sobolev_norm(index)) == repr(dense.sobolev_norm(index))
+
+
 # a dtype naming a complex number type, in any spelling numpy takes
 COMPLEX_DTYPE = re.compile(r"(?:dtype\s*=\s*|astype\(\s*)(?:np\.)?[\"']?complex"
                            r"|complex(?:64|128)\b|\bc(?:single|double)\b")
@@ -455,6 +478,78 @@ def test_only_operators_py_names_a_complex_dtype():
             path.name == "models.py" and "np.asarray(self.custom_values, dtype=complex)" in line)
     ]
     assert found == []
+
+
+# numpy's dense products, by function or method name
+PRODUCT_CALLS = {"matmul", "dot", "vdot", "einsum", "tensordot", "inner", "multi_dot"}
+
+
+def dense_products_outside_the_operator(source: str) -> list[int]:
+    """Lines where ``@``, ``np.matmul``, ``np.dot``, ``einsum`` or another numpy
+    product takes an ``.entries`` operand: the attribute itself, a view,
+    slice or method of it (``.entries.real``, ``.entries[:, c]``,
+    ``.entries.conj()``), or a name bound to one in the module."""
+    tree = ast.parse(source)
+
+    def reads_entries(node, names=frozenset()):
+        while True:
+            if isinstance(node, ast.Attribute):
+                if node.attr == "entries":
+                    return True
+                node = node.value
+            elif isinstance(node, ast.Subscript):
+                node = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                node = node.func
+            elif isinstance(node, ast.Starred):
+                node = node.value
+            else:
+                return isinstance(node, ast.Name) and node.id in names
+
+    names = frozenset(
+        target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        and reads_entries(node.value) for target in node.targets if isinstance(target, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = (node.target, node.value)
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) in PRODUCT_CALLS
+                or getattr(node.func, "id", None) in PRODUCT_CALLS):
+            operands = (*node.args, *(k.value for k in node.keywords))
+            if getattr(node.func, "attr", None) in PRODUCT_CALLS:
+                operands += (node.func.value,)  # a.dot(b) takes a too
+        else:
+            continue
+        if any(reads_entries(op, names) for op in operands):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("a.entries @ b", [1]),
+    ("c = a @ b.entries.T", [1]),
+    ("x = np.matmul(a.entries.real, b)", [1]),
+    ("x = np.dot(q, r.entries[:, 0])", [1]),
+    ("x = np.einsum('ij,jk->ik', a, b.entries.conj())", [1]),
+    ("e = op.entries\nx = e @ w", [2]),
+    ("x = a.entries.dot(b)", [1]),
+    ("x = a @ b\ny = LatticeOperator(box, q.entries * v) @ r\nz = a.entries * b", []),
+])
+def test_the_dense_product_guard_reads_entries_operands(source, lines):
+    assert dense_products_outside_the_operator(source) == lines
+
+
+def test_every_dense_product_goes_through_the_operator():
+    # outside operators.py no numpy product takes an operator's entries, so
+    # LatticeOperator.__matmul__ is every n x n product and
+    # operators.matmul_count counts each one
+    src = Path(__file__).resolve().parents[1] / "src" / "nmloc"
+    found = {path.name: lines for path in sorted(src.glob("*.py")) if path.name != "operators.py"
+             if (lines := dense_products_outside_the_operator(path.read_text()))}
+    assert found == {}
 
 
 def test_no_step_or_solver_reads_the_strict_regime():
