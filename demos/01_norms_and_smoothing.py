@@ -54,7 +54,7 @@ tc = TameConstants(box.dimension, alpha0=0.6)
 print(f"\nproduct-estimate constants at alpha0 = 0.6: k0 = {tc.k0:.3f}, "
       f"k1(2.0) = {tc.k1(2.0):.3f}, c0 = {tc.c0:.3f}")
 
-entries = rng.standard_normal((box.n_sites,) * 2) * box.smooth_mask(5)
+entries = rng.standard_normal((box.n_sites,) * 2) * box.band_mask(-1, 5)
 X = LatticeOperator(box, entries.astype(complex))
 T_dense = T.band(-1, np.inf)
 margin = tame_bound_check(X, T_dense, 2.0, tc)

@@ -140,14 +140,13 @@ def distal_gamma_box(p: DiagonalOperator, tau: float):
     """
     box, vals = p.box, p.values
     mins = box.offset_reduce(np.abs(vals[:, None] - vals[None, :]), np.minimum, np.inf)
-    lens = box.offset_len
-    realized = np.isfinite(mins) & (lens > 0)
+    realized = np.isfinite(mins) & box.band_slots(0, np.inf)
     if np.any(mins[realized] == 0.0):
         slot = int(np.flatnonzero(realized & (mins == 0.0))[0])
         raise DistalViolationError(
             f"distal violation at offset {box.offset_vector(slot)}"
         )
-    gammas = mins[realized] * lens[realized].astype(float) ** tau
+    gammas = mins[realized] * box.offset_len[realized].astype(float) ** tau
     pos = int(np.argmin(gammas))
     slot = int(np.flatnonzero(realized)[pos])
     return float(gammas[pos]), box.offset_vector(slot)

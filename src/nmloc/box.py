@@ -9,11 +9,12 @@ operator living on the box.
 Only the box knows which offset slot a pair (i, j) belongs to, and it holds
 no n x n array: the site order puts each axis's offset ``i_v - j_v`` one
 reshape away, so ``offset_reduce`` folds an n x n array onto the slots one
-axis at a time, ``offset_spread`` spreads per-slot values back over the
-n x n pairs through one strided view, and sup-distances and band masks are
-formed per call from m x m pieces, m = 2N + 1.  A box is refused before its
-site table forms when its operator cannot be one numpy array, or when a run
-on it, ``RUN_BUFFERS`` such operators, would exceed the physical memory.
+axis at a time, and ``offset_spread`` spreads per-slot values back over
+the n x n pairs through one strided view.  ``band_slots`` is the one band
+predicate, ``lo < |k|_inf <= hi`` on the slots, and an n x n band mask is
+its spread, formed per call.  A box is refused before its site table
+forms when its operator cannot be one numpy array, or when a run on it,
+``RUN_BUFFERS`` such operators, would exceed the physical memory.
 """
 
 from __future__ import annotations
@@ -200,28 +201,14 @@ class LatticeBox:
         out.reshape(view.shape)[...] = view
         return out
 
-    def _per_axis(self, ufunc, k: np.ndarray) -> np.ndarray:
-        """``ufunc`` across the axes of the m x m ``k[i_v - j_v + m - 1]``, each
-        at its (i_v, j_v), ``k`` of length 2m - 1: a new n x n array."""
-        d, m = self.dimension, self._side
-        s = k.strides[0]  # a view: piece[i, j] = k[i - j + m - 1]
-        piece = np.ndarray((m, m), k.dtype, k, (m - 1) * s, (s, -s))
-        pieces = [piece.reshape([m if a in (v, d + v) else 1 for a in range(2 * d)])
-                  for v in range(d)]
-        out = np.ascontiguousarray(functools.reduce(ufunc, pieces))
-        return out.reshape(self.n_sites, self.n_sites)
+    def band_slots(self, lo: float, hi: float) -> np.ndarray:
+        """``lo < |k|_inf <= hi`` per flat offset slot, a new boolean array:
+        the one band predicate, which every band of the package reads."""
+        lens = self.offset_len
+        return (lens > lo) & (lens <= hi)
 
-    def sup_distance(self) -> np.ndarray:
-        """|i - j|_inf for every (row, column) pair, a new array per call, in
-        the smallest unsigned integer type that holds 2N (uint8 up to
-        N = 127): a sixteenth or an eighth of a complex operator."""
-        m = self._side
-        k = np.abs(np.arange(1 - m, m)).astype(np.min_scalar_type(m - 1))
-        return self._per_axis(np.maximum, k)
-
-    def smooth_mask(self, theta: float) -> np.ndarray:
-        """Boolean mask keeping the band |i - j|_inf <= theta (inclusive),
-        a new array per call."""
-        m = self._side
-        return self._per_axis(np.logical_and,
-                              np.abs(np.arange(1 - m, m, dtype=float)) <= float(theta))
+    def band_mask(self, lo: float, hi: float) -> np.ndarray:
+        """The band ``lo < |i - j|_inf <= hi`` as a new boolean n x n array,
+        the spread of ``band_slots``; ``band_mask(-1, theta)`` keeps
+        ``|i - j|_inf <= theta``."""
+        return self.offset_spread(self.band_slots(lo, hi))

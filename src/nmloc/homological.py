@@ -49,20 +49,15 @@ NEUMANN_TERM_TOL = 1e-14  # 0-norm of the newest series term that ends the sum
 NEUMANN_MAX_TERMS = 400
 
 
-def _in_band_offdiagonal(box, theta: float) -> np.ndarray:
-    """The entries the generator solve sets: in the band, off the diagonal."""
-    mask = box.smooth_mask(theta)
-    np.fill_diagonal(mask, False)
-    return mask
-
-
 def solve_generator(D: DiagonalOperator, G: LatticeOperator,
                     theta: float) -> LatticeOperator:
     """Solve [D, W] + S_theta(G) = 0 for the zero-diagonal generator W.
 
-    A source ``G`` with a nonzero main diagonal raises ``ValueError``: a
-    step removes that diagonal first, so one left over means a wrong
-    diagonal correction.
+    The solve sets the entries of the band ``0 < |i - j|_inf <= theta``,
+    ``box.band_mask(0, theta)``, and leaves every other entry zero.  A
+    source ``G`` with a nonzero main diagonal raises ``ValueError``: a step
+    removes that diagonal first, so one left over means a wrong diagonal
+    correction.
     """
     box = G.box
     if D.box != box:
@@ -74,7 +69,7 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
         raise ValueError(f"unreduced diagonal: max |diag(G)| = {diag_dev:.3e}")
 
     divisors = d[None, :] - d[:, None]  # (i, j) -> d_j - d_i
-    need = _in_band_offdiagonal(box, theta)  # inside the band, so S_theta G = G there
+    need = box.band_mask(0, theta)  # inside the band, so S_theta G = G there
     small = need & (np.abs(divisors) < EPS_FLOOR)
     if np.any(small):
         i, j = np.argwhere(small)[0]
@@ -90,11 +85,11 @@ def solve_generator(D: DiagonalOperator, G: LatticeOperator,
 
 def generator_residual(D: DiagonalOperator, G: LatticeOperator, W: LatticeOperator,
                        theta: float) -> float:
-    """``max |[D, W] + S_theta G|`` over the entries the solve sets, where
-    ``S_theta G`` is ``G``."""
+    """``max |[D, W] + S_theta G|`` over the entries the solve sets, the band
+    ``0 < |i - j|_inf <= theta``, where ``S_theta G`` is ``G``."""
     d = D.values
     resid = np.abs((d[:, None] - d[None, :]) * W.entries + G.entries)
-    resid[~_in_band_offdiagonal(G.box, theta)] = 0.0
+    resid[~G.box.band_mask(0, theta)] = 0.0
     return float(np.max(resid))
 
 

@@ -464,13 +464,10 @@ def _h_residual(state: IterationState, Tk: LatticeOperator, corrections: np.ndar
     per-slot sups.  ``T``'s sups and diagonal are read off its symbol; the
     slice's are folded from the dense slice the step used."""
     p, box, k = state.params, state.box, state.k
-    lens = box.offset_len
-    ring = lens <= p.theta(k)
-    if k:
-        ring &= lens > p.theta(k - 1)
+    ring = box.band_slots(p.theta(k - 1) if k else -1, p.theta(k))
     slots = np.abs(Tk.diag_sups() - np.where(ring, state.T.diag_sups(), 0.0))
     closed = state.D.values + corrections if p.mode == INVERSE else state.D.values
-    slots[lens == 0] = np.max(np.abs(state.h_diag - state.T.values[0] - closed))
+    slots[box.offset_len == 0] = np.max(np.abs(state.h_diag - state.T.values[0] - closed))
     return offset_norm(box, slots, 0.0)
 
 
@@ -525,8 +522,7 @@ def _remainder_operand(G: list, W: list, VmI: list, target: np.ndarray,
     # R' = G_for_W - S_{theta_{k+1}} G_for_W is G past the band: in direct
     # mode G_for_W = G - D_k differs from G only on the main diagonal, which
     # the truncation keeps
-    r = G.entries * box.smooth_mask(theta)
-    np.subtract(G.entries, r, out=r)
+    r = G.entries * box.band_mask(theta, math.inf)
     del G
     VmI, bracket = real_operands(np.isrealobj(inner), VmI.pop(),
                                  LatticeOperator.wrap(box, inner))

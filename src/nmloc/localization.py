@@ -49,7 +49,11 @@ def decay_exponent(result: SchemeResult) -> float:
 
 
 def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
-    """One report per lattice site k, with e_k the k-th transform column."""
+    """One report per lattice site k, with e_k the k-th transform column.
+
+    The envelope's weights ``<i - k>^(-p)`` and ``<i - k>^p`` depend on the
+    offset alone: each is raised on the (4N + 1)^d offset slots and spread
+    over the n x n pairs by ``box.offset_spread``."""
     if not result.converged:
         raise ValueError("eigenfunction reports require a converged run")
     box = result.box
@@ -67,15 +71,16 @@ def eigenfunctions(result: SchemeResult) -> list[EigenReport]:
         np.linalg.norm(residual_mat[:, c] - Q[:, c] * eigenvalues[c], axis=0)
         / np.linalg.norm(Q[:, c], axis=0) for c in map(slice, bounds[:-1], bounds[1:])])
     del residual_mat
-    # column k of the symmetric pair distances holds <i - k> for every site i
-    weights = np.maximum(box.sup_distance(), 1.0, dtype=float)
+    # <k> = max(1, |k|_inf) per offset slot, raised to +-p there and spread:
+    # column k of a spread holds the power of <i - k> for every site i
+    weights = np.maximum(box.offset_len, 1.0)
     cols = np.abs(Q)
-    envelope = weights ** (-exponent)  # the one scratch array
+    envelope = box.offset_spread(weights ** (-exponent))  # the one scratch array
     envelope *= 2.0
     envelope -= cols
     margins = np.min(envelope, axis=0)
     del envelope
-    cols *= weights**exponent
+    cols *= box.offset_spread(weights**exponent)
     constants = np.max(cols, axis=0)
     return [
         EigenReport(

@@ -172,9 +172,9 @@ class LatticeOperator:
     # -- structure ------------------------------------------------------------
 
     def smooth(self, theta: float) -> "LatticeOperator":
-        """Keep the band |i - j|_inf <= theta, zero the rest."""
-        mask = self.box.smooth_mask(theta)
-        return LatticeOperator.wrap(self.box, self.entries * mask)
+        """S_theta: keep the band |i - j|_inf <= theta, the box's
+        ``band_mask(-1, theta)``, and zero the rest."""
+        return LatticeOperator.wrap(self.box, self.entries * self.box.band_mask(-1, theta))
 
     def transpose(self) -> "LatticeOperator":
         return LatticeOperator.wrap(self.box, self.entries.T)
@@ -232,10 +232,20 @@ class LatticeOperator:
 def offset_norm(box: LatticeBox, sups: np.ndarray, s: float) -> float:
     """``(sum_k sups_k^2 <k>^(2s))^(1/2)`` over the box's flat offset slots,
     ``<k> = max(1, |k|_inf)``: the one Sobolev norm formula, of an operator
-    whose per-slot sups are ``sups``.  The weighted sups are squared at the
-    power-of-two scale of the largest, exactly, so a finite norm does not
-    overflow."""
-    weighted = sups * np.maximum(box.offset_len, 1.0) ** s
+    whose per-slot sups are ``sups``.  Where ``<k>^s`` overflows, the weighted
+    sup is ``sups 2^f`` scaled by ``2^E``, ``E + f = s log2 <k>``, so a zero
+    sup gives 0 and a small one a finite value.  The weighted sups are
+    squared at the power-of-two scale of the largest, exactly, so a finite
+    norm does not overflow."""
+    lens = np.maximum(box.offset_len, 1.0)
+    with np.errstate(over="ignore"):
+        weights = lens ** s
+    huge = np.isinf(weights)
+    weights[huge] = 1.0
+    weighted = sups * weights
+    if huge.any():
+        f, e = np.modf(s * np.log2(lens[huge]))
+        weighted[huge] = np.ldexp(sups[huge] * np.exp2(f), e.astype(np.int64))
     e = np.frexp(np.max(weighted))[1]
     return float(np.ldexp(np.sqrt(np.sum(np.ldexp(weighted, -e) ** 2)), e))
 
@@ -386,10 +396,10 @@ class HoppingSymbol:
 
     def band_entries(self, lo: float, hi: float) -> np.ndarray:
         """The band ``lo < |i - j|_inf <= hi``, zero off it, as a new writable
-        complex n x n array."""
-        r = np.arange(len(self.values))
-        symbol = np.where((r > lo) & (r <= hi), self.values, 0)
-        return self.box.offset_spread(symbol[self.box.offset_len])
+        complex n x n array: each slot's value where ``box.band_slots``
+        holds, spread once."""
+        box = self.box
+        return box.offset_spread(np.where(box.band_slots(lo, hi), self.values[box.offset_len], 0))
 
     def band(self, lo: float, hi: float) -> LatticeOperator:
         """The band ``lo < |i - j|_inf <= hi`` as a dense operator;

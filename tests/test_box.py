@@ -96,7 +96,6 @@ def test_physical_memory_is_none_where_sysconf_cannot_tell(monkeypatch):
 
 def test_offset_tables_consistent():
     box = LatticeBox(2, 2, 1)
-    dist = box.sup_distance()
     for p in (0, 7, 13):
         for q in (2, 11, 24):
             k = box.sites[p] - box.sites[q]
@@ -105,18 +104,23 @@ def test_offset_tables_consistent():
             (slot,) = np.flatnonzero(box.offset_reduce(pair, np.maximum, 0.0))
             assert slot == offset_flat_id(box, k)
             assert box.offset_vector(int(slot)) == tuple(k)
-            assert dist[p, q] == np.max(np.abs(k))
+            assert box.offset_len[slot] == np.max(np.abs(k))
     lens = box.offset_len
     assert lens[offset_flat_id(box, (0, 0))] == 0
     assert lens[offset_flat_id(box, (-4, 2))] == 4
 
 
 def test_smooth_mask_inclusive_boundary():
+    # S_theta's mask is band_mask(-1, theta); the generator's band,
+    # band_mask(0, theta), is the same band with the main diagonal dropped
     box = LatticeBox(1, 4, 2)
-    mask = box.smooth_mask(2.0)
     i = box.site_index(0)
-    assert mask[i, box.site_index(2)]       # |i-j| = theta kept
-    assert not mask[i, box.site_index(3)]   # beyond theta dropped
+    for lo in (-1, 0):
+        mask = box.band_mask(lo, 2.0)
+        assert mask[i, box.site_index(2)]       # |i-j| = theta kept
+        assert not mask[i, box.site_index(3)]   # beyond theta dropped
+        assert mask[i, i] == (lo < 0)           # |i-j| = 0 kept only when lo < 0
+    assert not box.band_mask(0, 2.0).diagonal().any()
 
 
 @pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
@@ -148,18 +152,20 @@ def test_offset_spread_is_the_gather(dimension, radius, rng):
         box.offset_spread(slots[1:])
 
 
-@pytest.mark.parametrize("radius, dtype", [(64, np.uint8), (127, np.uint8), (128, np.uint16)])
-def test_sup_distance_takes_the_smallest_unsigned_type(radius, dtype):
-    # 2N = 128 needs no sign bit: a signed int8 would wrap it to -128
-    dist = LatticeBox(1, radius, 1).sup_distance()
-    assert dist.dtype == dtype
-    assert dist[0, -1] == dist[-1, 0] == 2 * radius
-
-
 @pytest.mark.parametrize("dimension, radius", DIFFERENTIAL_BOXES)
 def test_distances_and_masks_are_the_tables(dimension, radius):
+    # band_slots is lo < |k|_inf <= hi on the offset slots, each slot's
+    # length decoded from its offset vector, and band_mask is its spread:
+    # lo < |i - j|_inf <= hi on the pair-distance table, bounds included
     box = LatticeBox(dimension, radius, 1)
+    lens = np.array([max(map(abs, box.offset_vector(slot)))
+                     for slot in range(len(box.offset_len))])
+    assert np.array_equal(box.offset_len, lens)
     table = pair_dist(box)
-    assert np.array_equal(box.sup_distance(), table.astype(float))
-    for theta in (0, 1, 2.5, 2 * radius, 10 * radius):
-        assert np.array_equal(box.smooth_mask(theta), table <= theta)
+    for lo, hi in ((-1, 0), (-1, 2), (0, 2.5), (1, 2 * radius), (2.5, np.inf)):
+        slots = box.band_slots(lo, hi)
+        assert slots.dtype == bool
+        assert np.array_equal(slots, (lo < lens) & (lens <= hi))
+        mask = box.band_mask(lo, hi)
+        assert mask.dtype == bool and mask.shape == table.shape
+        assert np.array_equal(mask, (lo < table) & (table <= hi))

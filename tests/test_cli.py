@@ -321,6 +321,26 @@ def test_ledger_reproducibility_byte_identical(tmp_path):
     assert ra == rb
 
 
+def test_norms_at_an_index_past_the_float_range_are_finite(tmp_path):
+    # at s_exponent 80 the ledger's top index 157.55 makes <k>^s overflow from
+    # |k| = 91: a zero-sup slot there gave 0 * inf = NaN and a small sup inf,
+    # in 87 cells.  The first row has no QTQ or QDQ, and the bound of
+    # margin:VinvmI@157.55, 2 k1(s) theta^..., overflows itself
+    cfg = base_config()
+    cfg["box"] = {"dimension": 1, "radius": 64, "interior_radius": 48}
+    cfg["hopping"]["s_exponent"] = 80.0
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out)]) == 0
+    rows = list(csv.DictReader((out / "ledger.csv").read_text().splitlines()))
+    assert "R@157.55" in rows[0]
+    not_finite = {(row["k"], key) for row in rows for key, value in row.items()
+                  if not math.isfinite(float(value))}
+    absent = {("1", f"{prefix}{name}@{s}") for prefix in ("", "margin:")
+              for name in ("QTQ", "QDQ") for s in ("0.6", "79.25", "157.55")}
+    assert not_finite - absent <= {(row["k"], "margin:VinvmI@157.55") for row in rows}
+
+
 def test_verify_distal_exit_codes(tmp_path, capsys):
     cfg = base_config()
     cfg["params"]["gamma"] = 0.5  # comfortably below the measured frontier

@@ -33,6 +33,16 @@ def maryland_run(radius=16, epsilon=0.1, **kw):
     return run(T, D, params)
 
 
+def maryland_run_d(dimension, radius, s, epsilon, tau, alpha0, delta):
+    """Maryland at d = 2 or 3, frequencies golden, sqrt 2 - 1 and sqrt 3 - 1."""
+    box = LatticeBox(dimension, radius, max(1, radius - 1))
+    omega = (GOLDEN_MEAN, 2**0.5 - 1, 3**0.5 - 1)[:dimension]
+    D = build_potential(PotentialSpec("maryland", omega=omega), box)
+    T = build_hopping(HoppingSpec(s_exponent=s, epsilon=epsilon), box)
+    return run(T, D, SchemeParams(tau=tau, delta=delta, alpha0=alpha0, theta0=2.0,
+                                  Theta=2.0, s_hopping=s, epsilon=epsilon))
+
+
 @pytest.fixture(scope="module")
 def res16():
     return maryland_run()
@@ -89,11 +99,17 @@ def _out_of_place_reports(res):
     return residuals, margins, constants
 
 
-@pytest.mark.parametrize("which", ["radius 4", "res16", "sarnak_result"])
+@pytest.mark.parametrize("which", ["radius 4", "res16", "sarnak_result", "d2", "d3"])
 def test_eigenfunctions_are_the_out_of_place_reference(which, request):
-    # column blocks and one envelope scratch change no bit of a report; at
-    # radius 4 (n = 9) the blocks are two and three columns wide
-    res = maryland_run(radius=4) if which == "radius 4" else request.getfixturevalue(which)
+    # column blocks, one envelope scratch and the weights raised on the
+    # offset slots, then spread, change no bit of a report; at radius 4
+    # (n = 9) the blocks are two and three columns wide, and at d = 2 and 3
+    # the spread reads every axis
+    runs = {"radius 4": lambda: maryland_run(radius=4),
+            "d2": lambda: maryland_run_d(2, 4, 5.0, 0.01, 2.0, 1.2, 0.01),
+            "d3": lambda: maryland_run_d(3, 2, 6.0, 0.01, 3.0, 1.6, 0.05)}
+    res = runs[which]() if which in runs else request.getfixturevalue(which)
+    assert res.converged
     reports = eigenfunctions(res)
     got = [[r.eigen_residual for r in reports], [r.decay_envelope_margin for r in reports],
            [r.envelope_constant for r in reports]]

@@ -108,6 +108,21 @@ def test_a_norm_whose_square_overflows_is_finite(rng, box1d):
         assert LatticeOperator.zeros(box1d).sobolev_norm(1.0) == 0.0
         assert non_finite[0].sobolev_norm(1.0) == math.inf
         assert math.isnan(non_finite[1].sobolev_norm(1.0))
+    # at s = 300, <k>^s overflows for |k| >= 11 (2^(1024/300) is about 10.6):
+    # the zero-sup slots there give 0, not 0 * inf = NaN, and the small sups
+    # at |k| = 12 and 16 give finite weighted sups, 2^f scaled by 2^E
+    mpmath = pytest.importorskip("mpmath")
+    terms = ((3, 1.0), (-12, 2.0**-1000), (16, 3.0 * 2.0**-1000))
+    entries = np.zeros((box1d.n_sites,) * 2, complex)
+    for k, value in terms:
+        entries[pair_offset_ids(box1d) == offset_flat_id(box1d, (k,))] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = LatticeOperator(box1d, entries).sobolev_norm(300.0)
+    with mpmath.workprec(200):
+        exact = mpmath.sqrt(sum(mpmath.mpf(v) ** 2 * mpmath.mpf(abs(k)) ** 600
+                                for k, v in terms))
+        assert abs(mpmath.mpf(got) - exact) <= 1e-12 * exact
 
 
 def test_multiply_against_brute_force(rng):
@@ -484,17 +499,15 @@ def test_only_operators_py_names_a_complex_dtype():
 PRODUCT_CALLS = {"matmul", "dot", "vdot", "einsum", "tensordot", "inner", "multi_dot"}
 
 
-def dense_products_outside_the_operator(source: str) -> list[int]:
-    """Lines where ``@``, ``np.matmul``, ``np.dot``, ``einsum`` or another numpy
-    product takes an ``.entries`` operand: the attribute itself, a view,
-    slice or method of it (``.entries.real``, ``.entries[:, c]``,
-    ``.entries.conj()``), or a name bound to one in the module."""
-    tree = ast.parse(source)
+def attribute_reader(tree, attr: str):
+    """A test of whether an expression reads ``.attr``: the attribute itself,
+    a view, slice or method of it (``.attr.real``, ``.attr[:, c]``,
+    ``.attr.conj()``), or a name bound to one in the module ``tree``."""
 
-    def reads_entries(node, names=frozenset()):
+    def reads(node, names=frozenset()):
         while True:
             if isinstance(node, ast.Attribute):
-                if node.attr == "entries":
+                if node.attr == attr:
                     return True
                 node = node.value
             elif isinstance(node, ast.Subscript):
@@ -508,7 +521,15 @@ def dense_products_outside_the_operator(source: str) -> list[int]:
 
     names = frozenset(
         target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-        and reads_entries(node.value) for target in node.targets if isinstance(target, ast.Name))
+        and reads(node.value) for target in node.targets if isinstance(target, ast.Name))
+    return lambda node: reads(node, names)
+
+
+def dense_products_outside_the_operator(source: str) -> list[int]:
+    """Lines where ``@``, ``np.matmul``, ``np.dot``, ``einsum`` or another numpy
+    product takes an ``.entries`` operand (``attribute_reader``)."""
+    tree = ast.parse(source)
+    reads_entries = attribute_reader(tree, "entries")
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
@@ -523,7 +544,7 @@ def dense_products_outside_the_operator(source: str) -> list[int]:
                 operands += (node.func.value,)  # a.dot(b) takes a too
         else:
             continue
-        if any(reads_entries(op, names) for op in operands):
+        if any(map(reads_entries, operands)):
             found.append(node.lineno)
     return found
 
@@ -549,6 +570,40 @@ def test_every_dense_product_goes_through_the_operator():
     src = Path(__file__).resolve().parents[1] / "src" / "nmloc"
     found = {path.name: lines for path in sorted(src.glob("*.py")) if path.name != "operators.py"
              if (lines := dense_products_outside_the_operator(path.read_text()))}
+    assert found == {}
+
+
+BAND_COMPARISONS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def band_predicates_outside_the_box(source: str) -> list[int]:
+    """Lines where ``<``, ``<=``, ``>`` or ``>=`` takes an ``.offset_len``
+    operand (``attribute_reader``): a band predicate on the offset slots."""
+    tree = ast.parse(source)
+    reads_lens = attribute_reader(tree, "offset_len")
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(op, BAND_COMPARISONS) for op in node.ops)
+            and any(map(reads_lens, (node.left, *node.comparators)))]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("ring = box.offset_len <= theta", [1]),
+    ("lens = box.offset_len\nring = lens > lo", [2]),
+    ("x = 0 < box.offset_len[slots]", [1]),
+    ("x = (lo < b.offset_len.astype(float)) & (b.offset_len >= hi)", [1, 1]),
+    ("x = box.offset_len == 0\ny = np.maximum(box.offset_len, 1.0)\nz = lens < 2", []),
+])
+def test_the_band_guard_reads_offset_len_operands(source, lines):
+    assert band_predicates_outside_the_box(source) == lines
+
+
+def test_the_band_predicate_has_one_home():
+    # outside box.py no ordering comparison reads the offset lengths, so
+    # LatticeBox.band_slots is every band: the slices, S_theta, the
+    # generator's band, R' and the distal scan's nonzero offsets
+    src = Path(__file__).resolve().parents[1] / "src" / "nmloc"
+    found = {path.name: lines for path in sorted(src.glob("*.py")) if path.name != "box.py"
+             if (lines := band_predicates_outside_the_box(path.read_text()))}
     assert found == {}
 
 
